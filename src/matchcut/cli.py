@@ -36,7 +36,7 @@ from .graphs import (
     is_connected,
     make_cut,
 )
-from .matching import has_perfect_matching, maximum_matching
+from .matching import maximum_matching
 from .oracle import (
     OracleBudgetError,
     OracleError,
@@ -180,8 +180,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _emit(args, payload, _cut_lines(cut))
         return 0
     if not connected and problem == "dpm":
-        if has_perfect_matching(g):
-            matching = maximum_matching(g)
+        matching = maximum_matching(g)
+        if 2 * len(matching) == g.n:
             cut = _component_split_cut(g)
             payload = {"problem": problem} | _cut_payload(cut)
             payload["matching"] = [list(e) for e in matching]

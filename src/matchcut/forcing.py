@@ -11,6 +11,7 @@ solvers for matching cuts and for perfect matchings containing one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .graphs import (
     Cut,
@@ -21,7 +22,7 @@ from .graphs import (
     is_connected,
     make_cut,
 )
-from .matching import maximum_matching
+from .matching import has_perfect_matching, maximum_matching
 
 
 @dataclass(frozen=True)
@@ -58,84 +59,99 @@ def propagate(g: Graph, a: int, b: int) -> ForcingState | Refutation:
         joins A and B as matched partners.  Growth rules apply only when
         no refutation rule fires anywhere, and the lowest applicable
         vertex moves first.
+
+    Cost follows what the seed touches, not n.  Counters live only for
+    free vertices next to a forced one.  After each step only the
+    vertices whose counters changed are rescanned: the previous scan
+    found nothing refutable, so the lowest refutable vertex is one of
+    them.  Placeable vertices wait in a min-heap; a vertex placeable
+    toward a side stays so, and one placeable toward both is refutable,
+    so the heap's lowest free entry is the vertex the rules move next.
+    A seed is refuted in O(d log d) for the d vertices it touches; only
+    a surviving seed pays O(n) to build its ForcingState.
     """
     if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
         raise GraphError(f"seed pair ({a}, {b}) must be an edge")
-    in_a = [False] * g.n
-    in_b = [False] * g.n
-    side = [-1] * g.n  # 0 for X, 1 for Y
-    in_a[a] = in_b[b] = True
-    side[a] = 0
-    side[b] = 1
-    free = set(range(g.n)) - {a, b}
-    # per free vertex: neighbors in A, in B, in X\A, in Y\B
-    na = [0] * g.n
-    nb = [0] * g.n
-    nx = [0] * g.n
-    ny = [0] * g.n
-    for v in g.adj[a]:
-        na[v] += 1
-    for v in g.adj[b]:
-        nb[v] += 1
+    adj = g.adj
+    side = {a: 0, b: 1}  # forced vertices: 0 for X, 1 for Y
+    in_a = {a}
+    in_b = {b}
+    # per touched free vertex: neighbors in A, in B, in X\A, in Y\B
+    na: dict[int, int] = {}
+    nb: dict[int, int] = {}
+    nx: dict[int, int] = {}
+    ny: dict[int, int] = {}
+    for v in adj[a]:
+        na[v] = 1
+    for v in adj[b]:
+        nb[v] = 1
+    dirty = (na.keys() | nb.keys()) - {a, b}
+    placeable: list[int] = []  # min-heap; entries go stale once forced
 
     def place(v: int, s: int) -> None:
-        free.discard(v)
         side[v] = s
         counter = nx if s == 0 else ny
-        for u in g.adj[v]:
-            if side[u] == -1:
-                counter[u] += 1
+        for u in adj[v]:
+            if u not in side:
+                counter[u] = counter.get(u, 0) + 1
+                dirty.add(u)
 
     def match_pair(v: int, w: int) -> None:
         # v on the X side joins A, its unique cross partner w joins B
-        in_a[v] = True
-        in_b[w] = True
-        for u in g.adj[v]:
-            if side[u] == -1:
+        in_a.add(v)
+        in_b.add(w)
+        for u in adj[v]:
+            if u not in side:
                 nx[u] -= 1
-                na[u] += 1
-        for u in g.adj[w]:
-            if side[u] == -1:
+                na[u] = na.get(u, 0) + 1
+                dirty.add(u)
+        for u in adj[w]:
+            if u not in side:
                 ny[u] -= 1
-                nb[u] += 1
+                nb[u] = nb.get(u, 0) + 1
+                dirty.add(u)
 
     while True:
-        for v in sorted(free):
-            if na[v] and (nb[v] or ny[v] >= 2):
+        for v in sorted(dirty):
+            va = na.get(v, 0)
+            vb = nb.get(v, 0)
+            vx = nx.get(v, 0)
+            vy = ny.get(v, 0)
+            if va and (vb or vy >= 2):
                 return Refutation("R1", v)
-            if nb[v] and (na[v] or nx[v] >= 2):
+            if vb and (va or vx >= 2):
                 return Refutation("R2", v)
-            if nx[v] >= 2 and ny[v] >= 2:
+            if vx >= 2 and vy >= 2:
                 return Refutation("R3", v)
-        for v in sorted(free):
-            if na[v] or nx[v] >= 2:
-                partner = -1
-                if ny[v] == 1:
-                    partner = next(
-                        u for u in g.adj[v] if side[u] == 1 and not in_b[u]
-                    )
-                place(v, 0)
-                if partner != -1:
-                    match_pair(v, partner)
-                break
-            if nb[v] or ny[v] >= 2:
-                partner = -1
-                if nx[v] == 1:
-                    partner = next(
-                        u for u in g.adj[v] if side[u] == 0 and not in_a[u]
-                    )
-                place(v, 1)
-                if partner != -1:
-                    match_pair(partner, v)
-                break
+            if va or vb or vx >= 2 or vy >= 2:
+                heappush(placeable, v)
+        dirty.clear()
+        while placeable and placeable[0] in side:
+            heappop(placeable)
+        if not placeable:
+            break
+        v = heappop(placeable)
+        if na.get(v) or nx.get(v, 0) >= 2:
+            partner = -1
+            if ny.get(v) == 1:
+                partner = next(u for u in adj[v] if side.get(u) == 1 and u not in in_b)
+            place(v, 0)
+            if partner != -1:
+                match_pair(v, partner)
         else:
-            return ForcingState(
-                a=frozenset(v for v in range(g.n) if in_a[v]),
-                b=frozenset(v for v in range(g.n) if in_b[v]),
-                x=frozenset(v for v in range(g.n) if side[v] == 0),
-                y=frozenset(v for v in range(g.n) if side[v] == 1),
-                free=frozenset(free),
-            )
+            partner = -1
+            if nx.get(v) == 1:
+                partner = next(u for u in adj[v] if side.get(u) == 0 and u not in in_a)
+            place(v, 1)
+            if partner != -1:
+                match_pair(partner, v)
+    return ForcingState(
+        a=frozenset(in_a),
+        b=frozenset(in_b),
+        x=frozenset(v for v, s in side.items() if s == 0),
+        y=frozenset(v for v, s in side.items() if s == 1),
+        free=frozenset(v for v in range(g.n) if v not in side),
+    )
 
 
 def split_free_vertices(
@@ -190,9 +206,17 @@ def solve_dpm_4chordal(g: Graph) -> tuple[list[tuple[int, int]], Cut] | None:
     Returns (matching, cut) where the cut's crossing edges all belong to
     the matching, or None.  Complete on connected graphs without
     chordless cycles longer than four.
+
+    A graph of odd order, or one whose blossom matching is not perfect,
+    answers None before any seed is tried: one O(n^3) matching run in
+    place of a propagation per seed edge.  Otherwise each surviving
+    seed costs a propagation, a free-vertex split and a blossom run on
+    the vertices outside the matched core.
     """
     if not is_connected(g):
         raise GraphError("disconnected-perfect-matching search requires a connected graph")
+    if g.n % 2 or not has_perfect_matching(g):
+        return None
     for a, b in g.edges():
         state = propagate(g, a, b)
         if isinstance(state, Refutation):

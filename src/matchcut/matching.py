@@ -1,7 +1,8 @@
 """Maximum matching in general graphs by blossom shrinking.
 
-Cubic in the vertex count, deterministic: augmenting searches are seeded
-from vertices in ascending id order and neighbors scanned ascending.
+Cubic in the vertex count at worst, deterministic: augmenting searches
+are seeded from vertices in ascending id order and neighbors scanned
+ascending.
 """
 
 from __future__ import annotations
@@ -12,13 +13,20 @@ from .graphs import Graph
 
 
 def maximum_matching(g: Graph) -> list[tuple[int, int]]:
-    """A maximum-cardinality matching as sorted (min, max) pairs."""
+    """A maximum-cardinality matching as sorted (min, max) pairs.
+
+    Each augmenting search costs what its alternating tree touches: it
+    undoes only the entries the previous search wrote, and a blossom
+    contraction visits only the current tree's k vertices, in
+    O(k log k), in place of an O(n) reset per root and per blossom.
+    """
     n = g.n
     adj = [sorted(g.adj[v]) for v in range(n)]
     mate = [-1] * n
     parent = [-1] * n
     base = list(range(n))
     used = [False] * n
+    touched: list[int] = []  # vertices the current search has written
 
     def lca(a: int, b: int) -> int:
         marked = [False] * n
@@ -45,11 +53,16 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
             v = parent[mate[v]]
 
     def find_augmenting_path(root: int) -> int:
-        for v in range(n):
+        # undo only what the previous search wrote: it recorded each
+        # vertex it marked used or gave a parent, and it rewrites the
+        # parent or base of tree vertices alone
+        for v in touched:
             used[v] = False
             parent[v] = -1
             base[v] = v
+        touched.clear()
         used[root] = True
+        touched.append(root)
         queue = deque([root])
         while queue:
             v = queue.popleft()
@@ -62,17 +75,22 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
                     in_blossom = [False] * n
                     mark_path(v, stem, to, in_blossom)
                     mark_path(to, stem, v, in_blossom)
-                    for i in range(n):
+                    # only vertices of this search's tree can lie in
+                    # the blossom; visit them in ascending id order
+                    for i in sorted(set(touched)):
                         if in_blossom[base[i]]:
                             base[i] = stem
                             if not used[i]:
                                 used[i] = True
+                                touched.append(i)
                                 queue.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    touched.append(to)
                     if mate[to] == -1:
                         return to
                     used[mate[to]] = True
+                    touched.append(mate[to])
                     queue.append(mate[to])
         return -1
 

@@ -22,7 +22,7 @@ from .graphs import (
     is_perfect_matching_cut,
     make_cut,
 )
-from .oracle import OracleLimits, enumerate_matching_cuts
+from .oracle import OracleLimits
 from .twosat import Clause, TwoSatInstance, neg, pos, solve_2sat
 
 
@@ -201,11 +201,6 @@ def build_pmc_formula(
     return PmcEncoding(TwoSatInstance(g.n, tuple(clauses)), determined, None)
 
 
-def _pmc_side_by_oracle(g: Graph, limits: OracleLimits | None) -> frozenset[int] | None:
-    cuts = enumerate_matching_cuts(g, "perfect_only", limits, stop_after=1)
-    return cuts[0].x if cuts else None
-
-
 def solve_pmc_4chordal(
     g: Graph,
     limits: OracleLimits | None = None,
@@ -216,9 +211,12 @@ def solve_pmc_4chordal(
     """Find a perfect matching cut, or None when none exists.
 
     Components are handled independently; every component must admit a
-    perfect matching cut.  Components of breadth-first height at most
-    one (from their lowest vertex) fall back to bounded enumeration;
-    the limits argument configures that fallback only.  root picks the
+    perfect matching cut.  A component of breadth-first height at most
+    one has a universal root, and then only K2 has a perfect matching
+    cut: every other neighbor of the root shares its side, which leaves
+    the root's partner with no partner of its own.  Such a component is
+    answered in closed form, X = its lower vertex.  limits no longer
+    does anything; it is kept for callers that pass it.  root picks the
     layering root for its component (lowest vertex elsewhere); together
     with reverse_scan it varies the sweep order, which must never change
     the verdict.  Complete on graphs without chordless cycles longer
@@ -233,9 +231,9 @@ def solve_pmc_4chordal(
         local_root = old_ids.index(root) if root in comp else 0
         levels = bfs_levels(sub, local_root)
         if levels.h <= 1:
-            x_side = _pmc_side_by_oracle(sub, limits)
-            if x_side is None:
+            if sub.n != 2:
                 return None
+            x_side = frozenset({0})
         else:
             encoding = build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
             if encoding.formula is None:

@@ -3,14 +3,24 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.
+enumeration instead of augmenting paths.  The one exception is
+propagate_reference, the plain sorted-rescan form of the forcing loop,
+kept as the specification the incremental forcing.propagate must match.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from matchcut import Graph, build_graph, induced_subgraph, is_connected
+from matchcut import (
+    ForcingState,
+    Graph,
+    GraphError,
+    Refutation,
+    build_graph,
+    induced_subgraph,
+    is_connected,
+)
 
 
 def cross_degrees(g: Graph, x: set[int]) -> list[int]:
@@ -149,3 +159,94 @@ def is_induced_cycle_sequence(g: Graph, seq) -> bool:
             if g.has_edge(seq[i], seq[j]) != expect:
                 return False
     return True
+
+
+def propagate_reference(g: Graph, a: int, b: int) -> ForcingState | Refutation:
+    """Run rules R1..R5 to a fixed point for the seed edge (a, b).
+
+    R1: a free vertex adjacent to A and to B, or to A and twice to Y\\B,
+        cannot be placed; likewise R2 with the sides swapped and R3 for
+        two neighbors on each forced side.  R4/R5 place a vertex whose
+        neighborhood pins it to X or Y; when it has exactly one neighbor
+        on the opposite forced side outside the matched core, the pair
+        joins A and B as matched partners.  Growth rules apply only when
+        no refutation rule fires anywhere, and the lowest applicable
+        vertex moves first.
+    """
+    if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
+        raise GraphError(f"seed pair ({a}, {b}) must be an edge")
+    in_a = [False] * g.n
+    in_b = [False] * g.n
+    side = [-1] * g.n  # 0 for X, 1 for Y
+    in_a[a] = in_b[b] = True
+    side[a] = 0
+    side[b] = 1
+    free = set(range(g.n)) - {a, b}
+    # per free vertex: neighbors in A, in B, in X\A, in Y\B
+    na = [0] * g.n
+    nb = [0] * g.n
+    nx = [0] * g.n
+    ny = [0] * g.n
+    for v in g.adj[a]:
+        na[v] += 1
+    for v in g.adj[b]:
+        nb[v] += 1
+
+    def place(v: int, s: int) -> None:
+        free.discard(v)
+        side[v] = s
+        counter = nx if s == 0 else ny
+        for u in g.adj[v]:
+            if side[u] == -1:
+                counter[u] += 1
+
+    def match_pair(v: int, w: int) -> None:
+        # v on the X side joins A, its unique cross partner w joins B
+        in_a[v] = True
+        in_b[w] = True
+        for u in g.adj[v]:
+            if side[u] == -1:
+                nx[u] -= 1
+                na[u] += 1
+        for u in g.adj[w]:
+            if side[u] == -1:
+                ny[u] -= 1
+                nb[u] += 1
+
+    while True:
+        for v in sorted(free):
+            if na[v] and (nb[v] or ny[v] >= 2):
+                return Refutation("R1", v)
+            if nb[v] and (na[v] or nx[v] >= 2):
+                return Refutation("R2", v)
+            if nx[v] >= 2 and ny[v] >= 2:
+                return Refutation("R3", v)
+        for v in sorted(free):
+            if na[v] or nx[v] >= 2:
+                partner = -1
+                if ny[v] == 1:
+                    partner = next(
+                        u for u in g.adj[v] if side[u] == 1 and not in_b[u]
+                    )
+                place(v, 0)
+                if partner != -1:
+                    match_pair(v, partner)
+                break
+            if nb[v] or ny[v] >= 2:
+                partner = -1
+                if nx[v] == 1:
+                    partner = next(
+                        u for u in g.adj[v] if side[u] == 0 and not in_a[u]
+                    )
+                place(v, 1)
+                if partner != -1:
+                    match_pair(partner, v)
+                break
+        else:
+            return ForcingState(
+                a=frozenset(v for v in range(g.n) if in_a[v]),
+                b=frozenset(v for v in range(g.n) if in_b[v]),
+                x=frozenset(v for v in range(g.n) if side[v] == 0),
+                y=frozenset(v for v in range(g.n) if side[v] == 1),
+                free=frozenset(free),
+            )

@@ -131,6 +131,14 @@ class TestSolve:
         rc, payload = run_json(capsys, ["solve", path, "--problem", "pmc"])
         assert rc == 0 and payload["verdict"] == "NO"
 
+    def test_pmc_universal_vertex_closed_form(self, capsys, graph_file):
+        # above the oracle's 30-vertex reach: answered without enumeration
+        star = build_graph(40, [(0, v) for v in range(1, 40)])
+        path = graph_file("g", star)
+        rc = main(["solve", path, "--algo", "fourchordal", "--problem", "pmc"])
+        assert rc == 0
+        assert capsys.readouterr().out == "algo: fourchordal\nverdict: NO\n"
+
     def test_oracle_algo(self, capsys, graph_file):
         path = graph_file("g", complete_graph(4))
         rc, payload = run_json(

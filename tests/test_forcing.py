@@ -1,9 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
+import matchcut.forcing
+from conftest import random_graph
 from matchcut import (
     ForcingState,
+    Graph,
     GraphError,
     Refutation,
     build_graph,
@@ -19,6 +24,24 @@ from matchcut import (
     solve_mc_4chordal,
     split_free_vertices,
 )
+
+
+def ladder(k: int, pendants: tuple[int, ...] = ()) -> Graph:
+    """P_2 x P_k (rails 0..k-1 and k..2k-1, rung i -- k+i), plus one
+    pendant vertex on each listed corner."""
+    edges = (
+        [(i, i + 1) for i in range(k - 1)]
+        + [(k + i, k + i + 1) for i in range(k - 1)]
+        + [(i, k + i) for i in range(k)]
+        + [(corner, 2 * k + j) for j, corner in enumerate(pendants)]
+    )
+    return build_graph(2 * k + len(pendants), edges)
+
+
+def both_orientations(g):
+    for u, v in g.edges():
+        yield u, v
+        yield v, u
 
 
 class TestPropagate:
@@ -65,6 +88,18 @@ class TestPropagate:
         for v in state.a:
             cross = [u for u in two_triangles.adj[v] if u in state.y]
             assert len(cross) == 1 and cross[0] in state.b
+
+    @given(st.integers(0, 100_000), st.integers(2, 12), st.floats(0.1, 0.9))
+    def test_matches_reference_on_random_graphs(self, seed, n, p):
+        g = random_graph(random.Random(seed), n, p)
+        for a, b in both_orientations(g):
+            assert propagate(g, a, b) == bruteforce.propagate_reference(g, a, b)
+
+    @given(st.integers(0, 100_000))
+    def test_matches_reference_on_sample_instances(self, seed):
+        for g in sample_instances(seed, 2, 14):
+            for a, b in both_orientations(g):
+                assert propagate(g, a, b) == bruteforce.propagate_reference(g, a, b)
 
 
 class TestSplitFree:
@@ -131,6 +166,21 @@ class TestSolveDpm:
         assert solve_dpm_4chordal(cycle_graph(4)) is not None
         assert solve_dpm_4chordal(path_graph(3)) is None
         assert solve_dpm_4chordal(complete_graph(4)) is None
+
+    @pytest.mark.parametrize(
+        "g",
+        [ladder(20, (0,)), ladder(20, (0, 39)), ladder(21, (0, 20))],
+        ids=["odd-ladder", "pendant-ladder-even-k", "pendant-ladder-odd-k"],
+    )
+    def test_pre_checks_answer_before_any_seed(self, monkeypatch, g):
+        def no_seeds(*args):
+            raise AssertionError("a seed was propagated")
+
+        monkeypatch.setattr(matchcut.forcing, "propagate", no_seeds)
+        assert solve_dpm_4chordal(g) is None
+        # the patch is live: a ladder with a perfect matching reaches it
+        with pytest.raises(AssertionError, match="seed was propagated"):
+            solve_dpm_4chordal(ladder(4))
 
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):

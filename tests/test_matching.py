@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 from hypothesis import given, strategies as st
 
 import bruteforce
@@ -59,3 +60,14 @@ class TestOutputContract:
         assert is_matching(mm)
         assert all(g.has_edge(u, v) for u, v in mm)
         assert len(mm) == bruteforce.max_matching_size(g)
+
+    @given(st.integers(0, 100_000), st.integers(0, 40), st.floats(0.02, 0.9))
+    def test_against_networkx(self, seed, n, p):
+        g = random_graph(random.Random(seed), n, p)
+        mm = maximum_matching(g)
+        assert is_matching(mm)
+        assert all(g.has_edge(u, v) for u, v in mm)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        assert len(mm) == len(nx.max_weight_matching(h, maxcardinality=True))
