@@ -26,34 +26,21 @@ from .files import (
 )
 from .forcing import solve_dpm_4chordal, solve_mc_4chordal
 from .generators import sample_instances
-from .graphs import (
-    Cut,
-    Graph,
-    GraphError,
-    bfs_levels,
-    connected_components,
-    induced_subgraph,
-    is_connected,
-    make_cut,
-)
-from .matching import maximum_matching
+from .graphs import Graph, GraphError
 from .oracle import (
     OracleBudgetError,
-    OracleError,
     OracleLimits,
     OracleSizeError,
     contains_induced,
-    enumerate_matching_cuts,
     has_dpm,
     has_mc,
     has_pmc,
     longest_induced_cycle,
     longest_induced_path,
-    perfect_matchings,
 )
-from .pmc import build_pmc_formula, solve_pmc_4chordal
+from .pmc import build_merged_formula, solve_pmc_4chordal
 from .reduction import build_reduction
-from .twosat import TwoSatInstance
+from .solver import ALGOS, PROBLEMS, Result, solve
 
 
 def _limits(args: argparse.Namespace) -> OracleLimits:
@@ -73,82 +60,41 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
         print("\n".join(text_lines))
 
 
-def _cut_payload(cut: Cut | None) -> dict:
+def _solve_output(result: Result) -> tuple[dict, list[str]]:
+    payload: dict = {"problem": result.problem}
+    lines = []
+    if result.algo is not None:
+        payload["algo"] = result.algo
+        lines.append(f"algo: {result.algo}")
+    cut = result.cut
     if cut is None:
-        return {"verdict": "NO"}
-    return {
-        "verdict": "YES",
-        "x": sorted(cut.x),
-        "y": sorted(cut.y),
-        "crossing": [list(e) for e in cut.crossing],
-    }
-
-
-def _cut_lines(cut: Cut | None) -> list[str]:
-    if cut is None:
-        return ["verdict: NO"]
-    return [
-        "verdict: YES",
-        "x: " + " ".join(str(v) for v in sorted(cut.x)),
-        "y: " + " ".join(str(v) for v in sorted(cut.y)),
-        "crossing: " + _format_pairs(cut.crossing),
-    ]
-
-
-def _component_split_cut(g: Graph) -> Cut:
-    comp = connected_components(g)[0]
-    return make_cut(g, comp)
-
-
-def _oracle_dpm_certificate(
-    g: Graph, limits: OracleLimits
-) -> tuple[list[tuple[int, int]], Cut] | None:
-    for matching in perfect_matchings(g, limits):
-        mate = {u: v for u, v in matching} | {v: u for u, v in matching}
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in g.adj[v]:
-                if u != mate[v] and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) < g.n:
-            return sorted(matching), make_cut(g, seen)
-    return None
-
-
-def _pick_algo(g: Graph, args: argparse.Namespace, limits: OracleLimits) -> str:
-    if args.algo != "auto":
-        return args.algo
-    try:
-        cycle = longest_induced_cycle(g, limits)
-    except OracleError:
-        return "oracle"
-    return "fourchordal" if (cycle is None or cycle <= 4) else "oracle"
+        payload["verdict"] = "NO"
+        lines.append("verdict: NO")
+    else:
+        payload |= {
+            "verdict": "YES",
+            "x": sorted(cut.x),
+            "y": sorted(cut.y),
+            "crossing": [list(e) for e in cut.crossing],
+        }
+        lines += [
+            "verdict: YES",
+            "x: " + " ".join(str(v) for v in sorted(cut.x)),
+            "y: " + " ".join(str(v) for v in sorted(cut.y)),
+            "crossing: " + _format_pairs(cut.crossing),
+        ]
+    if result.matching is not None:
+        payload["matching"] = [list(e) for e in result.matching]
+        lines.append("matching: " + _format_pairs(result.matching))
+    if result.reason is not None:
+        payload["reason"] = result.reason
+        lines.append(f"reason: {result.reason}")
+    return payload, lines
 
 
 def _emit_twosat(g: Graph, prefix: str) -> None:
-    """Write the merged per-component 2-CNF and its variable sidecar.
-
-    Components whose layering is too shallow for the sweep contribute no
-    clauses; their ids are listed in the sidecar for transparency.
-    """
-    clauses = []
-    shallow: list[int] = []
-    blocked: list[int] = []
-    for comp in connected_components(g):
-        sub, old_ids = induced_subgraph(g, comp)
-        if bfs_levels(sub, 0).h <= 1:
-            shallow.extend(sorted(comp))
-            continue
-        encoding = build_pmc_formula(sub, 0)
-        if encoding.formula is None:
-            blocked.append(old_ids[encoding.blocked])
-            continue
-        for (v1, p1), (v2, p2) in encoding.formula.clauses:
-            clauses.append(((old_ids[v1], p1), (old_ids[v2], p2)))
-    inst = TwoSatInstance(g.n, tuple(clauses))
+    """Write the merged per-component 2-CNF and its variable sidecar."""
+    inst, shallow, blocked = build_merged_formula(g)
     Path(prefix + ".cnf").write_text(format_twosat_dimacs(inst))
     sidecar = json.loads(twosat_variable_map(inst))
     sidecar["unencoded_shallow_vertices"] = shallow
@@ -158,69 +104,12 @@ def _emit_twosat(g: Graph, prefix: str) -> None:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = parse_graph(Path(args.graph).read_text())
-    limits = _limits(args)
-    problem = args.problem
-
     if args.emit_2cnf:
-        if problem != "pmc":
+        if args.problem != "pmc":
             print("--emit-2cnf applies to --problem pmc only", file=sys.stderr)
             return 2
         _emit_twosat(g, args.emit_2cnf)
-
-    if problem == "pmc" and any(len(c) % 2 for c in connected_components(g)):
-        # a component of odd order cannot be perfectly matched across
-        payload = {"problem": problem, "verdict": "NO", "reason": "odd component"}
-        _emit(args, payload, ["verdict: NO", "reason: odd component"])
-        return 0
-
-    connected = is_connected(g)
-    if not connected and problem == "mc":
-        cut = _component_split_cut(g)
-        payload = {"problem": problem} | _cut_payload(cut)
-        _emit(args, payload, _cut_lines(cut))
-        return 0
-    if not connected and problem == "dpm":
-        matching = maximum_matching(g)
-        if 2 * len(matching) == g.n:
-            cut = _component_split_cut(g)
-            payload = {"problem": problem} | _cut_payload(cut)
-            payload["matching"] = [list(e) for e in matching]
-            _emit(
-                args,
-                payload,
-                _cut_lines(cut) + ["matching: " + _format_pairs(matching)],
-            )
-        else:
-            _emit(args, {"problem": problem, "verdict": "NO"}, ["verdict: NO"])
-        return 0
-
-    algo = _pick_algo(g, args, limits)
-    matching = None
-    if algo == "fourchordal":
-        if problem == "mc":
-            cut = solve_mc_4chordal(g)
-        elif problem == "pmc":
-            cut = solve_pmc_4chordal(g, limits)
-        else:
-            result = solve_dpm_4chordal(g)
-            matching, cut = result if result else (None, None)
-    else:
-        if problem == "mc":
-            cuts = enumerate_matching_cuts(g, "matching_only", limits, stop_after=1)
-            cut = cuts[0] if cuts else None
-        elif problem == "pmc":
-            cuts = enumerate_matching_cuts(g, "perfect_only", limits, stop_after=1)
-            cut = cuts[0] if cuts else None
-        else:
-            result = _oracle_dpm_certificate(g, limits)
-            matching, cut = result if result else (None, None)
-
-    payload = {"problem": problem, "algo": algo} | _cut_payload(cut)
-    lines = [f"algo: {algo}"] + _cut_lines(cut)
-    if matching is not None:
-        payload["matching"] = [list(e) for e in matching]
-        lines.append("matching: " + _format_pairs(matching))
-    _emit(args, payload, lines)
+    _emit(args, *_solve_output(solve(g, args.problem, args.algo, _limits(args))))
     return 0
 
 
@@ -362,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="decide a matching-cut problem")
     p_solve.add_argument("graph", help="graph file ('n m' header, 'u v' lines)")
-    p_solve.add_argument("--problem", choices=("mc", "pmc", "dpm"), required=True)
-    p_solve.add_argument("--algo", choices=("auto", "fourchordal", "oracle"), default="auto")
+    p_solve.add_argument("--problem", choices=PROBLEMS, required=True)
+    p_solve.add_argument("--algo", choices=ALGOS, default="auto")
     p_solve.add_argument(
         "--emit-2cnf",
         metavar="PREFIX",

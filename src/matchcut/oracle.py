@@ -234,10 +234,14 @@ def perfect_matchings(
     yield from extend()
 
 
-def has_dpm(g: Graph, limits: OracleLimits | None = None) -> bool:
-    """True when some perfect matching's removal disconnects the graph."""
+def find_dpm(
+    g: Graph, limits: OracleLimits | None = None
+) -> tuple[tuple[tuple[int, int], ...], Cut] | None:
+    """The first perfect matching, in perfect_matchings order, whose
+    removal disconnects g, with the cut around the part vertex 0 still
+    reaches (its crossing edges are matched); None when there is none."""
     if g.n == 0:
-        return False
+        return None
     adj = [sorted(g.adj[v]) for v in range(g.n)]
     for matching in perfect_matchings(g, limits):
         mate = {}
@@ -253,8 +257,13 @@ def has_dpm(g: Graph, limits: OracleLimits | None = None) -> bool:
                     seen.add(u)
                     stack.append(u)
         if len(seen) < g.n:
-            return True
-    return False
+            return matching, make_cut(g, seen)
+    return None
+
+
+def has_dpm(g: Graph, limits: OracleLimits | None = None) -> bool:
+    """True when some perfect matching's removal disconnects the graph."""
+    return find_dpm(g, limits) is not None
 
 
 def longest_induced_path(g: Graph, limits: OracleLimits | None = None) -> int:

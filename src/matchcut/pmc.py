@@ -11,6 +11,7 @@ perfect matching cuts (side X = true variables).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import (
     BfsLevels,
@@ -201,6 +202,45 @@ def build_pmc_formula(
     return PmcEncoding(TwoSatInstance(g.n, tuple(clauses)), determined, None)
 
 
+def _component_encodings(
+    g: Graph, root: int | None = None, reverse_scan: bool = False
+) -> Iterator[tuple[Graph, tuple[int, ...], PmcEncoding | None]]:
+    """Yield (subgraph, old_ids, encoding) for each component of g.
+
+    encoding is None for a component of breadth-first height at most
+    one, which the sweep cannot layer.  Components are swept lazily, so
+    a caller that stops early sweeps no more.
+    """
+    for comp in connected_components(g):
+        sub, old_ids = induced_subgraph(g, comp)
+        local_root = old_ids.index(root) if root in comp else 0
+        if bfs_levels(sub, local_root).h <= 1:
+            yield sub, old_ids, None
+        else:
+            yield sub, old_ids, build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
+
+
+def build_merged_formula(g: Graph) -> tuple[TwoSatInstance, list[int], list[int]]:
+    """The 2-CNF of every component, over g's own vertex ids.
+
+    Returns (instance, shallow, blocked): the merged clauses, the
+    vertices of components too shallow for the sweep, and the vertex
+    that blocked each blocked sweep; neither adds clauses.
+    """
+    clauses: list[Clause] = []
+    shallow: list[int] = []
+    blocked: list[int] = []
+    for _, old_ids, encoding in _component_encodings(g):
+        if encoding is None:
+            shallow.extend(old_ids)
+        elif encoding.formula is None:
+            blocked.append(old_ids[encoding.blocked])
+        else:
+            for (v1, p1), (v2, p2) in encoding.formula.clauses:
+                clauses.append(((old_ids[v1], p1), (old_ids[v2], p2)))
+    return TwoSatInstance(g.n, tuple(clauses)), shallow, blocked
+
+
 def solve_pmc_4chordal(
     g: Graph,
     limits: OracleLimits | None = None,
@@ -226,16 +266,12 @@ def solve_pmc_4chordal(
     if g.n < 2:
         return None
     x_all: set[int] = set()
-    for comp in connected_components(g):
-        sub, old_ids = induced_subgraph(g, comp)
-        local_root = old_ids.index(root) if root in comp else 0
-        levels = bfs_levels(sub, local_root)
-        if levels.h <= 1:
+    for sub, old_ids, encoding in _component_encodings(g, root, reverse_scan):
+        if encoding is None:
             if sub.n != 2:
                 return None
             x_side = frozenset({0})
         else:
-            encoding = build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
             if encoding.formula is None:
                 return None
             model = solve_2sat(encoding.formula)

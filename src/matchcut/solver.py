@@ -1,0 +1,87 @@
+"""One entry point that decides mc, pmc or dpm on any graph.
+
+Other modules are called through their module names, so a tracer that
+rebinds module attributes sees every call made from here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import forcing, graphs, matching, oracle, pmc
+
+PROBLEMS = ("mc", "pmc", "dpm")
+ALGOS = ("auto", "fourchordal", "oracle")
+
+
+@dataclass(frozen=True)
+class Result:
+    """The answer to one problem: YES with cut, or NO with cut None.
+
+    algo is the algorithm that decided, or None when the graph's shape
+    answered first.  matching is the dpm perfect matching on YES.
+    reason names the shortcut behind a NO that has one.
+    """
+
+    problem: str
+    algo: str | None
+    cut: graphs.Cut | None
+    matching: tuple[tuple[int, int], ...] | None = None
+    reason: str | None = None
+
+
+def _pick_algo(g: graphs.Graph, limits: oracle.OracleLimits | None) -> str:
+    try:
+        cycle = oracle.longest_induced_cycle(g, limits)
+    except oracle.OracleError:
+        return "oracle"
+    return "fourchordal" if (cycle is None or cycle <= 4) else "oracle"
+
+
+def solve(
+    g: graphs.Graph, problem: str, algo: str = "auto", limits: oracle.OracleLimits | None = None
+) -> Result:
+    """Decide problem ("mc", "pmc" or "dpm") on g.
+
+    What the graph's shape settles is answered first: a component of
+    odd order rules out a perfect matching cut, and a disconnected graph
+    splits along a component for mc and has a disconnected perfect
+    matching exactly when it has a perfect matching.  Otherwise algo
+    "fourchordal" runs the polynomial solvers, complete on graphs
+    without chordless cycles longer than four; "oracle" runs exhaustive
+    search, raising OracleSizeError or OracleBudgetError past limits;
+    "auto" takes the first when an exhaustive search finds no longer
+    chordless cycle, and the oracle otherwise.
+    """
+    if problem not in PROBLEMS or algo not in ALGOS:
+        raise ValueError(f"unknown problem {problem!r} or algorithm {algo!r}")
+    if problem == "pmc" and any(len(c) % 2 for c in graphs.connected_components(g)):
+        # a component of odd order cannot be perfectly matched across
+        return Result(problem, None, None, reason="odd component")
+    if problem != "pmc" and not graphs.is_connected(g):
+        split = graphs.make_cut(g, graphs.connected_components(g)[0])
+        if problem == "mc":
+            return Result(problem, None, split)
+        pairs = matching.maximum_matching(g)
+        if 2 * len(pairs) != g.n:
+            return Result(problem, None, None)
+        return Result(problem, None, split, tuple(pairs))
+
+    if algo == "auto":
+        algo = _pick_algo(g, limits)
+    if algo == "fourchordal":
+        if problem == "mc":
+            return Result(problem, algo, forcing.solve_mc_4chordal(g))
+        if problem == "pmc":
+            return Result(problem, algo, pmc.solve_pmc_4chordal(g))
+        found = forcing.solve_dpm_4chordal(g)
+    else:
+        if problem != "dpm":
+            mode = "matching_only" if problem == "mc" else "perfect_only"
+            cuts = oracle.enumerate_matching_cuts(g, mode, limits, stop_after=1)
+            return Result(problem, algo, cuts[0] if cuts else None)
+        found = oracle.find_dpm(g, limits)
+    if found is None:
+        return Result(problem, algo, None)
+    pairs, cut = found
+    return Result(problem, algo, cut, tuple(pairs))

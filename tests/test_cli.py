@@ -153,6 +153,65 @@ class TestSolve:
         assert rc == 0
         assert payload["algo"] == "oracle" and payload["verdict"] == "YES"
 
+    def test_odd_component_json_payload(self, capsys, graph_file):
+        path = graph_file("g", path_graph(3))
+        rc, payload = run_json(capsys, ["solve", path, "--problem", "pmc"])
+        assert rc == 0
+        assert payload == {"problem": "pmc", "reason": "odd component", "verdict": "NO"}
+
+    def test_disconnected_mc_text(self, capsys, graph_file):
+        path = graph_file("g", disjoint_union(complete_graph(3), complete_graph(3)))
+        rc = main(["solve", path, "--problem", "mc"])
+        assert rc == 0
+        assert capsys.readouterr().out == "verdict: YES\nx: 0 1 2\ny: 3 4 5\ncrossing: \n"
+
+    def test_disconnected_dpm_text(self, capsys, graph_file):
+        path = graph_file("g", build_graph(4, [(0, 1), (2, 3)]))
+        rc = main(["solve", path, "--problem", "dpm"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "verdict: YES\nx: 0 1\ny: 2 3\ncrossing: \nmatching: 0-1 2-3\n"
+        )
+        no_pm = disjoint_union(complete_graph(4), path_graph(3))
+        rc = main(["solve", graph_file("h", no_pm), "--problem", "dpm"])
+        assert rc == 0
+        assert capsys.readouterr().out == "verdict: NO\n"
+
+    def test_oracle_dpm_certificate(self, capsys, graph_file, domino):
+        path = graph_file("g", domino)
+        argv = ["solve", path, "--problem", "dpm", "--algo", "oracle"]
+        rc, payload = run_json(capsys, argv)
+        assert rc == 0
+        assert payload == {
+            "algo": "oracle",
+            "crossing": [[0, 1], [3, 2], [4, 5]],
+            "matching": [[0, 1], [2, 3], [4, 5]],
+            "problem": "dpm",
+            "verdict": "YES",
+            "x": [0, 3, 4],
+            "y": [1, 2, 5],
+        }
+        rc = main(argv)
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "algo: oracle\nverdict: YES\nx: 0 3 4\ny: 1 2 5\n"
+            "crossing: 0-1 3-2 4-5\nmatching: 0-1 2-3 4-5\n"
+        )
+
+    def test_oracle_dpm_empty_graph(self, capsys, graph_file):
+        path = graph_file("g", build_graph(0, []))
+        rc = main(["solve", path, "--problem", "dpm", "--algo", "oracle"])
+        assert rc == 0
+        assert capsys.readouterr().out == "algo: oracle\nverdict: NO\n"
+
+    def test_auto_fallback_text(self, capsys, graph_file):
+        path = graph_file("g", cycle_graph(5))
+        rc = main(["solve", path, "--problem", "mc"])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "algo: oracle\nverdict: YES\nx: 0 1 2\ny: 3 4\ncrossing: 0-4 2-3\n"
+        )
+
     def test_emit_twosat(self, capsys, graph_file, tmp_path, two_squares):
         path = graph_file("g", two_squares)
         prefix = str(tmp_path / "enc")
