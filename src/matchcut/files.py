@@ -20,6 +20,11 @@ class ParseError(ValueError):
     """Malformed input text."""
 
 
+# build_graph allocates one adjacency set per declared vertex, so the
+# header is checked before it runs
+MAX_VERTICES = 10**6
+
+
 def _content_lines(text: str) -> list[str]:
     lines = []
     for raw in text.splitlines():
@@ -40,6 +45,8 @@ def parse_graph(text: str) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ParseError(f"non-numeric header {lines[0]!r}") from exc
+    if n > MAX_VERTICES:
+        raise ParseError(f"header declares {n} vertices, the limit is {MAX_VERTICES}")
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header promises {m} edges, found {len(body)}")

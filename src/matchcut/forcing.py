@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from typing import Iterator
 
 from .graphs import (
     Cut,
@@ -181,6 +182,19 @@ def split_free_vertices(
     return frozenset(f_x), frozenset(f_y), None
 
 
+def _stable_seeds(g: Graph) -> Iterator[tuple[ForcingState, frozenset[int]]]:
+    """Yield (state, f_x) for each seed edge, in g.edges() order, whose
+    propagation is not refuted and whose free components each attach to
+    one side; state.x | f_x is then a matching cut."""
+    for a, b in g.edges():
+        state = propagate(g, a, b)
+        if isinstance(state, Refutation):
+            continue
+        f_x, _, mixed = split_free_vertices(g, state)
+        if mixed is None:
+            yield state, f_x
+
+
 def solve_mc_4chordal(g: Graph) -> Cut | None:
     """Find a matching cut, or None when no seed edge admits one.
 
@@ -189,13 +203,7 @@ def solve_mc_4chordal(g: Graph) -> Cut | None:
     """
     if not is_connected(g):
         raise GraphError("matching-cut search requires a connected graph")
-    for a, b in g.edges():
-        state = propagate(g, a, b)
-        if isinstance(state, Refutation):
-            continue
-        f_x, f_y, mixed = split_free_vertices(g, state)
-        if mixed is not None:
-            continue
+    for state, f_x in _stable_seeds(g):
         return make_cut(g, state.x | f_x)
     return None
 
@@ -217,13 +225,7 @@ def solve_dpm_4chordal(g: Graph) -> tuple[list[tuple[int, int]], Cut] | None:
         raise GraphError("disconnected-perfect-matching search requires a connected graph")
     if g.n % 2 or not has_perfect_matching(g):
         return None
-    for a, b in g.edges():
-        state = propagate(g, a, b)
-        if isinstance(state, Refutation):
-            continue
-        f_x, f_y, mixed = split_free_vertices(g, state)
-        if mixed is not None:
-            continue
+    for state, f_x in _stable_seeds(g):
         rest = sorted(set(range(g.n)) - state.a - state.b)
         sub, old_ids = induced_subgraph(g, rest)
         inner = maximum_matching(sub)

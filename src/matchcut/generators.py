@@ -102,6 +102,8 @@ def sample_instances(
     limits: OracleLimits | None = None,
 ) -> list[Graph]:
     """A reproducible batch of random instances derived from one seed."""
+    if min_n > max_n:
+        raise GraphError(f"instance sizes need min_n <= max_n, got {min_n} > {max_n}")
     master = random.Random(seed)
     out = []
     for _ in range(count):

@@ -31,12 +31,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(nbrs) for nbrs in self.adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

@@ -66,36 +66,18 @@ def enumerate_matching_cuts(
 ) -> list[Cut]:
     """Enumerate cuts of g, one representative per unordered bipartition.
 
-    mode selects the predicate: "all" keeps every bipartition,
-    "matching_only" keeps matching cuts (every vertex has at most one
-    cross neighbor), "perfect_only" keeps perfect matching cuts (exactly
-    one cross neighbor each).  Representatives put vertex 0 on the X
-    side; output is ordered lexicographically by side vector.
+    mode selects the predicate: "matching_only" keeps matching cuts
+    (every vertex has at most one cross neighbor), "perfect_only" keeps
+    perfect matching cuts (exactly one cross neighbor each).
+    Representatives put vertex 0 on the X side; output is ordered
+    lexicographically by side vector.
     """
-    if mode not in ("all", "matching_only", "perfect_only"):
+    if mode not in ("matching_only", "perfect_only"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
     _, deadline = _guard(g, limits)
     if g.n < 2:
         return []
-    if mode == "all":
-        return _enumerate_all_bipartitions(g, deadline, stop_after)
     return _enumerate_pruned(g, mode == "perfect_only", deadline, stop_after)
-
-
-def _enumerate_all_bipartitions(
-    g: Graph, deadline: _Deadline, stop_after: int | None
-) -> list[Cut]:
-    n = g.n
-    out: list[Cut] = []
-    for k in range(1, 1 << (n - 1)):
-        deadline.check()
-        x = {0} | {v for v in range(1, n) if (k >> (n - 1 - v)) & 1 == 0}
-        # k's bits mark Y vertices, high bit first, so k ascending is
-        # lexicographic on the side vector
-        out.append(make_cut(g, x))
-        if stop_after is not None and len(out) >= stop_after:
-            break
-    return out
 
 
 def _enumerate_pruned(
@@ -434,7 +416,6 @@ class ClassReport:
     longest_induced_path_vertices: int
     longest_induced_cycle_vertices: int | None
     is_pt_free: dict[int, bool]
-    chordality: int | None
 
     def is_k_chordal(self, k: int) -> bool:
         c = self.longest_induced_cycle_vertices
@@ -453,7 +434,6 @@ def classify_graph(
         longest_induced_path_vertices=lp,
         longest_induced_cycle_vertices=lc,
         is_pt_free={t: lp < t for t in pt_values},
-        chordality=lc,
     )
 
 

@@ -207,14 +207,15 @@ def _component_encodings(
 ) -> Iterator[tuple[Graph, tuple[int, ...], PmcEncoding | None]]:
     """Yield (subgraph, old_ids, encoding) for each component of g.
 
-    encoding is None for a component of breadth-first height at most
-    one, which the sweep cannot layer.  Components are swept lazily, so
-    a caller that stops early sweeps no more.
+    encoding is None for a component whose root is adjacent to every
+    other vertex: its breadth-first height is at most one, which the
+    sweep cannot layer.  Components are swept lazily, so a caller that
+    stops early sweeps no more.
     """
     for comp in connected_components(g):
         sub, old_ids = induced_subgraph(g, comp)
         local_root = old_ids.index(root) if root in comp else 0
-        if bfs_levels(sub, local_root).h <= 1:
+        if sub.degree(local_root) == sub.n - 1:
             yield sub, old_ids, None
         else:
             yield sub, old_ids, build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)

@@ -55,11 +55,12 @@ def solve(
     """
     if problem not in PROBLEMS or algo not in ALGOS:
         raise ValueError(f"unknown problem {problem!r} or algorithm {algo!r}")
-    if problem == "pmc" and any(len(c) % 2 for c in graphs.connected_components(g)):
+    comps = graphs.connected_components(g)
+    if problem == "pmc" and any(len(c) % 2 for c in comps):
         # a component of odd order cannot be perfectly matched across
         return Result(problem, None, None, reason="odd component")
-    if problem != "pmc" and not graphs.is_connected(g):
-        split = graphs.make_cut(g, graphs.connected_components(g)[0])
+    if problem != "pmc" and len(comps) > 1:
+        split = graphs.make_cut(g, comps[0])
         if problem == "mc":
             return Result(problem, None, split)
         pairs = matching.maximum_matching(g)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from matchcut import (
+    Cut,
     ForcingState,
     Graph,
     GraphError,
@@ -20,6 +21,7 @@ from matchcut import (
     build_graph,
     induced_subgraph,
     is_connected,
+    make_cut,
 )
 
 
@@ -36,6 +38,21 @@ def all_matching_cuts(g: Graph) -> list[frozenset[int]]:
             continue
         if all(d <= 1 for d in cross_degrees(g, x)):
             out.append(frozenset(x))
+    return out
+
+
+def all_bipartitions(g: Graph) -> list[Cut]:
+    """Every nontrivial bipartition once, vertex 0 on the X side, in
+    lexicographic order of the side vector."""
+    n = g.n
+    if n < 2:
+        return []
+    out = []
+    for k in range(1, 1 << (n - 1)):
+        # k's bits mark Y vertices, high bit first, so k ascending is
+        # lexicographic on the side vector
+        x = {0} | {v for v in range(1, n) if (k >> (n - 1 - v)) & 1 == 0}
+        out.append(make_cut(g, x))
     return out
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from matchcut import Graph, build_graph
+from matchcut import Graph, GraphError, build_graph
 
 settings.register_profile(
     "suite",
@@ -52,3 +52,53 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+def cube_graph() -> Graph:
+    """The 3-dimensional hypercube; vertices are 3-bit ids."""
+    return build_graph(
+        8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
+    )
+
+
+def petersen_graph() -> Graph:
+    """Outer 5-cycle 0..4, inner 5-cycle at distance two, spokes."""
+    edges = [(i, (i + 1) % 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    edges += [(i, 5 + i) for i in range(5)]
+    return build_graph(10, edges)
+
+
+def heggernes_telle_graph() -> Graph:
+    """A 9-cycle plus a hub adjacent to every third cycle vertex."""
+    edges = [(i, (i + 1) % 9) for i in range(9)]
+    edges += [(9, 0), (9, 3), (9, 6)]
+    return build_graph(10, edges)
+
+
+def build_g_h_v(h: Graph, v: int) -> Graph:
+    """Splice a 7-vertex attachment in place of a degree-3 vertex v of h.
+
+    The neighbors b1 < b2 < b3 of v keep their edges into h - v; v and
+    its edges are removed and replaced by a triangle a1 a2 a3 with
+    ak adjacent to bk, a pendant path ck from each ak, and an apex c
+    adjacent to every ck.  The result has h.n + 6 vertices: h - v keeps
+    ascending order as ids 0..h.n-2, then a1 a2 a3, c1 c2 c3, c.
+    """
+    if not (0 <= v < h.n) or h.degree(v) != 3:
+        raise GraphError("the replaced vertex must exist and have degree exactly 3")
+    anchors = sorted(h.adj[v])
+    old_ids = [u for u in range(h.n) if u != v]
+    new_of = {old: new for new, old in enumerate(old_ids)}
+    base = h.n - 1
+    a = [base, base + 1, base + 2]
+    c = [base + 3, base + 4, base + 5]
+    apex = base + 6
+    edges = [
+        (new_of[p], new_of[q]) for p, q in h.edges() if p != v and q != v
+    ]
+    edges += [(a[k], new_of[anchors[k]]) for k in range(3)]
+    edges += [(a[0], a[1]), (a[0], a[2]), (a[1], a[2])]
+    edges += [(c[k], a[k]) for k in range(3)]
+    edges += [(apex, c[k]) for k in range(3)]
+    return build_graph(h.n + 6, edges)

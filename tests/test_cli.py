@@ -348,6 +348,12 @@ class TestCrosscheck:
         assert rc == 4
         assert "DISAGREE" in out and "problem=mc" in out
 
+    def test_max_n_below_min_n(self, capsys):
+        rc = main(["crosscheck", "--seed", "0", "--count", "5", "--max-n", "3"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys, tmp_path):
@@ -359,6 +365,12 @@ class TestExitCodes:
         path = write("bad", "not a graph\n")
         rc = main(["solve", path, "--problem", "mc"])
         assert rc == 2
+
+    def test_vertex_count_cap(self, capsys, write):
+        path = write("huge", "1000001 0\n")
+        rc = main(["solve", path, "--problem", "mc"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_usage_error(self, capsys, graph_file, two_squares):
         path = graph_file("g", two_squares)

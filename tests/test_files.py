@@ -54,6 +54,8 @@ class TestGraphFormat:
             "3 1\n0 3\n",
             "3 1\n1 1\n",
             "2 2\n0 1\n1 0\n",
+            # past the vertex-count cap, refused before any allocation
+            "1000001 0\n",
         ],
     )
     def test_rejects_malformed(self, text):

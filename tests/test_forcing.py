@@ -12,6 +12,8 @@ from matchcut import (
     GraphError,
     Refutation,
     build_graph,
+    check_matching_cut,
+    check_perfect_matching_cut,
     complete_graph,
     cycle_graph,
     is_disconnected_perfect_matching,
@@ -22,6 +24,7 @@ from matchcut import (
     sample_instances,
     solve_dpm_4chordal,
     solve_mc_4chordal,
+    solve_pmc_4chordal,
     split_free_vertices,
 )
 
@@ -191,3 +194,43 @@ class TestSolveDpm:
             assert is_disconnected_perfect_matching(g, matching)
             assert set(map(frozenset, cut.crossing)) <= set(map(frozenset, matching))
         assert (got is not None) == bruteforce.has_dpm(g)
+
+
+# connected 4-chordal graphs of 31-60 vertices, past the oracles' reach
+BEYOND_ORACLE = (
+    sample_instances(1, 8, 60, min_n=31)
+    + [ladder(k) for k in (16, 23, 30)]
+    + [ladder(16, (0,)), ladder(16, (0, 31)), ladder(23, (0, 22)), ladder(30, (0, 59))]
+)
+
+
+def verdicts(g: Graph) -> tuple[bool, bool, bool]:
+    """pmc, dpm and mc verdicts, each YES certificate checked."""
+    pmc = solve_pmc_4chordal(g)
+    if pmc is not None:
+        assert check_perfect_matching_cut(g, pmc.x)[0] == pmc
+    dpm = solve_dpm_4chordal(g)
+    if dpm is not None:
+        matching, cut = dpm
+        assert is_disconnected_perfect_matching(g, matching)
+        assert set(map(frozenset, cut.crossing)) <= set(map(frozenset, matching))
+        assert check_matching_cut(g, cut.x)[0] == cut
+    mc = solve_mc_4chordal(g)
+    if mc is not None:
+        assert check_matching_cut(g, mc.x)[0] == mc
+    return pmc is not None, dpm is not None, mc is not None
+
+
+@pytest.mark.parametrize("idx", range(len(BEYOND_ORACLE)))
+def test_solvers_agree_beyond_oracle_range(idx):
+    g = BEYOND_ORACLE[idx]
+    pmc, dpm, mc = verdicts(g)
+    # a perfect matching cut is a disconnected perfect matching, whose
+    # crossing edges are a matching cut
+    assert dpm or not pmc
+    assert mc or not dpm
+    perm = list(range(g.n))
+    random.Random(idx).shuffle(perm)
+    relabelled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert verdicts(relabelled) == (pmc, dpm, mc)
+

@@ -12,9 +12,8 @@ from matchcut import (
     is_matching,
     maximum_matching,
     path_graph,
-    petersen_graph,
 )
-from conftest import random_graph
+from conftest import petersen_graph, random_graph
 
 
 class TestKnownSizes:

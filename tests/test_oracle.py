@@ -25,9 +25,8 @@ from matchcut import (
     longest_induced_path,
     path_graph,
     perfect_matchings,
-    petersen_graph,
 )
-from conftest import random_graph
+from conftest import petersen_graph, random_graph
 
 WIDE = OracleLimits(max_vertices=30, budget_seconds=300)
 
@@ -41,7 +40,7 @@ class TestLimits:
     def test_budget_guard(self):
         g = random_graph(random.Random(3), 18, 0.4)
         with pytest.raises(OracleBudgetError):
-            enumerate_matching_cuts(g, "all", OracleLimits(30, 0.0))
+            list(perfect_matchings(g, OracleLimits(30, 0.0)))
 
     def test_custom_limits_allow(self):
         g = path_graph(31)
@@ -51,7 +50,7 @@ class TestLimits:
 class TestEnumerateCuts:
     def test_modes_nest(self):
         g = cycle_graph(6)
-        every = enumerate_matching_cuts(g, "all", WIDE)
+        every = bruteforce.all_bipartitions(g)
         matching = enumerate_matching_cuts(g, "matching_only", WIDE)
         perfect = enumerate_matching_cuts(g, "perfect_only", WIDE)
         sides = lambda cuts: {c.x for c in cuts}
@@ -184,7 +183,6 @@ class TestClassifyAndFormulas:
         rep = classify_graph(two_triangles, (4, 5))
         assert rep.longest_induced_path_vertices == 4
         assert rep.longest_induced_cycle_vertices == 4
-        assert rep.chordality == 4
         assert rep.is_pt_free == {4: False, 5: True}
         assert rep.is_k_chordal(4) and not rep.is_k_chordal(3)
 

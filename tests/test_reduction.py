@@ -9,21 +9,18 @@ from matchcut import (
     GraphError,
     OracleLimits,
     assignment_to_pmc,
-    build_g_h_v,
     build_reduction,
     clause_gadget,
     complete_graph,
-    cube_graph,
     cut_to_assignment,
     enumerate_matching_cuts,
     enumerate_one_in_three,
     has_pmc,
-    heggernes_telle_graph,
     is_one_in_three,
     is_perfect_matching_cut,
-    petersen_graph,
     verify_reduction,
 )
+from conftest import build_g_h_v, cube_graph, heggernes_telle_graph, petersen_graph
 
 F1 = Formula13(3, ((0, 1, 2),))
 F2 = Formula13(4, ((0, 1, 2), (3, 2, 1)))
