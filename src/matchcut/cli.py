@@ -193,13 +193,19 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     limits = _limits(args)
-    graphs = sample_instances(args.seed, args.count, args.max_n, limits=limits)
+    if args.max_n > limits.max_vertices:
+        # the oracles would refuse the larger instances; refuse before
+        # generating any of them
+        raise OracleSizeError(
+            f"--max-n {args.max_n} exceeds the oracle bound of {limits.max_vertices}"
+        )
+    graphs = sample_instances(args.seed, args.count, args.max_n)
     disagreements = []
     for idx, g in enumerate(graphs):
         solver = {
             "mc": solve_mc_4chordal(g) is not None,
             "dpm": solve_dpm_4chordal(g) is not None,
-            "pmc": solve_pmc_4chordal(g, limits) is not None,
+            "pmc": solve_pmc_4chordal(g) is not None,
         }
         truth = {
             "mc": has_mc(g, limits),

@@ -20,9 +20,11 @@ class ParseError(ValueError):
     """Malformed input text."""
 
 
-# build_graph allocates one adjacency set per declared vertex, so the
-# header is checked before it runs
+# build_graph allocates one adjacency set per declared vertex, and
+# build_reduction one slot list per declared variable, so both headers
+# are checked before either runs
 MAX_VERTICES = 10**6
+MAX_VARIABLES = MAX_VERTICES
 
 
 def _content_lines(text: str) -> list[str]:
@@ -89,6 +91,10 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
                 var_count, promised = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise ParseError(f"non-numeric problem line {line!r}") from exc
+            if var_count > MAX_VARIABLES:
+                raise ParseError(
+                    f"problem line declares {var_count} variables, the limit is {MAX_VARIABLES}"
+                )
             continue
         if var_count is None:
             raise ParseError("clause before the problem line")

@@ -4,16 +4,18 @@ longer than four.
 The base construction attaches each new vertex to a clique of the graph
 built so far, which keeps the graph chordal.  Optionally, some vertices
 are attached to a non-adjacent pair with a common neighbor instead,
-splicing in a chordless square; each splice is kept only when exhaustive
-search confirms no longer chordless cycle appeared.
+splicing in a chordless square.  The graph before the splice has no
+chordless cycle longer than four, so the splice creates one exactly
+when the pair stays connected once its common neighbors are removed;
+one breadth-first search decides that, and such a splice is skipped.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from .graphs import Graph, GraphError, build_graph
-from .oracle import DEFAULT_LIMITS, OracleLimits, longest_induced_cycle
 
 
 def random_connected_4chordal(
@@ -22,37 +24,29 @@ def random_connected_4chordal(
     *,
     clique_growth: float = 0.45,
     square_chance: float = 0.25,
-    limits: OracleLimits | None = None,
 ) -> Graph:
     """Sample a connected n-vertex graph with all chordless cycles short.
 
     Deterministic for a given rng state.  clique_growth tunes density;
     square_chance is the per-vertex probability of attempting a
-    chordless-square splice (verified, reverted on failure).
+    chordless-square splice (skipped when it would create a longer
+    chordless cycle).
     """
     if n < 1:
         raise GraphError("need at least one vertex")
-    if limits is None:
-        # splice checks must be able to see the whole instance
-        limits = OracleLimits(
-            max_vertices=max(n, DEFAULT_LIMITS.max_vertices),
-            budget_seconds=DEFAULT_LIMITS.budget_seconds,
-        )
     adj: list[set[int]] = [set() for _ in range(n)]
 
     def add_edge(u: int, v: int) -> None:
         adj[u].add(v)
         adj[v].add(u)
 
-    def snapshot() -> Graph:
-        return build_graph(
-            n, [(u, v) for u in range(n) for v in adj[u] if u < v]
-        )
+    # while v is placed, only vertices below v have edges, so every
+    # neighbor set below is already a subset of range(v)
 
     def attach_to_clique(v: int) -> None:
         anchor = rng.randrange(v)
         clique = [anchor]
-        candidates = set(adj[anchor]) & set(range(v))
+        candidates = set(adj[anchor])
         while candidates and rng.random() < clique_growth:
             w = rng.choice(sorted(candidates))
             clique.append(w)
@@ -61,36 +55,40 @@ def random_connected_4chordal(
             add_edge(v, w)
 
     def try_square(v: int) -> bool:
-        # attach v to a non-adjacent pair sharing a neighbor, creating a
-        # chordless square; verify no longer chordless cycle appeared
-        pairs = [
-            (x, z)
-            for x in range(v)
-            for z in range(x + 1, v)
-            if z not in adj[x] and (adj[x] & adj[z] & set(range(v)))
-        ]
+        # attach v to a non-adjacent pair at distance two, creating a
+        # chordless square
+        pairs = sorted(
+            {
+                (x, z)
+                for x in range(v)
+                for c in adj[x]
+                for z in adj[c]
+                if z > x and z not in adj[x]
+            }
+        )
         if not pairs:
             return False
         x, z = pairs[rng.randrange(len(pairs))]
+        # an x-z path avoiding their common neighbors has three or more
+        # edges; its shortest form closes a chordless cycle through v
+        seen = (adj[x] & adj[z]) | {x}
+        queue = deque([x])
+        while queue:
+            for w in adj[queue.popleft()]:
+                if w == z:
+                    return False
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
         add_edge(v, x)
         add_edge(v, z)
-        built = build_graph(
-            v + 1, [(a, b) for a in range(v + 1) for b in adj[a] if a < b]
-        )
-        cycle = longest_induced_cycle(built, limits)
-        if cycle is not None and cycle > 4:
-            adj[v].discard(x)
-            adj[v].discard(z)
-            adj[x].discard(v)
-            adj[z].discard(v)
-            return False
         return True
 
     for v in range(1, n):
         if v >= 3 and rng.random() < square_chance and try_square(v):
             continue
         attach_to_clique(v)
-    return snapshot()
+    return build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
 def sample_instances(
@@ -99,7 +97,6 @@ def sample_instances(
     max_n: int,
     *,
     min_n: int = 4,
-    limits: OracleLimits | None = None,
 ) -> list[Graph]:
     """A reproducible batch of random instances derived from one seed."""
     if min_n > max_n:
@@ -110,9 +107,5 @@ def sample_instances(
         child = random.Random(master.randrange(2**32))
         n = child.randint(min_n, max_n)
         density = child.uniform(0.25, 0.6)
-        out.append(
-            random_connected_4chordal(
-                child, n, clique_growth=density, limits=limits
-            )
-        )
+        out.append(random_connected_4chordal(child, n, clique_growth=density))
     return out

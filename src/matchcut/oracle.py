@@ -409,34 +409,6 @@ def contains_induced(
     return place(0, 0)
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    """Structural classification produced by exhaustive search."""
-
-    longest_induced_path_vertices: int
-    longest_induced_cycle_vertices: int | None
-    is_pt_free: dict[int, bool]
-
-    def is_k_chordal(self, k: int) -> bool:
-        c = self.longest_induced_cycle_vertices
-        return c is None or c <= k
-
-
-def classify_graph(
-    g: Graph,
-    pt_values: tuple[int, ...] = (),
-    limits: OracleLimits | None = None,
-) -> ClassReport:
-    """Longest induced path/cycle plus derived freeness verdicts."""
-    lp = longest_induced_path(g, limits)
-    lc = longest_induced_cycle(g, limits)
-    return ClassReport(
-        longest_induced_path_vertices=lp,
-        longest_induced_cycle_vertices=lc,
-        is_pt_free={t: lp < t for t in pt_values},
-    )
-
-
 def enumerate_one_in_three(formula, limits: OracleLimits | None = None) -> list[tuple[bool, ...]]:
     """All assignments where each clause has exactly one true variable.
 

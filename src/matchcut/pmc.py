@@ -23,7 +23,6 @@ from .graphs import (
     is_perfect_matching_cut,
     make_cut,
 )
-from .oracle import OracleLimits
 from .twosat import Clause, TwoSatInstance, neg, pos, solve_2sat
 
 
@@ -244,7 +243,6 @@ def build_merged_formula(g: Graph) -> tuple[TwoSatInstance, list[int], list[int]
 
 def solve_pmc_4chordal(
     g: Graph,
-    limits: OracleLimits | None = None,
     *,
     root: int | None = None,
     reverse_scan: bool = False,
@@ -256,13 +254,13 @@ def solve_pmc_4chordal(
     one has a universal root, and then only K2 has a perfect matching
     cut: every other neighbor of the root shares its side, which leaves
     the root's partner with no partner of its own.  Such a component is
-    answered in closed form, X = its lower vertex.  limits no longer
-    does anything; it is kept for callers that pass it.  root picks the
+    answered in closed form, X = its lower vertex.  root picks the
     layering root for its component (lowest vertex elsewhere); together
     with reverse_scan it varies the sweep order, which must never change
     the verdict.  Complete on graphs without chordless cycles longer
     than four; any cut returned is a valid perfect matching cut
-    regardless.
+    regardless.  Nothing here is exhaustive: each component costs at
+    most one layering, one sweep and one 2-SAT solve.
     """
     if g.n < 2:
         return None

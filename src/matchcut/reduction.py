@@ -28,11 +28,12 @@ from .oracle import (
     OracleBudgetError,
     OracleLimits,
     OracleSizeError,
-    classify_graph,
     contains_induced,
     enumerate_matching_cuts,
     enumerate_one_in_three,
     has_pmc,
+    longest_induced_cycle,
+    longest_induced_path,
 )
 
 
@@ -322,12 +323,10 @@ def verify_reduction(
     bounded("pmc-iff-one-in-three", equiv_check)
 
     def classes_check() -> tuple[bool, str]:
-        report = classify_graph(g, pt_values=(14,), limits=limits)
-        ok = report.is_pt_free[14] and report.is_k_chordal(8)
-        return ok, (
-            f"longest induced path {report.longest_induced_path_vertices}, "
-            f"longest induced cycle {report.longest_induced_cycle_vertices}"
-        )
+        lp = longest_induced_path(g, limits)
+        lc = longest_induced_cycle(g, limits)
+        ok = lp < 14 and (lc is None or lc <= 8)
+        return ok, f"longest induced path {lp}, longest induced cycle {lc}"
 
     bounded("p14-free-and-8-chordal", classes_check)
 

@@ -3,13 +3,17 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.  The one exception is
-propagate_reference, the plain sorted-rescan form of the forcing loop,
-kept as the specification the incremental forcing.propagate must match.
+enumeration instead of augmenting paths.  Two references are kept as
+specifications instead: propagate_reference, the plain sorted-rescan
+form of the forcing loop that the incremental forcing.propagate must
+match, and random_connected_4chordal_reference, the generator that
+checks every square splice with the exhaustive oracle cycle search,
+whose output the one-search splice check must reproduce.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
 from matchcut import (
@@ -22,7 +26,9 @@ from matchcut import (
     induced_subgraph,
     is_connected,
     make_cut,
+    oracle,
 )
+from matchcut.oracle import DEFAULT_LIMITS, OracleLimits
 
 
 def cross_degrees(g: Graph, x: set[int]) -> list[int]:
@@ -267,3 +273,80 @@ def propagate_reference(g: Graph, a: int, b: int) -> ForcingState | Refutation:
                 y=frozenset(v for v in range(g.n) if side[v] == 1),
                 free=frozenset(free),
             )
+
+
+def random_connected_4chordal_reference(
+    rng: random.Random,
+    n: int,
+    *,
+    clique_growth: float = 0.45,
+    square_chance: float = 0.25,
+    limits: OracleLimits | None = None,
+) -> Graph:
+    """Sample a connected n-vertex graph with all chordless cycles short.
+
+    Deterministic for a given rng state.  clique_growth tunes density;
+    square_chance is the per-vertex probability of attempting a
+    chordless-square splice (verified, reverted on failure).
+    """
+    if n < 1:
+        raise GraphError("need at least one vertex")
+    if limits is None:
+        # splice checks must be able to see the whole instance
+        limits = OracleLimits(
+            max_vertices=max(n, DEFAULT_LIMITS.max_vertices),
+            budget_seconds=DEFAULT_LIMITS.budget_seconds,
+        )
+    adj: list[set[int]] = [set() for _ in range(n)]
+
+    def add_edge(u: int, v: int) -> None:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def snapshot() -> Graph:
+        return build_graph(
+            n, [(u, v) for u in range(n) for v in adj[u] if u < v]
+        )
+
+    def attach_to_clique(v: int) -> None:
+        anchor = rng.randrange(v)
+        clique = [anchor]
+        candidates = set(adj[anchor]) & set(range(v))
+        while candidates and rng.random() < clique_growth:
+            w = rng.choice(sorted(candidates))
+            clique.append(w)
+            candidates &= adj[w]
+        for w in clique:
+            add_edge(v, w)
+
+    def try_square(v: int) -> bool:
+        # attach v to a non-adjacent pair sharing a neighbor, creating a
+        # chordless square; verify no longer chordless cycle appeared
+        pairs = [
+            (x, z)
+            for x in range(v)
+            for z in range(x + 1, v)
+            if z not in adj[x] and (adj[x] & adj[z] & set(range(v)))
+        ]
+        if not pairs:
+            return False
+        x, z = pairs[rng.randrange(len(pairs))]
+        add_edge(v, x)
+        add_edge(v, z)
+        built = build_graph(
+            v + 1, [(a, b) for a in range(v + 1) for b in adj[a] if a < b]
+        )
+        cycle = oracle.longest_induced_cycle(built, limits)
+        if cycle is not None and cycle > 4:
+            adj[v].discard(x)
+            adj[v].discard(z)
+            adj[x].discard(v)
+            adj[z].discard(v)
+            return False
+        return True
+
+    for v in range(1, n):
+        if v >= 3 and rng.random() < square_chance and try_square(v):
+            continue
+        attach_to_clique(v)
+    return snapshot()

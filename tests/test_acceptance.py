@@ -268,14 +268,14 @@ class TestGadgetStructure:
 
 class TestRandomizedAgreement:
     def test_09_solvers_match_oracles(self):
-        graphs = sample_instances(20230501, 200, 16, limits=WIDE)
+        graphs = sample_instances(20230501, 200, 16)
         bad = 0
         for g in graphs:
             if (solve_mc_4chordal(g) is not None) != has_mc(g, WIDE):
                 bad += 1
             if (solve_dpm_4chordal(g) is not None) != has_dpm(g, WIDE):
                 bad += 1
-            if (solve_pmc_4chordal(g, WIDE) is not None) != has_pmc(g, WIDE):
+            if (solve_pmc_4chordal(g) is not None) != has_pmc(g, WIDE):
                 bad += 1
         assert report(
             "09 solver-oracle sweep",
@@ -284,11 +284,11 @@ class TestRandomizedAgreement:
         )
 
     def test_10_pmc_verdict_ignores_root_and_scan_order(self):
-        graphs = sample_instances(424242, 50, 14, limits=WIDE)
+        graphs = sample_instances(424242, 50, 14)
         unstable = 0
         for g in graphs:
             verdicts = {
-                solve_pmc_4chordal(g, WIDE, root=root, reverse_scan=rev) is not None
+                solve_pmc_4chordal(g, root=root, reverse_scan=rev) is not None
                 for root in range(g.n)
                 for rev in (False, True)
             }

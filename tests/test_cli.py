@@ -324,6 +324,13 @@ class TestReduce:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_variable_count_cap(self, capsys, write, tmp_path):
+        cnf = write("f.cnf", "p cnf 1000001 1\n1 2 3 0\n")
+        rc = main(["reduce", cnf, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "x.graph").exists()
+
 
 class TestCrosscheck:
     ARGS = ["crosscheck", "--seed", "0", "--count", "5", "--max-n", "10"]
@@ -353,6 +360,14 @@ class TestCrosscheck:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("max_n", ["40", "1000000000"])
+    def test_max_n_above_oracle_bound(self, capsys, max_n):
+        # refused before any instance is generated
+        rc = main(["crosscheck", "--seed", "2", "--count", "3", "--max-n", max_n])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == "" and captured.err.startswith("oracle limit:")
 
 
 class TestExitCodes:

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 import bruteforce
 from matchcut import (
     GraphError,
-    OracleLimits,
     is_connected,
     random_connected_4chordal,
     sample_instances,
@@ -41,15 +40,22 @@ class TestRandomConnected4Chordal:
         g = random_connected_4chordal(random.Random(7), 40)
         assert g.n == 40 and is_connected(g)
 
-    def test_explicit_limits_respected(self):
-        from matchcut import OracleSizeError
-
-        with pytest.raises(OracleSizeError):
-            random_connected_4chordal(
-                random.Random(7),
-                40,
-                limits=OracleLimits(max_vertices=10, budget_seconds=60),
+    def test_matches_reference(self):
+        # the one-search splice check keeps every graph the exhaustive
+        # cycle check produced, for the same rng stream
+        master = random.Random(20261018)
+        for _ in range(200):
+            seed = master.randrange(2**32)
+            n = master.randint(1, 40)
+            density = master.uniform(0.1, 0.9)
+            square = master.choice((0.25, 0.6))
+            got = random_connected_4chordal(
+                random.Random(seed), n, clique_growth=density, square_chance=square
             )
+            want = bruteforce.random_connected_4chordal_reference(
+                random.Random(seed), n, clique_growth=density, square_chance=square
+            )
+            assert got.n == want.n and got.edges() == want.edges()
 
 
 class TestSampleInstances:
@@ -63,6 +69,22 @@ class TestSampleInstances:
         assert len(batch) == 30
         assert all(4 <= g.n <= 14 for g in batch)
         assert all(is_connected(g) for g in batch)
+
+    def test_batches_match_reference(self):
+        for seed in range(6):
+            master = random.Random(seed)
+            want = []
+            for _ in range(8):
+                child = random.Random(master.randrange(2**32))
+                n = child.randint(4, 24)
+                density = child.uniform(0.25, 0.6)
+                want.append(
+                    bruteforce.random_connected_4chordal_reference(
+                        child, n, clique_growth=density
+                    )
+                )
+            got = sample_instances(seed, 8, 24)
+            assert [g.edges() for g in got] == [g.edges() for g in want]
 
     def test_seed_changes_batch(self):
         a = sample_instances(1, 8, 12)

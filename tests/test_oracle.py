@@ -10,7 +10,6 @@ from matchcut import (
     OracleLimits,
     OracleSizeError,
     build_graph,
-    classify_graph,
     complete_graph,
     contains_induced,
     cycle_graph,
@@ -122,12 +121,14 @@ class TestPerfectMatchingsAndDpm:
 
 
 class TestInducedPathsAndCycles:
-    def test_known_values(self):
+    def test_known_values(self, two_triangles):
         assert longest_induced_path(path_graph(6)) == 6
         assert longest_induced_path(complete_graph(5)) == 2
+        assert longest_induced_path(two_triangles) == 4
         assert longest_induced_cycle(cycle_graph(7)) == 7
         assert longest_induced_cycle(path_graph(5)) is None
         assert longest_induced_cycle(complete_graph(4)) == 3
+        assert longest_induced_cycle(two_triangles) == 4
 
     def test_petersen(self):
         p = petersen_graph()
@@ -179,13 +180,6 @@ class TestContainsInduced:
 
 
 class TestClassifyAndFormulas:
-    def test_classify_graph(self, two_triangles):
-        rep = classify_graph(two_triangles, (4, 5))
-        assert rep.longest_induced_path_vertices == 4
-        assert rep.longest_induced_cycle_vertices == 4
-        assert rep.is_pt_free == {4: False, 5: True}
-        assert rep.is_k_chordal(4) and not rep.is_k_chordal(3)
-
     def test_one_in_three_matches_brute(self):
         for seed in range(30):
             rng = random.Random(seed)
