@@ -6,6 +6,9 @@ Subcommands: solve (matching-cut problems on a graph file), check
 
 Exit codes: 0 answered, 2 parse or usage error, 3 oracle bound or
 budget exceeded, 4 crosscheck found a disagreement.
+
+Each subcommand imports what it runs inside its own function, so a call
+loads only the modules its subcommand needs.
 """
 
 from __future__ import annotations
@@ -15,31 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from .files import (
-    ParseError,
-    format_graph,
-    format_twosat_dimacs,
-    formula_from_dimacs,
-    layout_sidecar,
-    parse_graph,
-    twosat_variable_map,
-)
+from .files import ParseError, format_graph, parse_graph
 from .forcing import solve_dpm_4chordal, solve_mc_4chordal
-from .generators import sample_instances
-from .graphs import Graph, GraphError
-from .oracle import (
-    OracleBudgetError,
-    OracleLimits,
-    OracleSizeError,
-    contains_induced,
-    has_dpm,
-    has_mc,
-    has_pmc,
-    longest_induced_cycle,
-    longest_induced_path,
-)
-from .pmc import build_merged_formula, solve_pmc_4chordal
-from .reduction import build_reduction
+from .graphs import Graph, GraphError, OracleBudgetError, OracleLimits, OracleSizeError
 from .solver import ALGOS, PROBLEMS, Result, solve
 
 
@@ -94,6 +75,9 @@ def _solve_output(result: Result) -> tuple[dict, list[str]]:
 
 def _emit_twosat(g: Graph, prefix: str) -> None:
     """Write the merged per-component 2-CNF and its variable sidecar."""
+    from .files import format_twosat_dimacs, twosat_variable_map
+    from .pmc import build_merged_formula
+
     inst, shallow, blocked = build_merged_formula(g)
     Path(prefix + ".cnf").write_text(format_twosat_dimacs(inst))
     sidecar = json.loads(twosat_variable_map(inst))
@@ -114,6 +98,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .oracle import contains_induced, longest_induced_cycle, longest_induced_path
+
     g = parse_graph(Path(args.graph).read_text())
     limits = _limits(args)
     if args.pt_free is not None:
@@ -163,12 +149,21 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
+    from .files import formula_from_dimacs, layout_sidecar
+    from .reduction import build_reduction
+
     formula = formula_from_dimacs(Path(args.cnf).read_text())
     layout = build_reduction(formula)
     graph_path = Path(args.out + ".graph")
     sidecar_path = Path(args.out + ".layout.json")
     graph_path.write_text(format_graph(layout.graph))
     sidecar_path.write_text(layout_sidecar(layout))
+    if len(formula.clauses) == 1:
+        print(
+            "warning: the one-clause gadget has matching cuts that are not perfect;"
+            " repeat the clause for a gadget whose matching cuts are all perfect",
+            file=sys.stderr,
+        )
     payload = {
         "clauses": len(formula.clauses),
         "variables": formula.var_count,
@@ -192,6 +187,10 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
+    from .generators import iter_instances
+    from .oracle import has_dpm, has_mc, has_pmc
+    from .pmc import solve_pmc_4chordal
+
     limits = _limits(args)
     if args.max_n > limits.max_vertices:
         # the oracles would refuse the larger instances; refuse before
@@ -199,9 +198,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         raise OracleSizeError(
             f"--max-n {args.max_n} exceeds the oracle bound of {limits.max_vertices}"
         )
-    graphs = sample_instances(args.seed, args.count, args.max_n)
     disagreements = []
-    for idx, g in enumerate(graphs):
+    # one instance at a time, so memory does not grow with --count
+    for idx, g in enumerate(iter_instances(args.seed, args.count, args.max_n)):
         solver = {
             "mc": solve_mc_4chordal(g) is not None,
             "dpm": solve_dpm_4chordal(g) is not None,

@@ -10,10 +10,13 @@ distinct positive literals per clause.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, GraphError, build_graph
-from .reduction import Formula13, GadgetLayout
-from .twosat import TwoSatInstance
+
+if TYPE_CHECKING:
+    from .reduction import Formula13, GadgetLayout
+    from .twosat import TwoSatInstance
 
 
 class ParseError(ValueError):
@@ -121,6 +124,8 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
 
 def formula_from_dimacs(text: str) -> Formula13:
     """Parse a positive 1-in-3 formula from DIMACS CNF text."""
+    from .reduction import Formula13
+
     var_count, clauses = parse_dimacs(text)
     triples = []
     for clause in clauses:

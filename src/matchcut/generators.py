@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from typing import Iterator
 
 from .graphs import Graph, GraphError, build_graph
 
@@ -91,6 +92,24 @@ def random_connected_4chordal(
     return build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 
+def iter_instances(
+    seed: int,
+    count: int,
+    max_n: int,
+    *,
+    min_n: int = 4,
+) -> Iterator[Graph]:
+    """The instances of sample_instances, drawn one at a time."""
+    if min_n > max_n:
+        raise GraphError(f"instance sizes need min_n <= max_n, got {min_n} > {max_n}")
+    master = random.Random(seed)
+    for _ in range(count):
+        child = random.Random(master.randrange(2**32))
+        n = child.randint(min_n, max_n)
+        density = child.uniform(0.25, 0.6)
+        yield random_connected_4chordal(child, n, clique_growth=density)
+
+
 def sample_instances(
     seed: int,
     count: int,
@@ -99,13 +118,4 @@ def sample_instances(
     min_n: int = 4,
 ) -> list[Graph]:
     """A reproducible batch of random instances derived from one seed."""
-    if min_n > max_n:
-        raise GraphError(f"instance sizes need min_n <= max_n, got {min_n} > {max_n}")
-    master = random.Random(seed)
-    out = []
-    for _ in range(count):
-        child = random.Random(master.randrange(2**32))
-        n = child.randint(min_n, max_n)
-        density = child.uniform(0.25, 0.6)
-        out.append(random_connected_4chordal(child, n, clique_growth=density))
-    return out
+    return list(iter_instances(seed, count, max_n, min_n=min_n))

@@ -15,6 +15,29 @@ class GraphError(ValueError):
     """Malformed graph input or a violated precondition."""
 
 
+# The oracle's bounds and refusals live here, beside GraphError, because
+# every CLI call builds limits and handles refusals while most never load
+# the oracle itself; matchcut.oracle re-exports all four.
+
+
+@dataclass(frozen=True)
+class OracleLimits:
+    max_vertices: int = 30
+    budget_seconds: float = 60.0
+
+
+class OracleError(Exception):
+    """Base class for oracle guard failures."""
+
+
+class OracleSizeError(OracleError):
+    """The instance exceeds the configured vertex bound."""
+
+
+class OracleBudgetError(OracleError):
+    """The wall-clock budget ran out before the search finished."""
+
+
 class Graph:
     """Simple undirected graph, immutable after construction.
 

@@ -9,31 +9,19 @@ budget (OracleLimits).  All procedures are deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Cut, Graph, make_cut
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    max_vertices: int = 30
-    budget_seconds: float = 60.0
-
+from .graphs import (
+    Cut,
+    Graph,
+    OracleBudgetError,
+    OracleError,
+    OracleLimits,
+    OracleSizeError,
+    make_cut,
+)
 
 DEFAULT_LIMITS = OracleLimits()
-
-
-class OracleError(Exception):
-    """Base class for oracle guard failures."""
-
-
-class OracleSizeError(OracleError):
-    """The instance exceeds the configured vertex bound."""
-
-
-class OracleBudgetError(OracleError):
-    """The wall-clock budget ran out before the search finished."""
 
 
 class _Deadline:

@@ -17,23 +17,15 @@ from .graphs import (
     Cut,
     Graph,
     GraphError,
+    OracleBudgetError,
+    OracleLimits,
+    OracleSizeError,
     build_graph,
     disjoint_union,
     is_matching_cut,
     is_perfect_matching_cut,
     make_cut,
     path_graph,
-)
-from .oracle import (
-    OracleBudgetError,
-    OracleLimits,
-    OracleSizeError,
-    contains_induced,
-    enumerate_matching_cuts,
-    enumerate_one_in_three,
-    has_pmc,
-    longest_induced_cycle,
-    longest_induced_path,
 )
 
 
@@ -267,6 +259,15 @@ def verify_reduction(
     that exceeds its bound or budget is reported as incomplete rather
     than failed.
     """
+    from .oracle import (
+        contains_induced,
+        enumerate_matching_cuts,
+        enumerate_one_in_three,
+        has_pmc,
+        longest_induced_cycle,
+        longest_induced_path,
+    )
+
     g = layout.graph
     m = len(formula.clauses)
     checks: list[CheckResult] = []

@@ -1,14 +1,15 @@
 """One entry point that decides mc, pmc or dpm on any graph.
 
 Other modules are called through their module names, so a tracer that
-rebinds module attributes sees every call made from here.
+rebinds module attributes sees every call made from here.  Each branch
+imports the module it calls, so a run loads only the solvers it uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import forcing, graphs, matching, oracle, pmc
+from . import graphs
 
 PROBLEMS = ("mc", "pmc", "dpm")
 ALGOS = ("auto", "fourchordal", "oracle")
@@ -30,7 +31,9 @@ class Result:
     reason: str | None = None
 
 
-def _pick_algo(g: graphs.Graph, limits: oracle.OracleLimits | None) -> str:
+def _pick_algo(g: graphs.Graph, limits: graphs.OracleLimits | None) -> str:
+    from . import oracle
+
     try:
         cycle = oracle.longest_induced_cycle(g, limits)
     except oracle.OracleError:
@@ -39,7 +42,7 @@ def _pick_algo(g: graphs.Graph, limits: oracle.OracleLimits | None) -> str:
 
 
 def solve(
-    g: graphs.Graph, problem: str, algo: str = "auto", limits: oracle.OracleLimits | None = None
+    g: graphs.Graph, problem: str, algo: str = "auto", limits: graphs.OracleLimits | None = None
 ) -> Result:
     """Decide problem ("mc", "pmc" or "dpm") on g.
 
@@ -63,6 +66,8 @@ def solve(
         split = graphs.make_cut(g, comps[0])
         if problem == "mc":
             return Result(problem, None, split)
+        from . import matching
+
         pairs = matching.maximum_matching(g)
         if 2 * len(pairs) != g.n:
             return Result(problem, None, None)
@@ -71,12 +76,18 @@ def solve(
     if algo == "auto":
         algo = _pick_algo(g, limits)
     if algo == "fourchordal":
+        if problem == "pmc":
+            from . import pmc
+
+            return Result(problem, algo, pmc.solve_pmc_4chordal(g))
+        from . import forcing
+
         if problem == "mc":
             return Result(problem, algo, forcing.solve_mc_4chordal(g))
-        if problem == "pmc":
-            return Result(problem, algo, pmc.solve_pmc_4chordal(g))
         found = forcing.solve_dpm_4chordal(g)
     else:
+        from . import oracle
+
         if problem != "dpm":
             mode = "matching_only" if problem == "mc" else "perfect_only"
             cuts = oracle.enumerate_matching_cuts(g, mode, limits, stop_after=1)

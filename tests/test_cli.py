@@ -429,3 +429,46 @@ def test_console_script_smoke(tmp_path, two_squares):
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verdict: YES" in proc.stdout
+
+
+class TestLeanCommands:
+    def test_crosscheck_draws_one_instance_at_a_time(self, capsys, monkeypatch):
+        import matchcut.generators
+        import matchcut.oracle
+        from matchcut import OracleSizeError
+
+        drawn = []
+        draw = matchcut.generators.random_connected_4chordal
+
+        def counting_draw(*args, **kwargs):
+            drawn.append(1)
+            return draw(*args, **kwargs)
+
+        def refuse(g, limits=None):
+            raise OracleSizeError("refused")
+
+        monkeypatch.setattr(matchcut.generators, "random_connected_4chordal", counting_draw)
+        monkeypatch.setattr(matchcut.oracle, "has_mc", refuse)
+        rc = main(["crosscheck", "--seed", "0", "--count", "5", "--max-n", "10"])
+        captured = capsys.readouterr()
+        assert rc == 3 and len(drawn) == 1
+        assert captured.out == "" and captured.err == "oracle limit: refused\n"
+
+    def test_reduce_warns_on_one_clause(self, capsys, write, tmp_path):
+        from matchcut import OracleLimits, enumerate_matching_cuts, is_perfect_matching_cut
+
+        one = write("one.cnf", "p cnf 3 1\n1 2 3 0\n")
+        rc = main(["reduce", one, "--out", str(tmp_path / "one")])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.out.startswith("clauses: 1\n")
+        assert captured.err.startswith("warning: ") and captured.err.count("\n") == 1
+        assert "not perfect" in captured.err and "repeat the clause" in captured.err
+
+        # the advice holds: the repeated clause's gadget has only perfect
+        # matching cuts, and its reduce prints no warning
+        two = write("two.cnf", "p cnf 3 2\n1 2 3 0\n1 2 3 0\n")
+        rc = main(["reduce", two, "--out", str(tmp_path / "two")])
+        assert rc == 0 and capsys.readouterr().err == ""
+        g = parse_graph((tmp_path / "two.graph").read_text())
+        cuts = enumerate_matching_cuts(g, "matching_only", OracleLimits(max_vertices=28))
+        assert cuts and all(is_perfect_matching_cut(g, c.x) for c in cuts)
