@@ -15,13 +15,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 from .files import ParseError, format_graph, parse_graph
-from .forcing import solve_dpm_4chordal, solve_mc_4chordal
 from .graphs import Graph, GraphError, OracleBudgetError, OracleLimits, OracleSizeError
 from .solver import ALGOS, PROBLEMS, Result, solve
+
+
+def _seconds(text: str) -> float:
+    """A finite, non-negative number of seconds; NaN would never run out."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected finite seconds >= 0, got {text!r}")
+    return value
 
 
 def _limits(args: argparse.Namespace) -> OracleLimits:
@@ -188,8 +199,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     from .generators import iter_instances
-    from .oracle import has_dpm, has_mc, has_pmc
-    from .pmc import solve_pmc_4chordal
 
     limits = _limits(args)
     if args.max_n > limits.max_vertices:
@@ -201,24 +210,16 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     disagreements = []
     # one instance at a time, so memory does not grow with --count
     for idx, g in enumerate(iter_instances(args.seed, args.count, args.max_n)):
-        solver = {
-            "mc": solve_mc_4chordal(g) is not None,
-            "dpm": solve_dpm_4chordal(g) is not None,
-            "pmc": solve_pmc_4chordal(g) is not None,
-        }
-        truth = {
-            "mc": has_mc(g, limits),
-            "dpm": has_dpm(g, limits),
-            "pmc": has_pmc(g, limits),
-        }
         for problem in ("mc", "dpm", "pmc"):
-            if solver[problem] != truth[problem]:
+            found = solve(g, problem, "fourchordal").cut is not None
+            truth = solve(g, problem, "oracle", limits).cut is not None
+            if found != truth:
                 disagreements.append(
                     {
                         "index": idx,
                         "problem": problem,
-                        "solver": solver[problem],
-                        "oracle": truth[problem],
+                        "solver": found,
+                        "oracle": truth,
                         "graph": format_graph(g),
                     }
                 )
@@ -250,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget-seconds", type=float, default=60.0)
+        p.add_argument("--budget-seconds", type=_seconds, default=60.0)
         p.add_argument("--max-oracle-n", type=int, default=30)
         p.add_argument("--format", choices=("text", "json"), default="text")
 

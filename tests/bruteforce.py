@@ -16,18 +16,9 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from matchcut import (
-    Cut,
-    ForcingState,
-    Graph,
-    GraphError,
-    Refutation,
-    build_graph,
-    induced_subgraph,
-    is_connected,
-    make_cut,
-    oracle,
-)
+from matchcut import Cut, Graph, GraphError, build_graph, oracle
+from matchcut.forcing import ForcingState, Refutation
+from matchcut.graphs import induced_subgraph, is_connected, make_cut
 from matchcut.oracle import DEFAULT_LIMITS, OracleLimits
 
 

@@ -15,39 +15,29 @@ import random
 
 import bruteforce
 from matchcut import (
-    Formula13,
     OracleLimits,
-    TraceEntry,
-    TwoSatInstance,
     build_graph,
-    build_pmc_formula,
-    build_reduction,
-    assignment_to_pmc,
+    is_disconnected_perfect_matching,
+    is_perfect_matching,
+    is_perfect_matching_cut,
+)
+from matchcut.forcing import solve_dpm_4chordal, solve_mc_4chordal
+from matchcut.generators import sample_instances
+from matchcut.graphs import disjoint_union, path_graph
+from matchcut.matching import has_perfect_matching, maximum_matching
+from matchcut.oracle import (
     contains_induced,
-    cut_to_assignment,
-    disjoint_union,
     enumerate_matching_cuts,
     enumerate_one_in_three,
     has_dpm,
     has_mc,
-    has_perfect_matching,
     has_pmc,
-    is_disconnected_perfect_matching,
-    is_perfect_matching,
-    is_perfect_matching_cut,
     longest_induced_cycle,
     longest_induced_path,
-    maximum_matching,
-    neg,
-    path_graph,
-    pos,
-    sample_instances,
-    solve_2sat,
-    solve_dpm_4chordal,
-    solve_mc_4chordal,
-    solve_pmc_4chordal,
-    verify_assignment,
 )
+from matchcut.pmc import TraceEntry, build_pmc_formula, solve_pmc_4chordal
+from matchcut.reduction import Formula13, build_reduction, assignment_to_pmc, cut_to_assignment
+from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat, verify_assignment
 
 WIDE = OracleLimits(max_vertices=42, budget_seconds=600.0)
 

@@ -5,20 +5,11 @@ import sys
 
 import pytest
 
-from matchcut import (
-    Formula13,
-    build_graph,
-    build_reduction,
-    complete_graph,
-    cycle_graph,
-    disjoint_union,
-    format_formula_dimacs,
-    format_graph,
-    layout_sidecar,
-    parse_graph,
-    path_graph,
-)
+from matchcut import build_graph, format_graph, parse_graph
 from matchcut.cli import main
+from matchcut.files import format_formula_dimacs, layout_sidecar
+from matchcut.graphs import complete_graph, cycle_graph, disjoint_union, path_graph
+from matchcut.reduction import Formula13, build_reduction
 
 
 @pytest.fixture
@@ -349,7 +340,7 @@ class TestCrosscheck:
         assert rc == 0 and capsys.readouterr().out == first
 
     def test_disagreement_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr("matchcut.cli.solve_mc_4chordal", lambda g: None)
+        monkeypatch.setattr("matchcut.forcing.solve_mc_4chordal", lambda g: None)
         rc = main(self.ARGS)
         out = capsys.readouterr().out
         assert rc == 4
@@ -407,6 +398,15 @@ class TestExitCodes:
         assert rc == 3
         assert "oracle limit:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_budget(self, capsys, graph_file, two_squares, seconds):
+        # a NaN budget never runs out: time.monotonic() > nan is always false
+        path = graph_file("g", two_squares)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path, "--problem", "mc", "--budget-seconds", seconds])
+        assert exc.value.code == 2
+        assert "--budget-seconds" in capsys.readouterr().err
+
     def test_raised_max_oracle_n(self, capsys, graph_file):
         big = build_graph(31, [(i, i + 1) for i in range(30)])
         path = graph_file("g", big)
@@ -444,18 +444,19 @@ class TestLeanCommands:
             drawn.append(1)
             return draw(*args, **kwargs)
 
-        def refuse(g, limits=None):
+        def refuse(*args, **kwargs):
             raise OracleSizeError("refused")
 
         monkeypatch.setattr(matchcut.generators, "random_connected_4chordal", counting_draw)
-        monkeypatch.setattr(matchcut.oracle, "has_mc", refuse)
+        monkeypatch.setattr(matchcut.oracle, "enumerate_matching_cuts", refuse)
         rc = main(["crosscheck", "--seed", "0", "--count", "5", "--max-n", "10"])
         captured = capsys.readouterr()
         assert rc == 3 and len(drawn) == 1
         assert captured.out == "" and captured.err == "oracle limit: refused\n"
 
     def test_reduce_warns_on_one_clause(self, capsys, write, tmp_path):
-        from matchcut import OracleLimits, enumerate_matching_cuts, is_perfect_matching_cut
+        from matchcut import OracleLimits, is_perfect_matching_cut
+        from matchcut.oracle import enumerate_matching_cuts
 
         one = write("one.cnf", "p cnf 3 1\n1 2 3 0\n")
         rc = main(["reduce", one, "--out", str(tmp_path / "one")])

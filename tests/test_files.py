@@ -5,23 +5,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_graph
-from matchcut import (
-    Formula13,
-    ParseError,
-    TwoSatInstance,
-    build_reduction,
+from matchcut import ParseError, format_graph, parse_graph
+from matchcut.files import (
     format_formula_dimacs,
-    format_graph,
     format_twosat_dimacs,
     formula_from_dimacs,
     layout_sidecar,
-    neg,
     parse_dimacs,
-    parse_graph,
-    path_graph,
-    pos,
     twosat_variable_map,
 )
+from matchcut.graphs import path_graph
+from matchcut.reduction import Formula13, build_reduction
+from matchcut.twosat import TwoSatInstance, neg, pos
 
 
 class TestGraphFormat:

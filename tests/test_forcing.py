@@ -7,26 +7,26 @@ import bruteforce
 import matchcut.forcing
 from conftest import random_graph
 from matchcut import (
-    ForcingState,
     Graph,
     GraphError,
-    Refutation,
     build_graph,
     check_matching_cut,
     check_perfect_matching_cut,
-    complete_graph,
-    cycle_graph,
     is_disconnected_perfect_matching,
     is_matching_cut,
     is_perfect_matching,
-    path_graph,
     propagate,
-    sample_instances,
+)
+from matchcut.forcing import (
+    ForcingState,
+    Refutation,
     solve_dpm_4chordal,
     solve_mc_4chordal,
-    solve_pmc_4chordal,
     split_free_vertices,
 )
+from matchcut.generators import sample_instances
+from matchcut.graphs import complete_graph, cycle_graph, path_graph
+from matchcut.pmc import solve_pmc_4chordal
 
 
 def ladder(k: int, pendants: tuple[int, ...] = ()) -> Graph:

@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from matchcut import (
-    GraphError,
-    is_connected,
-    random_connected_4chordal,
-    sample_instances,
-)
+from matchcut import GraphError, random_connected_4chordal
+from matchcut.generators import sample_instances
+from matchcut.graphs import is_connected
 
 
 class TestRandomConnected4Chordal:

@@ -6,21 +6,23 @@ from hypothesis import given, strategies as st
 import bruteforce
 from matchcut import (
     GraphError,
-    bfs_levels,
     build_graph,
     check_matching_cut,
     check_perfect_matching_cut,
+    is_disconnected_perfect_matching,
+    is_matching,
+    is_matching_cut,
+    is_perfect_matching,
+    is_perfect_matching_cut,
+)
+from matchcut.graphs import (
+    bfs_levels,
     complete_graph,
     connected_components,
     cycle_graph,
     disjoint_union,
     induced_subgraph,
     is_connected,
-    is_disconnected_perfect_matching,
-    is_matching,
-    is_matching_cut,
-    is_perfect_matching,
-    is_perfect_matching_cut,
     make_cut,
     path_graph,
 )

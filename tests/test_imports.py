@@ -2,8 +2,9 @@
 
 A fresh interpreter imports only the modules a command runs: the
 exhaustive oracle, the gadget builder, the pmc solver, 2-SAT and the
-generator stay unloaded on the mc/dpm path, so start-up does not pay
-for them.
+generator stay unloaded on the mc/dpm path, and the mc/dpm solver,
+blossom matching and the oracle on the pmc path, so start-up does not
+pay for them.
 """
 
 import json
@@ -16,6 +17,7 @@ import pytest
 
 import matchcut
 import matchcut.oracle
+import matchcut.solver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 UNUSED_ON_MC_DPM = (
@@ -47,6 +49,14 @@ def test_cli_import_loads_no_solver_it_does_not_run():
     loaded = loaded_after("import matchcut.cli")
     assert "matchcut.cli" in loaded
     assert loaded.isdisjoint(UNUSED_ON_MC_DPM), sorted(loaded)
+    # crosscheck decides through solve(), so no solver is bound at import
+    assert loaded == {
+        "matchcut",
+        "matchcut.cli",
+        "matchcut.files",
+        "matchcut.graphs",
+        "matchcut.solver",
+    }
 
 
 @pytest.mark.parametrize("problem", ["mc", "dpm"])
@@ -62,13 +72,25 @@ def test_fourchordal_mc_dpm_loads_no_other_solver(tmp_path, problem):
     assert loaded.isdisjoint(UNUSED_ON_MC_DPM), sorted(loaded)
 
 
+def test_fourchordal_pmc_loads_no_mc_dpm_solver_or_oracle(tmp_path):
+    path = tmp_path / "ladder.graph"
+    path.write_text("6 7\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n")
+    argv = ["solve", str(path), "--problem", "pmc", "--algo", "fourchordal"]
+    loaded = loaded_after(
+        "from matchcut.cli import main\n"
+        f"assert main({argv!r}) == 0"
+    )
+    assert "matchcut.pmc" in loaded
+    assert loaded.isdisjoint({"matchcut.forcing", "matchcut.matching", "matchcut.oracle"})
+
+
 def test_package_import_loads_no_module():
     assert loaded_after("import matchcut") == {"matchcut"}
 
 
 class TestLazyRoot:
     def test_every_export_is_its_modules_object(self):
-        assert len(matchcut.__all__) == len(set(matchcut.__all__)) == 71
+        assert len(matchcut.__all__) == len(set(matchcut.__all__)) == 22
         for name in matchcut.__all__:
             obj = getattr(matchcut, name)
             assert obj.__module__.startswith("matchcut."), name
@@ -94,5 +116,5 @@ class TestLazyRoot:
     def test_lookup_follows_a_rebound_module_attribute(self, monkeypatch):
         # the root keeps no copy, so a patch on the module shows through
         sentinel = object()
-        monkeypatch.setattr(matchcut.oracle, "has_mc", sentinel)
-        assert matchcut.has_mc is sentinel
+        monkeypatch.setattr(matchcut.solver, "solve", sentinel)
+        assert matchcut.solve is sentinel

@@ -4,15 +4,9 @@ import networkx as nx
 from hypothesis import given, strategies as st
 
 import bruteforce
-from matchcut import (
-    build_graph,
-    complete_graph,
-    cycle_graph,
-    has_perfect_matching,
-    is_matching,
-    maximum_matching,
-    path_graph,
-)
+from matchcut import build_graph, is_matching
+from matchcut.graphs import complete_graph, cycle_graph, path_graph
+from matchcut.matching import has_perfect_matching, maximum_matching
 from conftest import petersen_graph, random_graph
 
 

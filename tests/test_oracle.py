@@ -5,26 +5,25 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 from matchcut import (
-    Formula13,
     OracleBudgetError,
     OracleLimits,
     OracleSizeError,
     build_graph,
-    complete_graph,
+    is_perfect_matching_cut,
+)
+from matchcut.graphs import complete_graph, cycle_graph, disjoint_union, path_graph
+from matchcut.oracle import (
     contains_induced,
-    cycle_graph,
-    disjoint_union,
     enumerate_matching_cuts,
     enumerate_one_in_three,
     has_dpm,
     has_mc,
     has_pmc,
-    is_perfect_matching_cut,
     longest_induced_cycle,
     longest_induced_path,
-    path_graph,
     perfect_matchings,
 )
+from matchcut.reduction import Formula13
 from conftest import petersen_graph, random_graph
 
 WIDE = OracleLimits(max_vertices=30, budget_seconds=300)

@@ -5,23 +5,17 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 from conftest import random_graph
-from matchcut import (
+from matchcut import build_graph, is_perfect_matching_cut
+from matchcut.generators import sample_instances
+from matchcut.graphs import bfs_levels, complete_graph, cycle_graph, path_graph
+from matchcut.pmc import (
     DeterminedSet,
     TraceEntry,
-    bfs_levels,
-    build_graph,
     build_pmc_formula,
     classify_leaf,
-    complete_graph,
-    cycle_graph,
-    is_perfect_matching_cut,
-    neg,
-    path_graph,
-    pos,
-    sample_instances,
-    solve_2sat,
     solve_pmc_4chordal,
 )
+from matchcut.twosat import neg, pos, solve_2sat
 
 
 class TestDeterminedSet:
@@ -195,7 +189,7 @@ class TestSolvePmc:
         assert solve_pmc_4chordal(cycle_graph(5)) is None
 
     def test_components_must_all_split(self, two_squares, domino):
-        from matchcut import disjoint_union
+        from matchcut.graphs import disjoint_union
 
         both = disjoint_union(two_squares, domino)
         cut = solve_pmc_4chordal(both)

@@ -4,20 +4,16 @@ import networkx as nx
 import pytest
 
 import bruteforce
-from matchcut import (
+from matchcut import GraphError, OracleLimits, is_perfect_matching_cut
+from matchcut.graphs import complete_graph
+from matchcut.oracle import enumerate_matching_cuts, enumerate_one_in_three, has_pmc
+from matchcut.reduction import (
     Formula13,
-    GraphError,
-    OracleLimits,
     assignment_to_pmc,
     build_reduction,
     clause_gadget,
-    complete_graph,
     cut_to_assignment,
-    enumerate_matching_cuts,
-    enumerate_one_in_three,
-    has_pmc,
     is_one_in_three,
-    is_perfect_matching_cut,
     verify_reduction,
 )
 from conftest import build_g_h_v, cube_graph, heggernes_telle_graph, petersen_graph

@@ -11,11 +11,11 @@ from matchcut import (
     build_graph,
     check_matching_cut,
     check_perfect_matching_cut,
-    disjoint_union,
     is_disconnected_perfect_matching,
-    sample_instances,
     solve,
 )
+from matchcut.generators import sample_instances
+from matchcut.graphs import disjoint_union
 from matchcut.oracle import find_dpm
 
 BRUTE = {"mc": bruteforce.has_mc, "pmc": bruteforce.has_pmc, "dpm": bruteforce.has_dpm}

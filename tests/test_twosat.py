@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from matchcut import TwoSatInstance, neg, pos, solve_2sat, verify_assignment
+from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat, verify_assignment
 
 
 def lit(v, p=True):
