@@ -184,24 +184,38 @@ def perfect_matchings(
     adj = [sorted(g.adj[v]) for v in range(n)]
     mate = [-1] * n
     chosen: list[tuple[int, int]] = []
-
-    def extend() -> Iterator[tuple[tuple[int, int], ...]]:
+    deadline.check()
+    if n == 0:
+        yield ()
+        return
+    # one [vertex, index of its next partner in adj] per matched pair
+    stack = [[0, 0]]
+    while stack:
+        frame = stack[-1]
+        v, i = frame
+        if i:
+            # undo this level's previous choice
+            u = chosen.pop()[1]
+            mate[v] = mate[u] = -1
+        nbrs = adj[v]
+        while i < len(nbrs) and mate[nbrs[i]] != -1:
+            i += 1
+        if i == len(nbrs):
+            stack.pop()
+            continue
+        u = nbrs[i]
+        frame[1] = i + 1
+        mate[v] = u
+        mate[u] = v
+        chosen.append((v, u))
         deadline.check()
-        v = next((u for u in range(n) if mate[u] == -1), -1)
-        if v == -1:
+        w = v + 1
+        while w < n and mate[w] != -1:
+            w += 1
+        if w == n:
             yield tuple(chosen)
-            return
-        for u in adj[v]:
-            if mate[u] == -1:
-                mate[v] = u
-                mate[u] = v
-                chosen.append((v, u))
-                yield from extend()
-                chosen.pop()
-                mate[v] = -1
-                mate[u] = -1
-
-    yield from extend()
+        else:
+            stack.append([w, 0])
 
 
 def find_dpm(
@@ -210,24 +224,29 @@ def find_dpm(
     """The first perfect matching, in perfect_matchings order, whose
     removal disconnects g, with the cut around the part vertex 0 still
     reaches (its crossing edges are matched); None when there is none."""
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return None
-    adj = [sorted(g.adj[v]) for v in range(g.n)]
+    masks = g.adjacency_masks()
+    full = (1 << n) - 1
     for matching in perfect_matchings(g, limits):
-        mate = {}
+        # neighbours without the matched partner, as bitmasks
+        rest = masks[:]
         for u, v in matching:
-            mate[u] = v
-            mate[v] = u
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u != mate[v] and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) < g.n:
-            return matching, make_cut(g, seen)
+            rest[u] ^= 1 << v
+            rest[v] ^= 1 << u
+        # grow vertex 0's part of g minus the matching a layer at a time
+        seen = frontier = 1
+        while frontier and seen != full:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rest[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen != full:
+            return matching, make_cut(g, (v for v in range(n) if seen >> v & 1))
     return None
 
 
