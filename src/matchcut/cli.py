@@ -35,6 +35,17 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """A whole number >= 0; a negative count or vertex bound means nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _limits(args: argparse.Namespace) -> OracleLimits:
     return OracleLimits(
         max_vertices=args.max_oracle_n, budget_seconds=args.budget_seconds
@@ -252,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--budget-seconds", type=_seconds, default=60.0)
-        p.add_argument("--max-oracle-n", type=int, default=30)
+        p.add_argument("--max-oracle-n", type=_count, default=30)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_solve = sub.add_parser("solve", help="decide a matching-cut problem")
@@ -284,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cross = sub.add_parser("crosscheck", help="compare solvers against oracles")
     p_cross.add_argument("--seed", type=int, default=0)
-    p_cross.add_argument("--count", type=int, default=25)
+    p_cross.add_argument("--count", type=_count, default=25)
     p_cross.add_argument("--max-n", type=int, default=14)
     add_common(p_cross)
     p_cross.set_defaults(func=cmd_crosscheck)

@@ -9,7 +9,7 @@ budget (OracleLimits).  All procedures are deterministic.
 from __future__ import annotations
 
 import time
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import (
     Cut,
@@ -18,6 +18,7 @@ from .graphs import (
     OracleError,
     OracleLimits,
     OracleSizeError,
+    induced_subgraph,
     make_cut,
 )
 
@@ -32,8 +33,10 @@ class _Deadline:
         self.ticks = 0
 
     def check(self) -> None:
+        # the clock is read on the first tick and every 1024th after it,
+        # so a spent budget stops even a search shorter than 1024 ticks
         self.ticks += 1
-        if self.ticks & 1023 == 0 and time.monotonic() > self.expiry:
+        if self.ticks & 1023 == 1 and time.monotonic() >= self.expiry:
             raise OracleBudgetError("oracle budget exhausted")
 
 
@@ -63,20 +66,28 @@ def enumerate_matching_cuts(
     if mode not in ("matching_only", "perfect_only"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
     _, deadline = _guard(g, limits)
+    out: list[Cut] = []
     if g.n < 2:
-        return []
-    return _enumerate_pruned(g, mode == "perfect_only", deadline, stop_after)
+        return out
+
+    def keep(cut: Cut) -> bool:
+        out.append(cut)
+        return stop_after is not None and len(out) >= stop_after
+
+    _enumerate_pruned(g, mode == "perfect_only", deadline, keep)
+    return out
 
 
 def _enumerate_pruned(
-    g: Graph, perfect: bool, deadline: _Deadline, stop_after: int | None
-) -> list[Cut]:
+    g: Graph, perfect: bool, deadline: _Deadline, accept: Callable[[Cut], bool]
+) -> bool:
+    """Pass each cut to accept, in lexicographic order of the side
+    vector, until accept returns True; True when it did."""
     n = g.n
     adj = [sorted(g.adj[v]) for v in range(n)]
     side = [-1] * n
     cross = [0] * n
     open_nbrs = [g.degree(v) for v in range(n)]
-    out: list[Cut] = []
 
     def assign(v: int, s: int, trail: list[int]) -> bool:
         side[v] = s
@@ -142,11 +153,9 @@ def _enumerate_pruned(
         deadline.check()
         v = next((u for u in range(n) if side[u] == -1), -1)
         if v == -1:
-            if any(s == 1 for s in side):
-                out.append(make_cut(g, {u for u in range(n) if side[u] == 0}))
-                if stop_after is not None and len(out) >= stop_after:
-                    return True
-            return False
+            return any(s == 1 for s in side) and accept(
+                make_cut(g, {u for u in range(n) if side[u] == 0})
+            )
         for s in (0, 1):
             trail: list[int] = []
             if assign_forced(v, s, trail) and search():
@@ -156,9 +165,7 @@ def _enumerate_pruned(
         return False
 
     root_trail: list[int] = []
-    if assign_forced(0, 0, root_trail):
-        search()
-    return out
+    return assign_forced(0, 0, root_trail) and search()
 
 
 def has_mc(g: Graph, limits: OracleLimits | None = None) -> bool:
@@ -223,13 +230,21 @@ def find_dpm(
 ) -> tuple[tuple[tuple[int, int], ...], Cut] | None:
     """The first perfect matching, in perfect_matchings order, whose
     removal disconnects g, with the cut around the part vertex 0 still
-    reaches (its crossing edges are matched); None when there is none."""
-    n = g.n
-    if n == 0:
+    reaches (its crossing edges are matched); None when there is none.
+
+    has_dpm decides first, so only a YES lists perfect matchings; the
+    listing gets what the decision left of the budget.
+    """
+    limits = limits or DEFAULT_LIMITS
+    start = time.monotonic()
+    if not has_dpm(g, limits):
         return None
+    spent = time.monotonic() - start
+    left = OracleLimits(limits.max_vertices, max(0.0, limits.budget_seconds - spent))
+    n = g.n
     masks = g.adjacency_masks()
     full = (1 << n) - 1
-    for matching in perfect_matchings(g, limits):
+    for matching in perfect_matchings(g, left):
         # neighbours without the matched partner, as bitmasks
         rest = masks[:]
         for u, v in matching:
@@ -251,8 +266,33 @@ def find_dpm(
 
 
 def has_dpm(g: Graph, limits: OracleLimits | None = None) -> bool:
-    """True when some perfect matching's removal disconnects the graph."""
-    return find_dpm(g, limits) is not None
+    """True when some perfect matching's removal disconnects the graph.
+
+    Such a matching holds the crossing edges of a matching cut and
+    perfectly matches the graph without their ends; conversely, any
+    matching cut whose crossing edges' ends leave a perfectly matchable
+    rest extends to one.  So this searches the matching cuts, with one
+    blossom run per cut, and lists no perfect matching.
+    """
+    n = g.n
+    if n == 0:
+        return False
+    _, deadline = _guard(g, limits)
+    from . import matching
+
+    if n % 2 or not matching.has_perfect_matching(g):
+        return False
+
+    def extends(cut: Cut) -> bool:
+        # X keeps one vertex per crossing edge fewer; what is left of
+        # each side must pair up within it
+        if (sum(cut.side) - len(cut.crossing)) % 2:
+            return False
+        ends = {v for edge in cut.crossing for v in edge}
+        rest, _ = induced_subgraph(g, (v for v in range(n) if v not in ends))
+        return matching.has_perfect_matching(rest)
+
+    return _enumerate_pruned(g, False, deadline, extends)
 
 
 def longest_induced_path(g: Graph, limits: OracleLimits | None = None) -> int:

@@ -3,12 +3,15 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.  Two references are kept as
+enumeration instead of augmenting paths.  Three references are kept as
 specifications instead: propagate_reference, the plain sorted-rescan
 form of the forcing loop that the incremental forcing.propagate must
-match, and random_connected_4chordal_reference, the generator that
-checks every square splice with the exhaustive oracle cycle search,
-whose output the one-search splice check must reproduce.
+match; random_connected_4chordal_reference, the generator that checks
+every square splice with the exhaustive oracle cycle search, whose
+output the one-search splice check must reproduce; and
+find_dpm_reference, the dpm search that lists perfect matchings until
+one disconnects, whose answer oracle.find_dpm must reproduce after
+deciding by matching cuts.
 """
 
 from __future__ import annotations
@@ -90,6 +93,36 @@ def removal_disconnects(g: Graph, matching) -> bool:
 
 def has_dpm(g: Graph) -> bool:
     return any(removal_disconnects(g, m) for m in perfect_matchings(g))
+
+
+def find_dpm_reference(g: Graph, limits: OracleLimits | None = None):
+    """The first perfect matching, in oracle.perfect_matchings order,
+    whose removal disconnects g, with the cut around the part vertex 0
+    still reaches; None when there is none."""
+    n = g.n
+    if n == 0:
+        return None
+    masks = g.adjacency_masks()
+    full = (1 << n) - 1
+    for matching in oracle.perfect_matchings(g, limits):
+        # neighbours without the matched partner, as bitmasks
+        rest = masks[:]
+        for u, v in matching:
+            rest[u] ^= 1 << v
+            rest[v] ^= 1 << u
+        # grow vertex 0's part of g minus the matching a layer at a time
+        seen = frontier = 1
+        while frontier and seen != full:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rest[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= frontier
+        if seen != full:
+            return matching, make_cut(g, (v for v in range(n) if seen >> v & 1))
+    return None
 
 
 def max_matching_size(g: Graph) -> int:

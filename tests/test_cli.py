@@ -407,6 +407,28 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--budget-seconds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crosscheck", "--count", "-2"],
+            ["solve", "G", "--problem", "mc", "--algo", "oracle", "--max-oracle-n", "-1"],
+        ],
+    )
+    def test_negative_count_or_bound(self, capsys, graph_file, two_squares, argv):
+        argv = [graph_file("g", two_squares) if a == "G" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "expected an integer >= 0" in capsys.readouterr().err
+
+    def test_zero_count_and_bound_stay_valid(self, capsys, graph_file, two_squares):
+        assert main(["crosscheck", "--count", "0"]) == 0
+        assert capsys.readouterr().out.endswith("disagreements: 0\n")
+        path = graph_file("g", two_squares)
+        rc = main(["solve", path, "--problem", "mc", "--algo", "oracle", "--max-oracle-n", "0"])
+        assert rc == 3
+        assert "oracle bound is 0" in capsys.readouterr().err
+
     def test_raised_max_oracle_n(self, capsys, graph_file):
         big = build_graph(31, [(i, i + 1) for i in range(30)])
         path = graph_file("g", big)

@@ -84,6 +84,26 @@ def test_fourchordal_pmc_loads_no_mc_dpm_solver_or_oracle(tmp_path):
     assert loaded.isdisjoint({"matchcut.forcing", "matchcut.matching", "matchcut.oracle"})
 
 
+def test_oracle_dpm_loads_blossom_but_no_polynomial_solver(tmp_path):
+    # the oracle decides dpm by matching cuts and blossom matching
+    path = tmp_path / "ladder.graph"
+    path.write_text("6 7\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n")
+    argv = ["solve", str(path), "--problem", "dpm", "--algo", "oracle"]
+    loaded = loaded_after(
+        "from matchcut.cli import main\n"
+        f"assert main({argv!r}) == 0"
+    )
+    assert loaded == {
+        "matchcut",
+        "matchcut.cli",
+        "matchcut.files",
+        "matchcut.graphs",
+        "matchcut.matching",
+        "matchcut.oracle",
+        "matchcut.solver",
+    }
+
+
 def test_package_import_loads_no_module():
     assert loaded_after("import matchcut") == {"matchcut"}
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
+import matchcut.oracle
 from matchcut import (
     OracleBudgetError,
     OracleLimits,
@@ -16,6 +17,7 @@ from matchcut.oracle import (
     contains_induced,
     enumerate_matching_cuts,
     enumerate_one_in_three,
+    find_dpm,
     has_dpm,
     has_mc,
     has_pmc,
@@ -39,6 +41,12 @@ class TestLimits:
         g = random_graph(random.Random(3), 18, 0.4)
         with pytest.raises(OracleBudgetError):
             list(perfect_matchings(g, OracleLimits(30, 0.0)))
+
+    def test_budget_guard_dpm(self):
+        # a NO found in fewer than 1024 search steps still meets the budget
+        g = random_graph(random.Random(3), 18, 0.4)
+        with pytest.raises(OracleBudgetError):
+            has_dpm(g, OracleLimits(30, 0.0))
 
     def test_custom_limits_allow(self):
         g = path_graph(31)
@@ -112,11 +120,29 @@ class TestPerfectMatchingsAndDpm:
     def test_has_dpm_examples(self, two_triangles, domino):
         assert not has_dpm(two_triangles)
         assert has_dpm(domino)
+        # g's one matching cut, X = {0, 1, 3, 4} with crossing edges 0-2
+        # and 4-5, leaves {1, 3} of X and nothing of Y: even, but 1 and 3
+        # are not adjacent
+        g = build_graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 5), (3, 4), (4, 5)])
+        assert not has_dpm(g) and not bruteforce.has_dpm(g)
 
     @given(st.integers(0, 100_000), st.integers(2, 8), st.floats(0.2, 0.8))
     def test_has_dpm_against_brute(self, seed, n, p):
         g = random_graph(random.Random(seed), n, p)
         assert has_dpm(g, WIDE) == bruteforce.has_dpm(g)
+
+    def test_path_power_no_lists_no_matching(self, monkeypatch):
+        # the k-th power of a path is a k-tree; for k >= 2 every edge lies
+        # in a triangle and the triangles chain, so no matching cut exists
+        # and the NO needs no perfect matching listed
+        def refuse(*args, **kwargs):
+            raise AssertionError("perfect matchings were listed")
+
+        monkeypatch.setattr(matchcut.oracle, "perfect_matchings", refuse)
+        for k in (2, 3, 4):
+            for n in range(3, 31):
+                edges = [(i, j) for i in range(n) for j in range(i + 1, min(n, i + k + 1))]
+                assert find_dpm(build_graph(n, edges)) is None, (n, k)
 
 
 class TestInducedPathsAndCycles:

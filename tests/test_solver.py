@@ -16,7 +16,7 @@ from matchcut import (
 )
 from matchcut.generators import sample_instances
 from matchcut.graphs import disjoint_union
-from matchcut.oracle import find_dpm
+from matchcut.oracle import find_dpm, has_dpm
 
 BRUTE = {"mc": bruteforce.has_mc, "pmc": bruteforce.has_pmc, "dpm": bruteforce.has_dpm}
 
@@ -78,6 +78,22 @@ def test_find_dpm_certificate():
             assert is_disconnected_perfect_matching(g, pairs)
             assert check_matching_cut(g, cut.x)[0] == cut
             assert {(min(e), max(e)) for e in cut.crossing} <= set(pairs)
+
+
+def test_find_dpm_equals_enumeration_reference():
+    # deciding by matching cuts first leaves every answer as listing
+    # perfect matchings gives it: the same matching and the same cut
+    rng = random.Random(20261018)
+    graphs = [random_graph(rng, rng.randint(0, 14), rng.uniform(0.15, 0.6)) for _ in range(3000)]
+    graphs += [g for seed in range(50) for g in sample_instances(seed, 6, 30)]
+    verdicts = set()
+    for g in graphs:
+        want = bruteforce.find_dpm_reference(g)
+        assert find_dpm(g) == want, g
+        # the YES path lists matchings anyway; check the decision alone
+        assert has_dpm(g) == (want is not None), g
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 def test_empty_graph_and_unknown_names():
