@@ -35,15 +35,25 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """A whole number >= 0; a negative count or vertex bound means nothing."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
+
+
+def _count(text: str) -> int:
+    """A whole number >= 0; a negative count or vertex bound means nothing."""
+    return _int_at_least(text, 0)
+
+
+def _positive(text: str) -> int:
+    """A whole number >= 1; a path of no vertices, or a cycle bound of
+    0, names no graph class."""
+    return _int_at_least(text, 1)
 
 
 def _limits(args: argparse.Namespace) -> OracleLimits:
@@ -95,27 +105,31 @@ def _solve_output(result: Result) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _emit_twosat(g: Graph, prefix: str) -> None:
-    """Write the merged per-component 2-CNF and its variable sidecar."""
-    from .files import format_twosat_dimacs, twosat_variable_map
+def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
+    """Write the merged per-component 2-CNF and its variable sidecar,
+    sweeping only the components that result's solve did not."""
+    from .files import format_twosat_dimacs, twosat_sidecar
     from .pmc import build_merged_formula
 
-    inst, shallow, blocked = build_merged_formula(g)
+    inst, shallow, blocked = build_merged_formula(g, None if result is None else result.sweeps)
     Path(prefix + ".cnf").write_text(format_twosat_dimacs(inst))
-    sidecar = json.loads(twosat_variable_map(inst))
-    sidecar["unencoded_shallow_vertices"] = shallow
-    sidecar["blocked_vertices"] = blocked
-    Path(prefix + ".vars.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    Path(prefix + ".vars.json").write_text(twosat_sidecar(inst, shallow, blocked))
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = parse_graph(Path(args.graph).read_text())
-    if args.emit_2cnf:
-        if args.problem != "pmc":
-            print("--emit-2cnf applies to --problem pmc only", file=sys.stderr)
-            return 2
-        _emit_twosat(g, args.emit_2cnf)
-    _emit(args, *_solve_output(solve(g, args.problem, args.algo, _limits(args))))
+    if args.emit_2cnf and args.problem != "pmc":
+        print("--emit-2cnf applies to --problem pmc only", file=sys.stderr)
+        return 2
+    result = None
+    try:
+        result = solve(g, args.problem, args.algo, _limits(args))
+    finally:
+        # the encoding does not depend on the verdict, so it is written
+        # even when the oracle gives up (exit 3)
+        if args.emit_2cnf:
+            _emit_twosat(g, args.emit_2cnf, result)
+    _emit(args, *_solve_output(result))
     return 0
 
 
@@ -281,8 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="test structural class membership")
     p_check.add_argument("graph")
     kind = p_check.add_mutually_exclusive_group(required=True)
-    kind.add_argument("--pt-free", type=int, metavar="T")
-    kind.add_argument("--k-chordal", type=int, metavar="K")
+    kind.add_argument("--pt-free", type=_positive, metavar="T")
+    kind.add_argument("--k-chordal", type=_positive, metavar="K")
     kind.add_argument("--pattern", metavar="FILE")
     add_common(p_check)
     p_check.set_defaults(func=cmd_check)

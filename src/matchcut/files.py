@@ -150,16 +150,21 @@ def format_formula_dimacs(formula: Formula13) -> str:
 def format_twosat_dimacs(inst: TwoSatInstance) -> str:
     """2-CNF in DIMACS form; variable i+1 stands for vertex i."""
     lines = [f"p cnf {inst.var_count} {len(inst.clauses)}"]
-    for clause in inst.clauses:
-        lits = [(var + 1) if polarity else -(var + 1) for var, polarity in clause]
-        lines.append(f"{lits[0]} {lits[1]} 0")
+    for (v1, p1), (v2, p2) in inst.clauses:
+        lines.append(f"{v1 + 1 if p1 else -v1 - 1} {v2 + 1 if p2 else -v2 - 1} 0")
     return "\n".join(lines) + "\n"
 
 
-def twosat_variable_map(inst: TwoSatInstance) -> str:
-    """JSON sidecar mapping DIMACS variables to vertex ids."""
+def twosat_sidecar(inst: TwoSatInstance, shallow: list[int], blocked: list[int]) -> str:
+    """JSON sidecar mapping DIMACS variables to vertex ids, with the
+    vertices of components the encoding leaves out: too shallow to
+    sweep, or the vertex that blocked a component's sweep."""
     return json.dumps(
-        {"variable_to_vertex": {str(v + 1): v for v in range(inst.var_count)}},
+        {
+            "variable_to_vertex": {str(v + 1): v for v in range(inst.var_count)},
+            "unencoded_shallow_vertices": shallow,
+            "blocked_vertices": blocked,
+        },
         indent=2,
         sort_keys=True,
     ) + "\n"

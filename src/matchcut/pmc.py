@@ -3,31 +3,39 @@
 The graph is layered by breadth-first distance from a root.  Sweeping
 the layers deepest first, each undetermined vertex is classified by how
 it attaches to the layer below; the classification names its forced
-cross partner and pins every other neighbor to its own side.  The
-resulting constraints form a 2-CNF formula whose models are exactly the
-perfect matching cuts (side X = true variables).
+cross partner and pins every other neighbor to its own side.  Each such
+constraint relates two vertices, which lie on different sides or on the
+same side, so the perfect matching cuts (side X) are exactly the
+2-colourings of these relations, and one parity pass decides them.
+Written as two complementary clauses each, the same relations form the
+2-CNF that --emit-2cnf writes; twosat.solve_2sat finds the same model
+on it as the parity pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     BfsLevels,
     Cut,
     Graph,
     bfs_levels,
+    check_perfect_matching_cut,
     connected_components,
     induced_subgraph,
-    is_perfect_matching_cut,
-    make_cut,
 )
-from .twosat import Clause, TwoSatInstance, neg, pos, solve_2sat
+
+if TYPE_CHECKING:
+    from .twosat import Clause, TwoSatInstance
+
+# (a, b, differ): a and b lie on different sides when differ is True,
+# on the same side otherwise
+Relation = tuple[int, int, bool]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One determination step: vertex, rule kind, partners, clause ids."""
 
     vertex: int
@@ -53,6 +61,10 @@ class DeterminedSet:
     def members(self) -> frozenset[int]:
         return frozenset(self._members)
 
+    def undetermined(self, vertices: frozenset[int]) -> frozenset[int]:
+        """The vertices among vertices that are not determined yet."""
+        return vertices - self._members
+
     def add(self, vertices: tuple[int, ...]) -> None:
         for v in vertices:
             if v in self._members:
@@ -63,8 +75,7 @@ class DeterminedSet:
         self.trace.append(TraceEntry(vertex, rule, partners, clause_ids))
 
 
-@dataclass(frozen=True)
-class LeafClassification:
+class LeafClassification(NamedTuple):
     """How an undetermined vertex attaches to the layer below.
 
     kind "c1": exactly one undetermined neighbor below (u).
@@ -89,12 +100,9 @@ def classify_leaf(
     g: Graph, levels: BfsLevels, determined: DeterminedSet, v: int
 ) -> LeafClassification:
     """Classify v against the undetermined part of the layer below it."""
-    i = levels.level_of[v]
-    below = sorted(
-        u
-        for u in g.adj[v]
-        if levels.level_of[u] == i - 1 and u not in determined
-    )
+    level_of = levels.level_of
+    i = level_of[v]
+    below = sorted(u for u in determined.undetermined(g.adj[v]) if level_of[u] == i - 1)
     if not below:
         return _NONE
     if len(below) == 1:
@@ -132,113 +140,238 @@ def classify_leaf(
 
 @dataclass(frozen=True)
 class PmcEncoding:
-    """Sweep outcome: a 2-CNF formula, or the vertex that blocked it."""
+    """Sweep outcome: the relations over g's vertices, or the vertex
+    that blocked the sweep (relations None)."""
 
-    formula: TwoSatInstance | None
+    var_count: int
+    relations: tuple[Relation, ...] | None
     determined: DeterminedSet
     blocked: int | None
+
+    @property
+    def formula(self) -> TwoSatInstance | None:
+        """The relations as a 2-CNF, built on each access."""
+        if self.relations is None:
+            return None
+        from .twosat import TwoSatInstance
+
+        return TwoSatInstance(self.var_count, relation_clauses(self.relations))
+
+
+def relation_clauses(relations: Sequence[Relation]) -> tuple[Clause, ...]:
+    """Two complementary clauses per relation, in relation order: clauses
+    2i and 2i+1 state relation i."""
+    clauses: list[Clause] = []
+    for a, b, differ in relations:
+        # literals are (variable, polarity) pairs, as twosat.pos/neg build them
+        clauses.append(((a, True), (b, differ)))
+        clauses.append(((a, False), (b, not differ)))
+    return tuple(clauses)
 
 
 def build_pmc_formula(
     g: Graph, root: int, *, reverse_scan: bool = False
 ) -> PmcEncoding:
-    """Sweep the layers from deepest to the root, emitting constraints.
+    """Sweep the layers from deepest to the root, emitting relations.
 
     Per determined pair: the pair straddles the cut; every neighbor of a
     freshly determined vertex that is still undetermined sits on that
-    vertex's own side.  reverse_scan processes each layer's vertices in
-    descending id order instead of ascending (the verdict must not
-    depend on it).
+    vertex's own side.  Each trace entry names the clause ids of its
+    relations (see relation_clauses).  reverse_scan processes each
+    layer's vertices in descending id order instead of ascending (the
+    verdict must not depend on it).
     """
     levels = bfs_levels(g, root)
     determined = DeterminedSet()
-    clauses: list[Clause] = []
+    relations: list[Relation] = []
 
-    def same_side(anchor: int) -> list[int]:
-        ids = []
-        for x in sorted(g.adj[anchor]):
-            if x not in determined:
-                ids.append(len(clauses))
-                clauses.append((pos(anchor), neg(x)))
-                ids.append(len(clauses))
-                clauses.append((neg(anchor), pos(x)))
-        return ids
+    def same_side(anchor: int) -> None:
+        relations.extend((anchor, x, False) for x in sorted(determined.undetermined(g.adj[anchor])))
 
     for i in range(levels.h, 0, -1):
-        layer = sorted(levels.levels[i], reverse=reverse_scan)
-        for v in layer:
+        for v in sorted(levels.levels[i], reverse=reverse_scan):
             if v in determined:
                 continue
             cls = classify_leaf(g, levels, determined, v)
             if cls.kind == "none":
-                return PmcEncoding(None, determined, v)
-            ids: list[int] = []
+                return PmcEncoding(g.n, None, determined, v)
+            first = len(relations)
             if cls.kind in ("c1", "c3"):
-                u = cls.u
-                ids.extend((len(clauses), len(clauses) + 1))
-                clauses.append((pos(v), pos(u)))
-                clauses.append((neg(v), neg(u)))
-                determined.add((v, u))
-                ids.extend(same_side(v))
-                ids.extend(same_side(u))
-                determined.log(v, cls.kind, (u,), tuple(ids))
+                partners = (cls.u,)
+                relations.append((v, cls.u, True))
+                anchors = (v, cls.u)
             else:
-                u1, u2, w = cls.u1, cls.u2, cls.w
-                ids.extend(range(len(clauses), len(clauses) + 4))
-                clauses.append((pos(v), pos(w)))
-                clauses.append((neg(v), neg(w)))
-                clauses.append((pos(u1), pos(u2)))
-                clauses.append((neg(u1), neg(u2)))
-                determined.add((v, u1, u2, w))
-                for anchor in (v, w, u1, u2):
-                    ids.extend(same_side(anchor))
-                determined.log(v, "c2", (u1, u2, w), tuple(ids))
+                partners = (cls.u1, cls.u2, cls.w)
+                relations.append((v, cls.w, True))
+                relations.append((cls.u1, cls.u2, True))
+                anchors = (v, cls.w, cls.u1, cls.u2)
+            determined.add(anchors)
+            for anchor in anchors:
+                same_side(anchor)
+            # one step's relations are contiguous
+            determined.log(v, cls.kind, partners, tuple(range(2 * first, 2 * len(relations))))
     if root not in determined:
         # nothing paired the root, so no perfect pairing across the cut
-        # can exist; a satisfying assignment here would leave the root
-        # with zero cross neighbors
-        return PmcEncoding(None, determined, root)
-    return PmcEncoding(TwoSatInstance(g.n, tuple(clauses)), determined, None)
+        # can exist; a 2-colouring here would leave the root with zero
+        # cross neighbors
+        return PmcEncoding(g.n, None, determined, root)
+    return PmcEncoding(g.n, tuple(relations), determined, None)
 
 
-def _component_encodings(
-    g: Graph, root: int | None = None, reverse_scan: bool = False
-) -> Iterator[tuple[Graph, tuple[int, ...], PmcEncoding | None]]:
-    """Yield (subgraph, old_ids, encoding) for each component of g.
+def solve_parity(var_count: int, relations: Sequence[Relation]) -> tuple[bool, ...] | None:
+    """2-colour the relations, or None when they hold an odd cycle.
 
-    encoding is None for a component whose root is adjacent to every
-    other vertex: its breadth-first height is at most one, which the
-    sweep cannot layer.  Components are swept lazily, so a caller that
-    stops early sweeps no more.
+    The smallest vertex of each component of the relations (an
+    unrelated vertex alone included) is True.  That is the model
+    twosat.solve_2sat finds on relation_clauses.  Each relation gives a
+    complementary clause pair, so the implication graph is symmetric
+    and its strongly connected components are its connected ones: per
+    component of the relations, the literals true together with its
+    smallest vertex, and their negations (one component when the
+    relations hold an odd cycle).  Tarjan's search starts at the
+    smallest vertex's positive literal and pops that component first,
+    which sets the vertex True.
     """
-    for comp in connected_components(g):
-        sub, old_ids = induced_subgraph(g, comp)
+    partners: list[list[tuple[int, bool]]] = [[] for _ in range(var_count)]
+    for a, b, differ in relations:
+        partners[a].append((b, differ))
+        partners[b].append((a, differ))
+    side: list[bool | None] = [None] * var_count
+    for start in range(var_count):
+        if side[start] is not None:
+            continue
+        side[start] = True
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            sv = side[v]
+            for u, differ in partners[v]:
+                want = sv != differ
+                su = side[u]
+                if su is None:
+                    side[u] = want
+                    stack.append(u)
+                elif su != want:
+                    return None
+    return tuple(side)
+
+
+@dataclass(frozen=True)
+class ComponentSweep:
+    """One component's sweep, over the whole graph's vertex ids.
+
+    vertices lists the component in ascending order.  relations is None
+    when the sweep blocked at vertex blocked, and both are None when the
+    component is shallow: its root is adjacent to every other vertex,
+    so its breadth-first height is at most one, which the sweep cannot
+    layer.
+    """
+
+    vertices: Sequence[int]
+    relations: tuple[Relation, ...] | None
+    blocked: int | None
+
+    @property
+    def shallow(self) -> bool:
+        return self.relations is None and self.blocked is None
+
+
+def sweep_components(
+    g: Graph,
+    comps: list[frozenset[int]] | None = None,
+    root: int | None = None,
+    reverse_scan: bool = False,
+) -> Iterator[ComponentSweep]:
+    """Sweep each component of g, or each of comps (components of g in
+    connected_components order), one at a time, so a caller that stops
+    early sweeps no more.
+
+    A component that is all of g is swept in place; any other is swept
+    on its induced copy, whose relations are mapped back to g's ids.
+    root picks the root of its own component; every other component is
+    rooted at its lowest vertex.
+    """
+    for comp in connected_components(g) if comps is None else comps:
+        if len(comp) == g.n:
+            sub, old_ids = g, range(g.n)
+        else:
+            sub, old_ids = induced_subgraph(g, comp)
         local_root = old_ids.index(root) if root in comp else 0
         if sub.degree(local_root) == sub.n - 1:
-            yield sub, old_ids, None
-        else:
-            yield sub, old_ids, build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
+            yield ComponentSweep(old_ids, None, None)
+            continue
+        encoding = build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
+        relations = encoding.relations
+        if relations is not None and sub is not g:
+            relations = tuple((old_ids[a], old_ids[b], d) for a, b, d in relations)
+        blocked = None if encoding.blocked is None else old_ids[encoding.blocked]
+        yield ComponentSweep(old_ids, relations, blocked)
 
 
-def build_merged_formula(g: Graph) -> tuple[TwoSatInstance, list[int], list[int]]:
+def build_merged_formula(
+    g: Graph, swept: tuple[ComponentSweep, ...] | None = None
+) -> tuple[TwoSatInstance, list[int], list[int]]:
     """The 2-CNF of every component, over g's own vertex ids.
 
-    Returns (instance, shallow, blocked): the merged clauses, the
-    vertices of components too shallow for the sweep, and the vertex
-    that blocked each blocked sweep; neither adds clauses.
+    swept holds the sweeps of g's first components, as
+    solve_pmc_sweeps returns them; only the components after them are
+    swept here.  Returns (instance, shallow, blocked): the merged
+    clauses, the vertices of components too shallow for the sweep, and
+    the vertex that blocked each blocked sweep; neither adds clauses.
     """
-    clauses: list[Clause] = []
+    from .twosat import TwoSatInstance
+
+    sweeps: list[ComponentSweep] = list(swept or ())
+    if sum(len(s.vertices) for s in sweeps) < g.n:
+        sweeps.extend(sweep_components(g, connected_components(g)[len(sweeps):]))
+    relations: list[Relation] = []
     shallow: list[int] = []
     blocked: list[int] = []
-    for _, old_ids, encoding in _component_encodings(g):
-        if encoding is None:
-            shallow.extend(old_ids)
-        elif encoding.formula is None:
-            blocked.append(old_ids[encoding.blocked])
+    for sweep in sweeps:
+        if sweep.shallow:
+            shallow.extend(sweep.vertices)
+        elif sweep.relations is None:
+            blocked.append(sweep.blocked)
         else:
-            for (v1, p1), (v2, p2) in encoding.formula.clauses:
-                clauses.append(((old_ids[v1], p1), (old_ids[v2], p2)))
-    return TwoSatInstance(g.n, tuple(clauses)), shallow, blocked
+            relations.extend(sweep.relations)
+    return TwoSatInstance(g.n, relation_clauses(relations)), shallow, blocked
+
+
+def solve_pmc_sweeps(
+    g: Graph,
+    comps: list[frozenset[int]] | None = None,
+    *,
+    root: int | None = None,
+    reverse_scan: bool = False,
+) -> tuple[Cut | None, tuple[ComponentSweep, ...]]:
+    """solve_pmc_4chordal, also returning the sweeps it made.
+
+    comps, when given, are g's connected components in
+    connected_components order.  The sweeps cover a prefix of them: all
+    of them, unless a blocked sweep or a shallow component other than
+    K2 answered NO first.
+    """
+    if g.n < 2:
+        return None, ()
+    swept: list[ComponentSweep] = []
+    relations: list[Relation] = []
+    for sweep in sweep_components(g, comps, root, reverse_scan):
+        swept.append(sweep)
+        if sweep.shallow:
+            if len(sweep.vertices) != 2:
+                return None, tuple(swept)
+            relations.append((sweep.vertices[0], sweep.vertices[1], True))
+        elif sweep.relations is None:
+            return None, tuple(swept)
+        else:
+            relations.extend(sweep.relations)
+    model = solve_parity(g.n, relations)
+    if model is None:
+        return None, tuple(swept)
+    # only a broken no-long-chordless-cycle promise can make this check
+    # fail; never return an invalid cut
+    cut, _ = check_perfect_matching_cut(g, [v for v in range(g.n) if model[v]])
+    return cut, tuple(swept)
 
 
 def solve_pmc_4chordal(
@@ -249,37 +382,18 @@ def solve_pmc_4chordal(
 ) -> Cut | None:
     """Find a perfect matching cut, or None when none exists.
 
-    Components are handled independently; every component must admit a
-    perfect matching cut.  A component of breadth-first height at most
-    one has a universal root, and then only K2 has a perfect matching
-    cut: every other neighbor of the root shares its side, which leaves
-    the root's partner with no partner of its own.  Such a component is
-    answered in closed form, X = its lower vertex.  root picks the
-    layering root for its component (lowest vertex elsewhere); together
-    with reverse_scan it varies the sweep order, which must never change
-    the verdict.  Complete on graphs without chordless cycles longer
-    than four; any cut returned is a valid perfect matching cut
-    regardless.  Nothing here is exhaustive: each component costs at
-    most one layering, one sweep and one 2-SAT solve.
+    Every component must admit a perfect matching cut.  A component of
+    breadth-first height at most one has a universal root, and then
+    only K2 has a perfect matching cut: every other neighbor of the root
+    shares its side, which leaves the root's partner with no partner of
+    its own.  Such a component is answered in closed form, X = its lower
+    vertex.  root picks the layering root for its component (lowest
+    vertex elsewhere); together with reverse_scan it varies the sweep
+    order, which must never change the verdict.  Complete on graphs
+    without chordless cycles longer than four; the cut returned has
+    passed check_perfect_matching_cut regardless.  Nothing here is
+    exhaustive: each component costs at most one layering and one
+    sweep, and the graph one parity pass and one certificate check.
     """
-    if g.n < 2:
-        return None
-    x_all: set[int] = set()
-    for sub, old_ids, encoding in _component_encodings(g, root, reverse_scan):
-        if encoding is None:
-            if sub.n != 2:
-                return None
-            x_side = frozenset({0})
-        else:
-            if encoding.formula is None:
-                return None
-            model = solve_2sat(encoding.formula)
-            if model is None:
-                return None
-            x_side = frozenset(v for v in range(sub.n) if model[v])
-            if not is_perfect_matching_cut(sub, x_side):
-                # only reachable when the no-long-chordless-cycle promise
-                # is broken; never return an invalid cut
-                return None
-        x_all.update(old_ids[v] for v in x_side)
-    return make_cut(g, x_all)
+    cut, _ = solve_pmc_sweeps(g, root=root, reverse_scan=reverse_scan)
+    return cut

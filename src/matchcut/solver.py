@@ -7,9 +7,13 @@ imports the module it calls, so a run loads only the solvers it uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import graphs
+
+if TYPE_CHECKING:
+    from .pmc import ComponentSweep
 
 PROBLEMS = ("mc", "pmc", "dpm")
 ALGOS = ("auto", "fourchordal", "oracle")
@@ -21,7 +25,10 @@ class Result:
 
     algo is the algorithm that decided, or None when the graph's shape
     answered first.  matching is the dpm perfect matching on YES.
-    reason names the shortcut behind a NO that has one.
+    reason names the shortcut behind a NO that has one.  sweeps holds
+    the per-component pmc sweeps the 4-chordal solver made, so that the
+    2-CNF of the same components is not swept again; it is None on
+    every other path.
     """
 
     problem: str
@@ -29,6 +36,7 @@ class Result:
     cut: graphs.Cut | None
     matching: tuple[tuple[int, int], ...] | None = None
     reason: str | None = None
+    sweeps: tuple[ComponentSweep, ...] | None = field(default=None, repr=False, compare=False)
 
 
 def _pick_algo(g: graphs.Graph, limits: graphs.OracleLimits | None) -> str:
@@ -79,7 +87,8 @@ def solve(
         if problem == "pmc":
             from . import pmc
 
-            return Result(problem, algo, pmc.solve_pmc_4chordal(g))
+            cut, sweeps = pmc.solve_pmc_sweeps(g, comps)
+            return Result(problem, algo, cut, sweeps=sweeps)
         from . import forcing
 
         if problem == "mc":

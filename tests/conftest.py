@@ -54,6 +54,18 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return build_graph(n, edges)
 
 
+def ladder(k: int, pendants: tuple[int, ...] = ()) -> Graph:
+    """P_2 x P_k (rails 0..k-1 and k..2k-1, rung i -- k+i), plus one
+    pendant vertex on each listed corner."""
+    edges = (
+        [(i, i + 1) for i in range(k - 1)]
+        + [(k + i, k + i + 1) for i in range(k - 1)]
+        + [(i, k + i) for i in range(k)]
+        + [(corner, 2 * k + j) for j, corner in enumerate(pendants)]
+    )
+    return build_graph(2 * k + len(pendants), edges)
+
+
 def cube_graph() -> Graph:
     """The 3-dimensional hypercube; vertices are 3-bit ids."""
     return build_graph(

@@ -241,6 +241,38 @@ class TestSolve:
         assert sidecar["unencoded_shallow_vertices"] == [0, 1, 2, 3]
         assert (tmp_path / "enc.cnf").read_text() == "p cnf 4 0\n"
 
+    @pytest.mark.parametrize("first", ["two_squares", "braced_hexagon", "path3"])
+    def test_emit_twosat_sweeps_each_component_once(
+        self, request, capsys, monkeypatch, graph_file, tmp_path, first, two_squares, domino
+    ):
+        # the solve's sweeps are reused: after a YES (all swept), a blocked
+        # first component (the rest swept for the file) or an odd one
+        # (nothing swept by the solve); the file matches the oracle run's,
+        # whose solve sweeps nothing
+        import matchcut.pmc
+
+        sweep = matchcut.pmc.build_pmc_formula
+        calls = []
+
+        def counting_sweep(*args, **kwargs):
+            calls.append(args[0].n)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(matchcut.pmc, "build_pmc_formula", counting_sweep)
+        head = path_graph(3) if first == "path3" else request.getfixturevalue(first)
+        path = graph_file("g", disjoint_union(head, two_squares, domino))
+        written = {}
+        for algo in ("fourchordal", "oracle"):
+            calls.clear()
+            prefix = str(tmp_path / algo)
+            rc = main(["solve", path, "--problem", "pmc", "--algo", algo, "--emit-2cnf", prefix])
+            assert rc == 0
+            assert sorted(calls) == sorted([head.n, 6, 6])
+            written[algo] = [(tmp_path / (algo + ext)).read_text() for ext in (".cnf", ".vars.json")]
+        assert written["fourchordal"] == written["oracle"]
+        verdict = "YES" if first == "two_squares" else "NO"
+        assert capsys.readouterr().out.count(f"verdict: {verdict}\n") == 2
+
     def test_emit_twosat_requires_pmc(self, capsys, graph_file, two_squares):
         path = graph_file("g", two_squares)
         rc = main(["solve", path, "--problem", "mc", "--emit-2cnf", "unused"])
@@ -428,6 +460,24 @@ class TestExitCodes:
         rc = main(["solve", path, "--problem", "mc", "--algo", "oracle", "--max-oracle-n", "0"])
         assert rc == 3
         assert "oracle bound is 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv", [["--pt-free", "0"], ["--pt-free", "-1"], ["--k-chordal", "0"], ["--k-chordal", "-3"]]
+    )
+    def test_non_positive_check_bound(self, capsys, graph_file, argv):
+        path = graph_file("g", path_graph(4))
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path, *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[0] in err and "expected an integer >= 1" in err
+
+    def test_smallest_check_bounds_stay_valid(self, capsys, graph_file):
+        path = graph_file("g", path_graph(4))
+        rc, payload = run_json(capsys, ["check", path, "--pt-free", "1"])
+        assert rc == 0 and payload["verdict"] == "NO"
+        rc, payload = run_json(capsys, ["check", path, "--k-chordal", "3"])
+        assert rc == 0 and payload["verdict"] == "YES"
 
     def test_raised_max_oracle_n(self, capsys, graph_file):
         big = build_graph(31, [(i, i + 1) for i in range(30)])

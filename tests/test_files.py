@@ -12,7 +12,7 @@ from matchcut.files import (
     formula_from_dimacs,
     layout_sidecar,
     parse_dimacs,
-    twosat_variable_map,
+    twosat_sidecar,
 )
 from matchcut.graphs import path_graph
 from matchcut.reduction import Formula13, build_reduction
@@ -120,8 +120,12 @@ class TestTwoSatSidecars:
 
     def test_variable_map(self):
         inst = TwoSatInstance(2, ())
-        payload = json.loads(twosat_variable_map(inst))
-        assert payload == {"variable_to_vertex": {"1": 0, "2": 1}}
+        payload = json.loads(twosat_sidecar(inst, [], [1]))
+        assert payload == {
+            "variable_to_vertex": {"1": 0, "2": 1},
+            "unencoded_shallow_vertices": [],
+            "blocked_vertices": [1],
+        }
 
 
 class TestLayoutSidecar:

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 import matchcut.forcing
-from conftest import random_graph
+from conftest import ladder, random_graph
 from matchcut import (
     Graph,
     GraphError,
@@ -27,18 +27,6 @@ from matchcut.forcing import (
 from matchcut.generators import sample_instances
 from matchcut.graphs import complete_graph, cycle_graph, path_graph
 from matchcut.pmc import solve_pmc_4chordal
-
-
-def ladder(k: int, pendants: tuple[int, ...] = ()) -> Graph:
-    """P_2 x P_k (rails 0..k-1 and k..2k-1, rung i -- k+i), plus one
-    pendant vertex on each listed corner."""
-    edges = (
-        [(i, i + 1) for i in range(k - 1)]
-        + [(k + i, k + i + 1) for i in range(k - 1)]
-        + [(i, k + i) for i in range(k)]
-        + [(corner, 2 * k + j) for j, corner in enumerate(pendants)]
-    )
-    return build_graph(2 * k + len(pendants), edges)
 
 
 def both_orientations(g):

@@ -81,7 +81,10 @@ def test_fourchordal_pmc_loads_no_mc_dpm_solver_or_oracle(tmp_path):
         f"assert main({argv!r}) == 0"
     )
     assert "matchcut.pmc" in loaded
-    assert loaded.isdisjoint({"matchcut.forcing", "matchcut.matching", "matchcut.oracle"})
+    # the parity pass decides; 2-SAT is loaded only to write --emit-2cnf
+    assert loaded.isdisjoint(
+        {"matchcut.forcing", "matchcut.matching", "matchcut.oracle", "matchcut.twosat"}
+    )
 
 
 def test_oracle_dpm_loads_blossom_but_no_polynomial_solver(tmp_path):

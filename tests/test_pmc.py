@@ -4,15 +4,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from conftest import random_graph
+from conftest import ladder, random_graph
 from matchcut import build_graph, is_perfect_matching_cut
 from matchcut.generators import sample_instances
-from matchcut.graphs import bfs_levels, complete_graph, cycle_graph, path_graph
+from matchcut.graphs import (
+    bfs_levels,
+    complete_graph,
+    connected_components,
+    cycle_graph,
+    induced_subgraph,
+    path_graph,
+)
 from matchcut.pmc import (
     DeterminedSet,
     TraceEntry,
     build_pmc_formula,
     classify_leaf,
+    solve_parity,
     solve_pmc_4chordal,
 )
 from matchcut.twosat import neg, pos, solve_2sat
@@ -228,3 +236,72 @@ class TestSolvePmc:
         cut = solve_pmc_4chordal(g)
         if cut is not None:
             assert is_perfect_matching_cut(g, set(cut.x))
+
+
+def tree_prism(t: int, rng: random.Random):
+    """T x K2 for a random tree T on t vertices: tree vertex v is the rung 2v -- 2v+1."""
+    tree = [(rng.randrange(v), v) for v in range(1, t)]
+    edges = [(2 * u + s, 2 * v + s) for u, v in tree for s in (0, 1)]
+    return build_graph(2 * t, edges + [(2 * v, 2 * v + 1) for v in range(t)])
+
+
+def relabelled(g, rng: random.Random):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestSolveParity:
+    @staticmethod
+    def formulas(g, roots):
+        """The unblocked sweep encodings of g's components."""
+        for comp in connected_components(g):
+            sub, _ = induced_subgraph(g, comp)
+            for root in roots(sub):
+                for reverse in (False, True):
+                    enc = build_pmc_formula(sub, root, reverse_scan=reverse)
+                    if enc.relations is not None:
+                        yield enc
+
+    def agree(self, graphs, roots=lambda sub: range(min(sub.n, 3))) -> list[bool]:
+        """Compare the parity pass with 2-SAT on every encoding; return
+        which formulas were satisfiable."""
+        satisfiable = []
+        for g in graphs:
+            for enc in self.formulas(g, roots):
+                model = solve_parity(enc.var_count, enc.relations)
+                assert model == solve_2sat(enc.formula)
+                satisfiable.append(model is not None)
+        return satisfiable
+
+    def test_same_model_as_two_sat_on_random_graphs(self):
+        rng = random.Random(7)
+        graphs = [random_graph(rng, rng.randint(2, 14), rng.uniform(0.15, 0.6)) for _ in range(300)]
+        satisfiable = self.agree(graphs)
+        # both outcomes are covered
+        assert True in satisfiable and False in satisfiable
+
+    def test_same_model_as_two_sat_on_ladders_and_prisms(self):
+        rng = random.Random(11)
+        graphs = [ladder(k) for k in (2, 3, 6, 25)]
+        graphs += [tree_prism(t, rng) for t in (3, 8, 20, 40)]
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        satisfiable = self.agree(graphs, roots=lambda sub: (0, sub.n // 2, sub.n - 1))
+        assert satisfiable and all(satisfiable)
+
+    def test_odd_cycle_and_unrelated_vertices(self):
+        assert solve_parity(3, [(0, 1, True), (1, 2, True), (0, 2, True)]) is None
+        assert solve_parity(3, [(0, 1, True), (1, 2, True), (0, 2, False)]) == (True, False, True)
+        assert solve_parity(4, [(3, 1, False)]) == (True, True, True, True)
+        assert solve_parity(2, [(1, 1, True)]) is None
+
+    def test_wrong_model_is_not_returned(self, monkeypatch, two_squares):
+        import matchcut.pmc
+
+        assert solve_pmc_4chordal(two_squares) is not None
+        # X = {0} gives vertex 0 two cross neighbors; the certificate
+        # check must turn the YES into None
+        monkeypatch.setattr(
+            matchcut.pmc, "solve_parity", lambda n, relations: tuple(v == 0 for v in range(n))
+        )
+        assert solve_pmc_4chordal(two_squares) is None
