@@ -84,16 +84,20 @@ def _solve_output(result: Result) -> tuple[dict, list[str]]:
         payload["verdict"] = "NO"
         lines.append("verdict: NO")
     else:
+        x: list[int] = []
+        y: list[int] = []
+        for v, in_x in enumerate(cut.side):
+            (x if in_x else y).append(v)
         payload |= {
             "verdict": "YES",
-            "x": sorted(cut.x),
-            "y": sorted(cut.y),
+            "x": x,
+            "y": y,
             "crossing": [list(e) for e in cut.crossing],
         }
         lines += [
             "verdict: YES",
-            "x: " + " ".join(str(v) for v in sorted(cut.x)),
-            "y: " + " ".join(str(v) for v in sorted(cut.y)),
+            "x: " + " ".join(map(str, x)),
+            "y: " + " ".join(map(str, y)),
             "crossing: " + _format_pairs(cut.crossing),
         ]
     if result.matching is not None:

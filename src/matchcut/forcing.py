@@ -164,21 +164,28 @@ def split_free_vertices(
     only one forced side, and (None, None, component) for the first
     component seeing both sides.  Components seeing both sides cannot
     occur when the graph has no chordless cycle longer than four.
+
+    Every free component of a connected graph has a forced neighbor; one
+    without shows that g is disconnected (GraphError), so all of them
+    are looked at before a mixed one is reported.
     """
-    if not is_connected(g):
-        raise GraphError("free-side split requires a connected graph")
     f_x: set[int] = set()
     f_y: set[int] = set()
+    mixed = None
     for comp in connected_components(g, state.free):
         touches_x = any(u in state.x for v in comp for u in g.adj[v])
         touches_y = any(u in state.y for v in comp for u in g.adj[v])
+        if not (touches_x or touches_y):
+            raise GraphError("free-side split requires a connected graph")
         if touches_x and touches_y:
-            return None, None, comp
-        if touches_y:
+            if mixed is None:
+                mixed = comp
+        elif touches_y:
             f_y |= comp
         else:
-            # a component of a connected graph must reach a forced side
             f_x |= comp
+    if mixed is not None:
+        return None, None, mixed
     return frozenset(f_x), frozenset(f_y), None
 
 

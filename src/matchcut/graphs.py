@@ -6,9 +6,8 @@ plain list of (u, v) pairs with u < v; helpers below validate the shape.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class GraphError(ValueError):
@@ -154,24 +153,40 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, tuple[int,
 
 
 def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[frozenset[int]]:
-    """Components of g, or of g[subset], ordered by smallest member."""
-    pool = set(range(g.n)) if subset is None else set(subset)
+    """Components of g, or of g[subset], ordered by smallest member.
+
+    Each component's list grows while it is read, breadth first.  Seen
+    vertices are marked in a list on the whole graph, and are taken out
+    of the pool of unseen subset vertices otherwise.
+    """
+    adj = g.adj
     comps: list[frozenset[int]] = []
-    seen: set[int] = set()
+    if subset is None:
+        marked = [False] * g.n
+        for start in range(g.n):
+            if marked[start]:
+                continue
+            marked[start] = True
+            found = [start]
+            for v in found:
+                for u in adj[v]:
+                    if not marked[u]:
+                        marked[u] = True
+                        found.append(u)
+            comps.append(frozenset(found))
+        return comps
+    pool = set(subset)
     for start in sorted(pool):
-        if start in seen:
+        if start not in pool:
             continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for u in g.adj[v]:
-                if u in pool and u not in seen:
-                    seen.add(u)
-                    comp.add(u)
-                    queue.append(u)
-        comps.append(frozenset(comp))
+        pool.discard(start)
+        found = [start]
+        for v in found:
+            for u in adj[v]:
+                if u in pool:
+                    pool.discard(u)
+                    found.append(u)
+        comps.append(frozenset(found))
     return comps
 
 
@@ -183,10 +198,12 @@ def is_connected(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class BfsLevels:
-    """Breadth-first distance layers from a root vertex."""
+    """Breadth-first distance layers from a root vertex, each in
+    ascending order; level_of[v] is v's layer for v in the root's
+    component, and means nothing elsewhere."""
 
     root: int
-    level_of: tuple[int, ...]
+    level_of: Sequence[int]
     levels: tuple[tuple[int, ...], ...]
 
     @property
@@ -195,26 +212,40 @@ class BfsLevels:
         return len(self.levels) - 1
 
 
+def component_levels(g: Graph, root: int, level_of: list[int]) -> BfsLevels:
+    """Layer root's component of g by distance from root.
+
+    level_of is a list of g.n entries, each -1 on root's component; it
+    is filled in there and becomes the layering's level_of, so one list
+    serves every component of a graph and each layering costs only its
+    component's size.
+    """
+    adj = g.adj
+    level_of[root] = 0
+    layer = [root]
+    levels: list[tuple[int, ...]] = []
+    while layer:
+        layer.sort()
+        levels.append(tuple(layer))
+        depth = len(levels)
+        below: list[int] = []
+        for v in layer:
+            for u in adj[v]:
+                if level_of[u] == -1:
+                    level_of[u] = depth
+                    below.append(u)
+        layer = below
+    return BfsLevels(root, level_of, tuple(levels))
+
+
 def bfs_levels(g: Graph, root: int) -> BfsLevels:
     """Layer the graph by distance from root; every vertex must be reachable."""
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
-    level_of = [-1] * g.n
-    level_of[root] = 0
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if level_of[u] == -1:
-                level_of[u] = level_of[v] + 1
-                queue.append(u)
-    if any(lv == -1 for lv in level_of):
+    levels = component_levels(g, root, [-1] * g.n)
+    if sum(map(len, levels.levels)) != g.n:
         raise GraphError("graph is disconnected; every vertex must be reachable from the root")
-    depth = max(level_of)
-    levels: list[list[int]] = [[] for _ in range(depth + 1)]
-    for v in range(g.n):
-        levels[level_of[v]].append(v)
-    return BfsLevels(root, tuple(level_of), tuple(tuple(lv) for lv in levels))
+    return BfsLevels(root, tuple(levels.level_of), levels.levels)
 
 
 @dataclass(frozen=True)
@@ -245,22 +276,39 @@ class Cut:
         )
 
 
+def _walk_cut(g: Graph, x: set[int], low: int, high: int) -> tuple[Cut | None, int | None]:
+    """The cut with X = x, built in one ascending pass over the vertices,
+    or (None, v) for the first vertex v whose cross degree lies outside
+    low..high.  A cut is built only over g's vertices: GraphError when
+    x holds any other.
+
+    A vertex of X has its cross neighbors in adj[v] - x, a vertex of Y
+    in adj[v] & x.  The X vertices come in ascending order, so the
+    crossing list comes out sorted.
+    """
+    adj = g.adj
+    side = tuple(map(x.__contains__, range(g.n)))
+    crossing: list[tuple[int, int]] = []
+    for v, in_x in enumerate(side):
+        if in_x:
+            across = adj[v] - x
+            if not low <= len(across) <= high:
+                return None, v
+            crossing += [(v, u) for u in sorted(across)]
+        elif not low <= len(adj[v] & x) <= high:
+            return None, v
+    if sum(side) != len(x):
+        raise GraphError("cut side contains an unknown vertex")
+    return Cut(side, tuple(crossing)), None
+
+
 def make_cut(g: Graph, x_side: Iterable[int]) -> Cut:
     """Build the cut with X = x_side; both parts must be non-empty."""
     x = set(x_side)
-    if not x.issubset(range(g.n)):
-        raise GraphError("cut side contains an unknown vertex")
     if not x or len(x) == g.n:
         raise GraphError("both sides of a cut must be non-empty")
-    side = tuple(v in x for v in range(g.n))
-    crossing = tuple(
-        sorted((u, v) if side[u] else (v, u) for u, v in g.edges() if side[u] != side[v])
-    )
-    return Cut(side, crossing)
-
-
-def _cross_degrees(g: Graph, x: set[int]) -> list[int]:
-    return [sum(1 for u in g.adj[v] if (u in x) != (v in x)) for v in range(g.n)]
+    cut, _ = _walk_cut(g, x, 0, g.n)
+    return cut
 
 
 def check_matching_cut(g: Graph, x_side: Iterable[int]) -> tuple[Cut | None, int | None]:
@@ -274,10 +322,7 @@ def check_matching_cut(g: Graph, x_side: Iterable[int]) -> tuple[Cut | None, int
     x = set(x_side)
     if not x or len(x) == g.n:
         return None, None
-    for v, d in enumerate(_cross_degrees(g, x)):
-        if d >= 2:
-            return None, v
-    return make_cut(g, x), None
+    return _walk_cut(g, x, 0, 1)
 
 
 def is_matching_cut(g: Graph, x_side: Iterable[int]) -> bool:
@@ -295,10 +340,7 @@ def check_perfect_matching_cut(g: Graph, x_side: Iterable[int]) -> tuple[Cut | N
     x = set(x_side)
     if not x or len(x) == g.n:
         return None, None
-    for v, d in enumerate(_cross_degrees(g, x)):
-        if d != 1:
-            return None, v
-    return make_cut(g, x), None
+    return _walk_cut(g, x, 1, 1)
 
 
 def is_perfect_matching_cut(g: Graph, x_side: Iterable[int]) -> bool:

@@ -15,6 +15,7 @@ on it as the parity pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .graphs import (
@@ -23,8 +24,8 @@ from .graphs import (
     Graph,
     bfs_levels,
     check_perfect_matching_cut,
+    component_levels,
     connected_components,
-    induced_subgraph,
 )
 
 if TYPE_CHECKING:
@@ -170,7 +171,7 @@ def relation_clauses(relations: Sequence[Relation]) -> tuple[Clause, ...]:
 
 
 def build_pmc_formula(
-    g: Graph, root: int, *, reverse_scan: bool = False
+    g: Graph, root: int, *, reverse_scan: bool = False, levels: BfsLevels | None = None
 ) -> PmcEncoding:
     """Sweep the layers from deepest to the root, emitting relations.
 
@@ -179,17 +180,19 @@ def build_pmc_formula(
     vertex's own side.  Each trace entry names the clause ids of its
     relations (see relation_clauses).  reverse_scan processes each
     layer's vertices in descending id order instead of ascending (the
-    verdict must not depend on it).
+    verdict must not depend on it).  levels, when given, is root's
+    component layered from root (graphs.component_levels), and only
+    that component is swept; otherwise g must be connected.
     """
-    levels = bfs_levels(g, root)
+    if levels is None:
+        levels = bfs_levels(g, root)
+    adj = g.adj
     determined = DeterminedSet()
     relations: list[Relation] = []
 
-    def same_side(anchor: int) -> None:
-        relations.extend((anchor, x, False) for x in sorted(determined.undetermined(g.adj[anchor])))
-
     for i in range(levels.h, 0, -1):
-        for v in sorted(levels.levels[i], reverse=reverse_scan):
+        layer = levels.levels[i]
+        for v in reversed(layer) if reverse_scan else layer:
             if v in determined:
                 continue
             cls = classify_leaf(g, levels, determined, v)
@@ -207,7 +210,8 @@ def build_pmc_formula(
                 anchors = (v, cls.w, cls.u1, cls.u2)
             determined.add(anchors)
             for anchor in anchors:
-                same_side(anchor)
+                rest = sorted(determined.undetermined(adj[anchor]))
+                relations += [(anchor, x, False) for x in rest]
             # one step's relations are contiguous
             determined.log(v, cls.kind, partners, tuple(range(2 * first, 2 * len(relations))))
     if root not in determined:
@@ -286,26 +290,21 @@ def sweep_components(
     connected_components order), one at a time, so a caller that stops
     early sweeps no more.
 
-    A component that is all of g is swept in place; any other is swept
-    on its induced copy, whose relations are mapped back to g's ids.
-    root picks the root of its own component; every other component is
+    Every component is swept in place on g: one level_of list serves
+    all their layerings, so a component costs only its own size.  root
+    picks the root of its own component; every other component is
     rooted at its lowest vertex.
     """
+    level_of = [-1] * g.n
     for comp in connected_components(g) if comps is None else comps:
-        if len(comp) == g.n:
-            sub, old_ids = g, range(g.n)
-        else:
-            sub, old_ids = induced_subgraph(g, comp)
-        local_root = old_ids.index(root) if root in comp else 0
-        if sub.degree(local_root) == sub.n - 1:
-            yield ComponentSweep(old_ids, None, None)
+        vertices = range(g.n) if len(comp) == g.n else tuple(sorted(comp))
+        start = root if root in comp else vertices[0]
+        if g.degree(start) == len(vertices) - 1:
+            yield ComponentSweep(vertices, None, None)
             continue
-        encoding = build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
-        relations = encoding.relations
-        if relations is not None and sub is not g:
-            relations = tuple((old_ids[a], old_ids[b], d) for a, b, d in relations)
-        blocked = None if encoding.blocked is None else old_ids[encoding.blocked]
-        yield ComponentSweep(old_ids, relations, blocked)
+        levels = component_levels(g, start, level_of)
+        encoding = build_pmc_formula(g, start, reverse_scan=reverse_scan, levels=levels)
+        yield ComponentSweep(vertices, encoding.relations, encoding.blocked)
 
 
 def build_merged_formula(
@@ -370,7 +369,7 @@ def solve_pmc_sweeps(
         return None, tuple(swept)
     # only a broken no-long-chordless-cycle promise can make this check
     # fail; never return an invalid cut
-    cut, _ = check_perfect_matching_cut(g, [v for v in range(g.n) if model[v]])
+    cut, _ = check_perfect_matching_cut(g, compress(range(g.n), model))
     return cut, tuple(swept)
 
 

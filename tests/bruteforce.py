@@ -3,15 +3,19 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.  Three references are kept as
+enumeration instead of augmenting paths.  Five references are kept as
 specifications instead: propagate_reference, the plain sorted-rescan
 form of the forcing loop that the incremental forcing.propagate must
 match; random_connected_4chordal_reference, the generator that checks
 every square splice with the exhaustive oracle cycle search, whose
-output the one-search splice check must reproduce; and
+output the one-search splice check must reproduce;
 find_dpm_reference, the dpm search that lists perfect matchings until
 one disconnects, whose answer oracle.find_dpm must reproduce after
-deciding by matching cuts.
+deciding by matching cuts; sweep_components_reference, the pmc
+component sweep made on induced copies, whose sweeps the in-place
+pmc.sweep_components must reproduce, ids included; and cut_reference,
+the per-edge cut builder whose cuts and witnesses the one-pass
+certificate predicates must reproduce.
 """
 
 from __future__ import annotations
@@ -21,12 +25,60 @@ from itertools import combinations, product
 
 from matchcut import Cut, Graph, GraphError, build_graph, oracle
 from matchcut.forcing import ForcingState, Refutation
-from matchcut.graphs import induced_subgraph, is_connected, make_cut
+from matchcut.graphs import connected_components, induced_subgraph, is_connected, make_cut
 from matchcut.oracle import DEFAULT_LIMITS, OracleLimits
+from matchcut.pmc import ComponentSweep, build_pmc_formula
 
 
 def cross_degrees(g: Graph, x: set[int]) -> list[int]:
     return [sum((u in x) != (v in x) for u in g.adj[v]) for v in range(g.n)]
+
+
+def cut_reference(g: Graph, x_side, low: int, high: int) -> tuple[Cut | None, int | None]:
+    """The cut with X = x_side when every vertex has low..high neighbors
+    across it, else (None, w) for the smallest vertex w that has not;
+    (None, None) when a side is empty.  Each edge of g.edges() is looked
+    at once, and the crossing list is sorted at the end."""
+    x = set(x_side)
+    if not x or len(x) == g.n:
+        return None, None
+    degree = [0] * g.n
+    crossing = []
+    for u, v in g.edges():
+        if (u in x) != (v in x):
+            degree[u] += 1
+            degree[v] += 1
+            crossing.append((u, v) if u in x else (v, u))
+    for v in range(g.n):
+        if not low <= degree[v] <= high:
+            return None, v
+    return Cut(tuple(v in x for v in range(g.n)), tuple(sorted(crossing))), None
+
+
+def sweep_components_reference(
+    g: Graph, comps=None, root: int | None = None, reverse_scan: bool = False
+) -> list[ComponentSweep]:
+    """The pmc component sweep made on copies: a component that is not
+    all of g is swept on its induced subgraph, with ids renumbered in
+    ascending order, and its relations and blocked vertex are mapped
+    back to g's ids."""
+    out = []
+    for comp in connected_components(g) if comps is None else comps:
+        if len(comp) == g.n:
+            sub, old_ids = g, range(g.n)
+        else:
+            sub, old_ids = induced_subgraph(g, comp)
+        local_root = old_ids.index(root) if root in comp else 0
+        if sub.degree(local_root) == sub.n - 1:
+            out.append(ComponentSweep(old_ids, None, None))
+            continue
+        encoding = build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
+        relations = encoding.relations
+        if relations is not None and sub is not g:
+            relations = tuple((old_ids[a], old_ids[b], d) for a, b, d in relations)
+        blocked = None if encoding.blocked is None else old_ids[encoding.blocked]
+        out.append(ComponentSweep(old_ids, relations, blocked))
+    return out
 
 
 def all_matching_cuts(g: Graph) -> list[frozenset[int]]:

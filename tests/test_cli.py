@@ -248,15 +248,16 @@ class TestSolve:
         # the solve's sweeps are reused: after a YES (all swept), a blocked
         # first component (the rest swept for the file) or an odd one
         # (nothing swept by the solve); the file matches the oracle run's,
-        # whose solve sweeps nothing
+        # whose solve sweeps nothing.  Each component is swept once, in
+        # place on the whole graph, from its lowest vertex
         import matchcut.pmc
 
         sweep = matchcut.pmc.build_pmc_formula
         calls = []
 
-        def counting_sweep(*args, **kwargs):
-            calls.append(args[0].n)
-            return sweep(*args, **kwargs)
+        def counting_sweep(g, root, **kwargs):
+            calls.append((g.n, root))
+            return sweep(g, root, **kwargs)
 
         monkeypatch.setattr(matchcut.pmc, "build_pmc_formula", counting_sweep)
         head = path_graph(3) if first == "path3" else request.getfixturevalue(first)
@@ -267,7 +268,8 @@ class TestSolve:
             prefix = str(tmp_path / algo)
             rc = main(["solve", path, "--problem", "pmc", "--algo", algo, "--emit-2cnf", prefix])
             assert rc == 0
-            assert sorted(calls) == sorted([head.n, 6, 6])
+            n = head.n + 12
+            assert calls == [(n, 0), (n, head.n), (n, head.n + 6)]
             written[algo] = [(tmp_path / (algo + ext)).read_text() for ext in (".cnf", ".vars.json")]
         assert written["fourchordal"] == written["oracle"]
         verdict = "YES" if first == "two_squares" else "NO"

@@ -25,7 +25,13 @@ from matchcut.forcing import (
     split_free_vertices,
 )
 from matchcut.generators import sample_instances
-from matchcut.graphs import complete_graph, cycle_graph, path_graph
+from matchcut.graphs import (
+    complete_graph,
+    connected_components,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+)
 from matchcut.pmc import solve_pmc_4chordal
 
 
@@ -98,6 +104,16 @@ class TestSplitFree:
         g = build_graph(4, [(0, 1), (2, 3)])
         state = propagate(g, 0, 1)
         assert isinstance(state, ForcingState)
+        with pytest.raises(GraphError):
+            split_free_vertices(g, state)
+
+    def test_disconnected_with_mixed_component_first(self):
+        # C5 plus a disjoint K2, seeded on the C5: the mixed free
+        # component {3} comes before the untouched {5, 6}
+        g = disjoint_union(cycle_graph(5), path_graph(2))
+        state = propagate(g, 0, 1)
+        assert isinstance(state, ForcingState)
+        assert connected_components(g, state.free) == [frozenset({3}), frozenset({5, 6})]
         with pytest.raises(GraphError):
             split_free_vertices(g, state)
 

@@ -18,6 +18,7 @@ from matchcut import (
 from matchcut.graphs import (
     bfs_levels,
     complete_graph,
+    component_levels,
     connected_components,
     cycle_graph,
     disjoint_union,
@@ -91,6 +92,31 @@ class TestComponentsAndLevels:
         assert lv.levels[1] == (0, 2)
         assert lv.levels[2] == (3,)
 
+    def test_layerings_match_distances(self):
+        # every component layered on one shared list, in a relabelled
+        # union, equals the distances found by relaxing every edge;
+        # layers list their vertices in ascending order
+        rng = random.Random(31)
+        for _ in range(60):
+            g = disjoint_union(*(random_graph(rng, rng.randint(1, 9), 0.35) for _ in range(3)))
+            perm = rng.sample(range(g.n), g.n)
+            g = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            level_of = [-1] * g.n
+            for comp in connected_components(g):
+                root = rng.choice(sorted(comp))
+                dist = {root: 0}
+                for _ in range(g.n):
+                    for u, v in g.edges():
+                        for a, b in ((u, v), (v, u)):
+                            if a in dist and dist.get(b, g.n) > dist[a] + 1:
+                                dist[b] = dist[a] + 1
+                levels = component_levels(g, root, level_of)
+                depth = max(dist.values())
+                assert levels.levels == tuple(
+                    tuple(v for v in range(g.n) if dist.get(v) == i) for i in range(depth + 1)
+                )
+                assert all(levels.level_of[v] == d for v, d in dist.items())
+
     def test_bfs_unreachable_raises(self):
         g = build_graph(3, [(0, 1)])
         with pytest.raises(GraphError):
@@ -149,6 +175,51 @@ class TestCuts:
         assert is_disconnected_perfect_matching(domino, [(0, 1), (3, 4), (2, 5)])
         # same pairs perfectly match the prism but leave it connected
         assert not is_disconnected_perfect_matching(two_triangles, [(0, 1), (2, 3), (4, 5)])
+
+    def test_predicates_match_per_edge_reference(self):
+        # random bipartitions, an empty and a full side, and planted
+        # perfect matching cuts: random edges inside each side plus a
+        # perfect matching across
+        rng = random.Random(29)
+        outcomes = set()
+        for _ in range(600):
+            n = rng.randint(1, 14)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+            sides = [set(), set(range(n)), {v for v in range(n) if rng.random() < 0.5}]
+            if n % 2 == 0:
+                order = rng.sample(range(n), n)
+                half = set(order[: n // 2])
+                edges = {e for e in g.edges() if (e[0] in half) == (e[1] in half)}
+                edges |= {(min(u, v), max(u, v)) for u, v in zip(order[: n // 2], order[n // 2 :])}
+                g = build_graph(n, sorted(edges))
+                sides.append(half)
+            for x in sides:
+                for check, low, high in (
+                    (check_matching_cut, 0, 1),
+                    (check_perfect_matching_cut, 1, 1),
+                ):
+                    got = check(g, x)
+                    assert got == bruteforce.cut_reference(g, x, low, high)
+                    outcomes.add((check.__name__, got[0] is not None, got[1] is not None))
+                if not x or len(x) == n:
+                    with pytest.raises(GraphError):
+                        make_cut(g, x)
+                else:
+                    assert make_cut(g, x) == bruteforce.cut_reference(g, x, 0, n)[0]
+        # every outcome of both predicates occurred: a cut, a witness,
+        # and an empty side
+        assert outcomes == {
+            (name, cut, witness)
+            for name in ("check_matching_cut", "check_perfect_matching_cut")
+            for cut, witness in ((True, False), (False, True), (False, False))
+        }
+
+    def test_unknown_vertex_rejected(self):
+        g = path_graph(3)
+        with pytest.raises(GraphError):
+            make_cut(g, {0, 7})
+        with pytest.raises(GraphError):
+            check_matching_cut(g, {0, 7})
 
     @given(st.integers(0, 10_000), st.integers(4, 8), st.floats(0.2, 0.8))
     def test_matching_cut_check_matches_definition(self, seed, n, p):

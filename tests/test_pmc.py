@@ -12,6 +12,7 @@ from matchcut.graphs import (
     complete_graph,
     connected_components,
     cycle_graph,
+    disjoint_union,
     induced_subgraph,
     path_graph,
 )
@@ -22,6 +23,7 @@ from matchcut.pmc import (
     classify_leaf,
     solve_parity,
     solve_pmc_4chordal,
+    sweep_components,
 )
 from matchcut.twosat import neg, pos, solve_2sat
 
@@ -305,3 +307,60 @@ class TestSolveParity:
             matchcut.pmc, "solve_parity", lambda n, relations: tuple(v == 0 for v in range(n))
         )
         assert solve_pmc_4chordal(two_squares) is None
+
+
+class TestSweepInPlace:
+    """sweep_components sweeps every component on g itself; it must
+    yield the sweeps of the copy-based reference, ids included."""
+
+    @staticmethod
+    def kinds(g, roots) -> set[str]:
+        """Compare both sweeps of g, and of the components after its
+        first (as build_merged_formula sweeps them), for each root and
+        scan order; return which outcomes occurred."""
+        comps = connected_components(g)
+        seen = set()
+        for root in roots:
+            for reverse in (False, True):
+                for part in (None, comps[1:]):
+                    got = list(sweep_components(g, part, root, reverse))
+                    assert got == bruteforce.sweep_components_reference(g, part, root, reverse)
+                    for sweep in got:
+                        if sweep.shallow:
+                            seen.add("shallow")
+                        else:
+                            seen.add("blocked" if sweep.relations is None else "swept")
+        return seen
+
+    @staticmethod
+    def roots(g):
+        return (None, 0, g.n // 2, g.n - 1)
+
+    def test_unions_of_generated_graphs(self):
+        rng = random.Random(5)
+        seen = set()
+        for seed in range(20):
+            g = disjoint_union(*sample_instances(seed, rng.randint(2, 4), 12))
+            seen |= self.kinds(g, self.roots(g))
+            seen |= self.kinds(relabelled(g, rng), self.roots(g))
+        assert seen == {"shallow", "blocked", "swept"}
+
+    def test_ladders_and_prisms(self):
+        rng = random.Random(13)
+        graphs = [ladder(k) for k in (2, 3, 6, 25)] + [tree_prism(t, rng) for t in (3, 8, 20)]
+        graphs.append(disjoint_union(*graphs))
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        for g in graphs:
+            assert self.kinds(g, self.roots(g)) == {"swept"}
+
+    def test_blocked_and_shallow_components(self, two_squares, braced_hexagon, domino):
+        rng = random.Random(17)
+        parts = [
+            path_graph(2), complete_graph(3), build_graph(4, [(0, 1), (0, 2), (0, 3)]),
+            path_graph(5), cycle_graph(5), braced_hexagon, two_squares, domino, path_graph(1),
+        ]
+        for _ in range(6):
+            rng.shuffle(parts)
+            g = disjoint_union(*parts)
+            for h in (g, relabelled(g, rng)):
+                assert self.kinds(h, range(h.n)) == {"shallow", "blocked", "swept"}
