@@ -242,10 +242,11 @@ def bfs_levels(g: Graph, root: int) -> BfsLevels:
     """Layer the graph by distance from root; every vertex must be reachable."""
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
-    levels = component_levels(g, root, [-1] * g.n)
-    if sum(map(len, levels.levels)) != g.n:
+    level_of = [-1] * g.n
+    levels = component_levels(g, root, level_of).levels
+    if sum(map(len, levels)) != g.n:
         raise GraphError("graph is disconnected; every vertex must be reachable from the root")
-    return BfsLevels(root, tuple(levels.level_of), levels.levels)
+    return BfsLevels(root, tuple(level_of), levels)
 
 
 @dataclass(frozen=True)
