@@ -6,6 +6,8 @@ cross-matched vertices; X and Y hold everything forced to a side.  On
 graphs without chordless cycles longer than four, every free component
 of a stable state attaches to exactly one side, which yields polynomial
 solvers for matching cuts and for perfect matchings containing one.
+Each stable seed's cut is checked as a matching cut before it is used;
+the dpm solver completes it by matching.perfect_matching_through.
 """
 
 from __future__ import annotations
@@ -14,16 +16,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterator
 
-from .graphs import (
-    Cut,
-    Graph,
-    GraphError,
-    connected_components,
-    induced_subgraph,
-    is_connected,
-    make_cut,
-)
-from .matching import has_perfect_matching, maximum_matching
+from .graphs import Cut, Graph, GraphError, check_matching_cut, connected_components, is_connected
+from .matching import has_perfect_matching, perfect_matching_through
 
 
 @dataclass(frozen=True)
@@ -189,17 +183,20 @@ def split_free_vertices(
     return frozenset(f_x), frozenset(f_y), None
 
 
-def _stable_seeds(g: Graph) -> Iterator[tuple[ForcingState, frozenset[int]]]:
-    """Yield (state, f_x) for each seed edge, in g.edges() order, whose
-    propagation is not refuted and whose free components each attach to
-    one side; state.x | f_x is then a matching cut."""
+def _stable_seeds(g: Graph) -> Iterator[Cut]:
+    """Yield the matching cut state.x | f_x of each seed edge, in
+    g.edges() order, whose propagation is not refuted, whose free
+    components each attach to one side, and whose cut passes the
+    matching-cut check."""
     for a, b in g.edges():
         state = propagate(g, a, b)
         if isinstance(state, Refutation):
             continue
         f_x, _, mixed = split_free_vertices(g, state)
         if mixed is None:
-            yield state, f_x
+            cut, _ = check_matching_cut(g, state.x | f_x)
+            if cut is not None:
+                yield cut
 
 
 def solve_mc_4chordal(g: Graph) -> Cut | None:
@@ -210,9 +207,7 @@ def solve_mc_4chordal(g: Graph) -> Cut | None:
     """
     if not is_connected(g):
         raise GraphError("matching-cut search requires a connected graph")
-    for state, f_x in _stable_seeds(g):
-        return make_cut(g, state.x | f_x)
-    return None
+    return next(_stable_seeds(g), None)
 
 
 def solve_dpm_4chordal(g: Graph) -> tuple[list[tuple[int, int]], Cut] | None:
@@ -225,23 +220,15 @@ def solve_dpm_4chordal(g: Graph) -> tuple[list[tuple[int, int]], Cut] | None:
     A graph of odd order, or one whose blossom matching is not perfect,
     answers None before any seed is tried: one O(n^3) matching run in
     place of a propagation per seed edge.  Otherwise each surviving
-    seed costs a propagation, a free-vertex split and a blossom run on
-    the vertices outside the matched core.
+    seed costs a propagation, a free-vertex split and one completion of
+    its cut (perfect_matching_through).
     """
     if not is_connected(g):
         raise GraphError("disconnected-perfect-matching search requires a connected graph")
     if g.n % 2 or not has_perfect_matching(g):
         return None
-    for state, f_x in _stable_seeds(g):
-        rest = sorted(set(range(g.n)) - state.a - state.b)
-        sub, old_ids = induced_subgraph(g, rest)
-        inner = maximum_matching(sub)
-        if 2 * len(inner) != sub.n:
-            continue
-        matching = [(old_ids[u], old_ids[v]) for u, v in inner]
-        for v in sorted(state.a):
-            partner = sorted(u for u in g.adj[v] if u in state.b)
-            # each matched-core vertex has exactly one partner across
-            matching.append((min(v, partner[0]), max(v, partner[0])))
-        return sorted(matching), make_cut(g, state.x | f_x)
+    for cut in _stable_seeds(g):
+        matching = perfect_matching_through(g, cut)
+        if matching is not None:
+            return matching, cut
     return None

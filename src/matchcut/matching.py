@@ -1,4 +1,5 @@
-"""Maximum matching in general graphs by blossom shrinking.
+"""Maximum matching in general graphs by blossom shrinking, and the
+completion of a matching cut to a perfect matching.
 
 Cubic in the vertex count at worst, deterministic: augmenting searches
 are seeded from vertices in ascending id order and neighbors scanned
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .graphs import Graph
+from .graphs import Cut, Graph, induced_subgraph
 
 
 def maximum_matching(g: Graph) -> list[tuple[int, int]]:
@@ -113,3 +114,23 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
 def has_perfect_matching(g: Graph) -> bool:
     """True when a matching covers every vertex; the empty graph qualifies."""
     return 2 * len(maximum_matching(g)) == g.n
+
+
+def perfect_matching_through(g: Graph, cut: Cut) -> list[tuple[int, int]] | None:
+    """A perfect matching of g holding every crossing edge of the
+    matching cut, as sorted (min, max) pairs, or None when there is none.
+
+    The crossing edges match their ends, and no edge joins what is left
+    of the two sides: X keeps one vertex per crossing edge fewer, which
+    must leave it even, and one blossom run on g without the crossing
+    ends decides the rest.
+    """
+    if (sum(cut.side) - len(cut.crossing)) % 2:
+        return None
+    ends = {v for edge in cut.crossing for v in edge}
+    rest, old_ids = induced_subgraph(g, (v for v in range(g.n) if v not in ends))
+    inner = maximum_matching(rest)
+    if 2 * len(inner) != rest.n:
+        return None
+    pairs = [(old_ids[u], old_ids[v]) for u, v in inner]
+    return sorted(pairs + [(min(edge), max(edge)) for edge in cut.crossing])

@@ -18,7 +18,6 @@ from .graphs import (
     OracleError,
     OracleLimits,
     OracleSizeError,
-    induced_subgraph,
     make_cut,
 )
 
@@ -40,13 +39,13 @@ class _Deadline:
             raise OracleBudgetError("oracle budget exhausted")
 
 
-def _guard(g: Graph, limits: OracleLimits | None) -> tuple[OracleLimits, _Deadline]:
+def _guard(g: Graph, limits: OracleLimits | None) -> _Deadline:
     limits = limits or DEFAULT_LIMITS
     if g.n > limits.max_vertices:
         raise OracleSizeError(
             f"instance has {g.n} vertices, oracle bound is {limits.max_vertices}"
         )
-    return limits, _Deadline(limits.budget_seconds)
+    return _Deadline(limits.budget_seconds)
 
 
 def enumerate_matching_cuts(
@@ -65,7 +64,7 @@ def enumerate_matching_cuts(
     """
     if mode not in ("matching_only", "perfect_only"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
-    _, deadline = _guard(g, limits)
+    deadline = _guard(g, limits)
     out: list[Cut] = []
     if g.n < 2:
         return out
@@ -184,7 +183,7 @@ def perfect_matchings(
     Backtracks over the lowest uncovered vertex, so output order is
     lexicographic on the partner choices.
     """
-    _, deadline = _guard(g, limits)
+    deadline = _guard(g, limits)
     n = g.n
     if n % 2:
         return
@@ -272,32 +271,25 @@ def has_dpm(g: Graph, limits: OracleLimits | None = None) -> bool:
     perfectly matches the graph without their ends; conversely, any
     matching cut whose crossing edges' ends leave a perfectly matchable
     rest extends to one.  So this searches the matching cuts, with one
-    blossom run per cut, and lists no perfect matching.
+    matching.perfect_matching_through run per cut, and lists no perfect
+    matching.
     """
     n = g.n
     if n == 0:
         return False
-    _, deadline = _guard(g, limits)
+    deadline = _guard(g, limits)
     from . import matching
 
     if n % 2 or not matching.has_perfect_matching(g):
         return False
-
-    def extends(cut: Cut) -> bool:
-        # X keeps one vertex per crossing edge fewer; what is left of
-        # each side must pair up within it
-        if (sum(cut.side) - len(cut.crossing)) % 2:
-            return False
-        ends = {v for edge in cut.crossing for v in edge}
-        rest, _ = induced_subgraph(g, (v for v in range(n) if v not in ends))
-        return matching.has_perfect_matching(rest)
-
-    return _enumerate_pruned(g, False, deadline, extends)
+    return _enumerate_pruned(
+        g, False, deadline, lambda cut: matching.perfect_matching_through(g, cut) is not None
+    )
 
 
 def longest_induced_path(g: Graph, limits: OracleLimits | None = None) -> int:
     """Vertex count of a longest induced path (0 for the empty graph)."""
-    _, deadline = _guard(g, limits)
+    deadline = _guard(g, limits)
     n = g.n
     if n == 0:
         return 0
@@ -332,7 +324,7 @@ def longest_induced_path(g: Graph, limits: OracleLimits | None = None) -> int:
 
 def longest_induced_cycle(g: Graph, limits: OracleLimits | None = None) -> int | None:
     """Vertex count of a longest induced cycle, or None when g is acyclic."""
-    _, deadline = _guard(g, limits)
+    deadline = _guard(g, limits)
     n = g.n
     masks = g.adjacency_masks()
     best = 0
@@ -379,7 +371,7 @@ def contains_induced(
     identical path components are deduplicated by requiring their images
     to appear in ascending order.
     """
-    _, deadline = _guard(g, limits)
+    deadline = _guard(g, limits)
     if pattern.n == 0:
         return True
     if pattern.n > g.n:

@@ -76,8 +76,8 @@ def solve(
             return Result(problem, None, split)
         from . import matching
 
-        pairs = matching.maximum_matching(g)
-        if 2 * len(pairs) != g.n:
+        pairs = matching.perfect_matching_through(g, split)
+        if pairs is None:
             return Result(problem, None, None)
         return Result(problem, None, split, tuple(pairs))
 

@@ -3,7 +3,7 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.  Five references are kept as
+enumeration instead of augmenting paths.  Six references are kept as
 specifications instead: propagate_reference, the plain sorted-rescan
 form of the forcing loop that the incremental forcing.propagate must
 match; random_connected_4chordal_reference, the generator that checks
@@ -13,9 +13,12 @@ find_dpm_reference, the dpm search that lists perfect matchings until
 one disconnects, whose answer oracle.find_dpm must reproduce after
 deciding by matching cuts; sweep_components_reference, the pmc
 component sweep made on induced copies, whose sweeps the in-place
-pmc.sweep_components must reproduce, ids included; and cut_reference,
+pmc.sweep_components must reproduce, ids included; cut_reference,
 the per-edge cut builder whose cuts and witnesses the one-pass
-certificate predicates must reproduce.
+certificate predicates must reproduce; and solve_dpm_reference, the
+4-chordal dpm seed loop that pairs the matched core's A-B partners and
+matches the rest, whose certificates the completion of each seed's cut
+by matching.perfect_matching_through must reproduce.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ import random
 from itertools import combinations, product
 
 from matchcut import Cut, Graph, GraphError, build_graph, oracle
-from matchcut.forcing import ForcingState, Refutation
+from matchcut.forcing import ForcingState, Refutation, propagate, split_free_vertices
 from matchcut.graphs import connected_components, induced_subgraph, is_connected, make_cut
+from matchcut.matching import has_perfect_matching, maximum_matching
 from matchcut.oracle import DEFAULT_LIMITS, OracleLimits
 from matchcut.pmc import ComponentSweep, build_pmc_formula
 
@@ -349,6 +353,37 @@ def propagate_reference(g: Graph, a: int, b: int) -> ForcingState | Refutation:
                 y=frozenset(v for v in range(g.n) if side[v] == 1),
                 free=frozenset(free),
             )
+
+
+def solve_dpm_reference(g: Graph) -> tuple[list[tuple[int, int]], Cut] | None:
+    """The first seed edge, in g.edges() order, whose propagation is not
+    refuted, whose free components each attach to one side, and whose
+    vertices outside the matched core are perfectly matchable; the
+    matching adds each A vertex's partner in B, and the cut is
+    state.x | f_x.  None when there is no such seed."""
+    if not is_connected(g):
+        raise GraphError("disconnected-perfect-matching search requires a connected graph")
+    if g.n % 2 or not has_perfect_matching(g):
+        return None
+    for a, b in g.edges():
+        state = propagate(g, a, b)
+        if isinstance(state, Refutation):
+            continue
+        f_x, _, mixed = split_free_vertices(g, state)
+        if mixed is not None:
+            continue
+        rest = sorted(set(range(g.n)) - state.a - state.b)
+        sub, old_ids = induced_subgraph(g, rest)
+        inner = maximum_matching(sub)
+        if 2 * len(inner) != sub.n:
+            continue
+        matching = [(old_ids[u], old_ids[v]) for u, v in inner]
+        for v in sorted(state.a):
+            partner = sorted(u for u in g.adj[v] if u in state.b)
+            # each matched-core vertex has exactly one partner across
+            matching.append((min(v, partner[0]), max(v, partner[0])))
+        return sorted(matching), make_cut(g, state.x | f_x)
+    return None
 
 
 def random_connected_4chordal_reference(

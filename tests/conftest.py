@@ -66,6 +66,19 @@ def ladder(k: int, pendants: tuple[int, ...] = ()) -> Graph:
     return build_graph(2 * k + len(pendants), edges)
 
 
+def tree_prism(t: int, rng: random.Random) -> Graph:
+    """T x K2 for a random tree T on t vertices: tree vertex v is the rung 2v -- 2v+1."""
+    tree = [(rng.randrange(v), v) for v in range(1, t)]
+    edges = [(2 * u + s, 2 * v + s) for u, v in tree for s in (0, 1)]
+    return build_graph(2 * t, edges + [(2 * v, 2 * v + 1) for v in range(t)])
+
+
+def relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def cube_graph() -> Graph:
     """The 3-dimensional hypercube; vertices are 3-bit ids."""
     return build_graph(

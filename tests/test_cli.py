@@ -1,10 +1,12 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
 
 import pytest
 
+import matchcut
 from matchcut import build_graph, format_graph, parse_graph
 from matchcut.cli import main
 from matchcut.files import format_formula_dimacs, layout_sidecar
@@ -500,7 +502,12 @@ def test_console_script_smoke(tmp_path, two_squares):
         if exe
         else [sys.executable, "-m", "matchcut.cli", "solve", str(path), "--problem", "pmc"]
     )
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    # the child does not inherit pytest's sys.path: hand it the
+    # directory this run imported the package from
+    source = os.path.dirname(os.path.dirname(matchcut.__file__))
+    pythonpath = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verdict: YES" in proc.stdout
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 import matchcut.forcing
-from conftest import ladder, random_graph
+from conftest import ladder, random_graph, relabelled, tree_prism
 from matchcut import (
     Graph,
     GraphError,
@@ -151,6 +151,18 @@ class TestSolveMc:
         assert solve_mc_4chordal(path_graph(2)) is not None
         assert solve_mc_4chordal(cycle_graph(4)) is not None
 
+    def test_invalid_cut_is_not_returned(self, monkeypatch):
+        g = cycle_graph(4)
+        assert solve_mc_4chordal(g) is not None
+        # Y = {min B} gives that vertex two cross neighbors; the
+        # matching-cut check must turn every seed's cut into a skip
+        monkeypatch.setattr(
+            matchcut.forcing,
+            "split_free_vertices",
+            lambda g, state: (frozenset(range(g.n)) - {min(state.b)}, frozenset(), None),
+        )
+        assert solve_mc_4chordal(g) is None
+
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):
         g = sample_instances(seed, 1, 11)[0]
@@ -188,6 +200,21 @@ class TestSolveDpm:
         # the patch is live: a ladder with a perfect matching reaches it
         with pytest.raises(AssertionError, match="seed was propagated"):
             solve_dpm_4chordal(ladder(4))
+
+    def test_certificates_equal_reference(self):
+        # completing each seed's cut leaves every certificate as pairing
+        # the matched core's partners gives it: same matching, same cut
+        rng = random.Random(20261018)
+        graphs = [g for seed in range(300) for g in sample_instances(seed, 3, 40)]
+        graphs += [ladder(k) for k in range(2, 40)]
+        graphs += [tree_prism(t, rng) for t in range(2, 20)]
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        yes = 0
+        for g in graphs:
+            want = bruteforce.solve_dpm_reference(g)
+            assert solve_dpm_4chordal(g) == want, g
+            yes += want is not None
+        assert yes >= 100
 
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):
@@ -233,8 +260,5 @@ def test_solvers_agree_beyond_oracle_range(idx):
     # crossing edges are a matching cut
     assert dpm or not pmc
     assert mc or not dpm
-    perm = list(range(g.n))
-    random.Random(idx).shuffle(perm)
-    relabelled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    assert verdicts(relabelled) == (pmc, dpm, mc)
+    assert verdicts(relabelled(g, random.Random(idx))) == (pmc, dpm, mc)
 

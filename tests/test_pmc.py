@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from conftest import ladder, random_graph
+from conftest import ladder, random_graph, relabelled, tree_prism
 from matchcut import build_graph, is_perfect_matching_cut
 from matchcut.generators import sample_instances
 from matchcut.graphs import (
@@ -238,19 +238,6 @@ class TestSolvePmc:
         cut = solve_pmc_4chordal(g)
         if cut is not None:
             assert is_perfect_matching_cut(g, set(cut.x))
-
-
-def tree_prism(t: int, rng: random.Random):
-    """T x K2 for a random tree T on t vertices: tree vertex v is the rung 2v -- 2v+1."""
-    tree = [(rng.randrange(v), v) for v in range(1, t)]
-    edges = [(2 * u + s, 2 * v + s) for u, v in tree for s in (0, 1)]
-    return build_graph(2 * t, edges + [(2 * v, 2 * v + 1) for v in range(t)])
-
-
-def relabelled(g, rng: random.Random):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 class TestSolveParity:

@@ -16,6 +16,7 @@ from matchcut import (
 )
 from matchcut.generators import sample_instances
 from matchcut.graphs import disjoint_union
+from matchcut.matching import maximum_matching
 from matchcut.oracle import find_dpm, has_dpm
 
 BRUTE = {"mc": bruteforce.has_mc, "pmc": bruteforce.has_pmc, "dpm": bruteforce.has_dpm}
@@ -67,6 +68,19 @@ def test_fourchordal_on_unions_agrees_with_bruteforce(problem):
         result = solve(g, problem, "fourchordal")
         assert (result.cut is not None) == BRUTE[problem](g), g
         assert_certified(g, result)
+
+
+def test_fourchordal_dpm_on_unions_is_the_maximum_matching():
+    # the component split is completed on a copy of g without ends to
+    # remove, which the blossom run pairs as it pairs g itself
+    verdicts = set()
+    for g in unions_of_sample_instances():
+        pairs = maximum_matching(g)
+        perfect = 2 * len(pairs) == g.n
+        result = solve(g, "dpm", "fourchordal")
+        assert result.matching == (tuple(pairs) if perfect else None), g
+        verdicts.add(perfect)
+    assert verdicts == {True, False}
 
 
 def test_find_dpm_certificate():
