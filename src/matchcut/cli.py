@@ -143,47 +143,25 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = parse_graph(Path(args.graph).read_text())
     limits = _limits(args)
     if args.pt_free is not None:
-        lp = longest_induced_path(g, limits)
-        verdict = lp < args.pt_free
-        payload = {
-            "check": "pt-free",
-            "t": args.pt_free,
-            "verdict": "YES" if verdict else "NO",
-            "longest_induced_path": lp,
-        }
-        lines = [
-            f"check: pt-free t={args.pt_free}",
-            f"verdict: {'YES' if verdict else 'NO'}",
-            f"longest-induced-path: {lp}",
-        ]
+        check, key, bound = "pt-free", "t", args.pt_free
+        measure, value = "longest-induced-path", longest_induced_path(g, limits)
+        member = value < bound
     elif args.k_chordal is not None:
-        lc = longest_induced_cycle(g, limits)
-        verdict = lc is None or lc <= args.k_chordal
-        payload = {
-            "check": "k-chordal",
-            "k": args.k_chordal,
-            "verdict": "YES" if verdict else "NO",
-            "longest_induced_cycle": lc,
-        }
-        lines = [
-            f"check: k-chordal k={args.k_chordal}",
-            f"verdict: {'YES' if verdict else 'NO'}",
-            f"longest-induced-cycle: {lc if lc is not None else 'none'}",
-        ]
+        check, key, bound = "k-chordal", "k", args.k_chordal
+        measure, value = "longest-induced-cycle", longest_induced_cycle(g, limits)
+        member = value is None or value <= bound
     else:
         pattern = parse_graph(Path(args.pattern).read_text())
-        found = contains_induced(g, pattern, limits)
-        payload = {
-            "check": "pattern-free",
-            "pattern_n": pattern.n,
-            "verdict": "NO" if found else "YES",
-            "contains_induced": found,
-        }
-        lines = [
-            f"check: pattern-free n={pattern.n}",
-            f"verdict: {'NO' if found else 'YES'}",
-            f"contains-induced: {found}",
-        ]
+        check, key, bound = "pattern-free", "pattern_n", pattern.n
+        measure, value = "contains-induced", contains_induced(g, pattern, limits)
+        member = not value
+    verdict = "YES" if member else "NO"
+    payload = {"check": check, key: bound, "verdict": verdict, measure.replace("-", "_"): value}
+    lines = [
+        f"check: {check} {key.removeprefix('pattern_')}={bound}",
+        f"verdict: {verdict}",
+        f"{measure}: {'none' if value is None else value}",
+    ]
     _emit(args, payload, lines)
     return 0
 
@@ -329,7 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OracleSizeError, OracleBudgetError) as exc:
+    except (OracleSizeError, OracleBudgetError, RecursionError) as exc:
+        # only the exhaustive oracle searches recurse, a level per
+        # vertex they place; one deeper than the interpreter allows
+        # exceeds a bound as well
         print(f"oracle limit: {exc}", file=sys.stderr)
         return 3
 

@@ -16,10 +16,11 @@ from .graphs import Cut, Graph, induced_subgraph
 def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     """A maximum-cardinality matching as sorted (min, max) pairs.
 
-    Each augmenting search costs what its alternating tree touches: it
-    undoes only the entries the previous search wrote, and a blossom
-    contraction visits only the current tree's k vertices, in
-    O(k log k), in place of an O(n) reset per root and per blossom.
+    Each augmenting search undoes only the entries the previous search
+    wrote, in place of an O(n) reset per root.  A blossom still costs
+    O(n): lca and the contraction each allocate an n-entry mark list,
+    though the contraction relabels by scanning only the current
+    tree's k vertices, in O(k log k).
     """
     n = g.n
     adj = [sorted(g.adj[v]) for v in range(n)]

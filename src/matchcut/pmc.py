@@ -15,6 +15,7 @@ on it as the parity pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -45,37 +46,6 @@ class TraceEntry(NamedTuple):
     clause_ids: tuple[int, ...]
 
 
-class DeterminedSet:
-    """Vertices whose cross partner is already encoded, plus the trace."""
-
-    def __init__(self) -> None:
-        self._members: set[int] = set()
-        self.trace: list[TraceEntry] = []
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self._members)
-
-    def undetermined(self, vertices: frozenset[int]) -> frozenset[int]:
-        """The vertices among vertices that are not determined yet."""
-        return vertices - self._members
-
-    def add(self, vertices: tuple[int, ...]) -> None:
-        for v in vertices:
-            if v in self._members:
-                raise ValueError(f"vertex {v} determined twice")
-            self._members.add(v)
-
-    def log(self, vertex: int, rule: str, partners: tuple[int, ...], clause_ids: tuple[int, ...]) -> None:
-        self.trace.append(TraceEntry(vertex, rule, partners, clause_ids))
-
-
 class LeafClassification(NamedTuple):
     """How an undetermined vertex attaches to the layer below.
 
@@ -98,12 +68,13 @@ _NONE = LeafClassification("none")
 
 
 def classify_leaf(
-    g: Graph, levels: BfsLevels, determined: DeterminedSet, v: int
+    g: Graph, levels: BfsLevels, determined: set[int], v: int
 ) -> LeafClassification:
-    """Classify v against the undetermined part of the layer below it."""
+    """Classify v against the undetermined part of the layer below it;
+    determined holds the vertices whose cross partner is encoded."""
     level_of = levels.level_of
     i = level_of[v]
-    below = sorted(u for u in determined.undetermined(g.adj[v]) if level_of[u] == i - 1)
+    below = sorted(u for u in g.adj[v] - determined if level_of[u] == i - 1)
     if not below:
         return _NONE
     if len(below) == 1:
@@ -142,16 +113,17 @@ def classify_leaf(
 @dataclass(frozen=True)
 class PmcEncoding:
     """Sweep outcome: the relations over g's vertices, or the vertex
-    that blocked the sweep (relations None)."""
+    that blocked the sweep (relations None), and the trace of the
+    determination steps made."""
 
     var_count: int
     relations: tuple[Relation, ...] | None
-    determined: DeterminedSet
+    trace: list[TraceEntry]
     blocked: int | None
 
-    @property
+    @cached_property
     def formula(self) -> TwoSatInstance | None:
-        """The relations as a 2-CNF, built on each access."""
+        """The relations as a 2-CNF, built on first access."""
         if self.relations is None:
             return None
         from .twosat import TwoSatInstance
@@ -187,7 +159,8 @@ def build_pmc_formula(
     if levels is None:
         levels = bfs_levels(g, root)
     adj = g.adj
-    determined = DeterminedSet()
+    determined: set[int] = set()
+    trace: list[TraceEntry] = []
     relations: list[Relation] = []
 
     for i in range(levels.h, 0, -1):
@@ -197,7 +170,7 @@ def build_pmc_formula(
                 continue
             cls = classify_leaf(g, levels, determined, v)
             if cls.kind == "none":
-                return PmcEncoding(g.n, None, determined, v)
+                return PmcEncoding(g.n, None, trace, v)
             first = len(relations)
             if cls.kind in ("c1", "c3"):
                 partners = (cls.u,)
@@ -208,18 +181,20 @@ def build_pmc_formula(
                 relations.append((v, cls.w, True))
                 relations.append((cls.u1, cls.u2, True))
                 anchors = (v, cls.w, cls.u1, cls.u2)
-            determined.add(anchors)
+            # the anchors are distinct and were all undetermined: v sits on
+            # layer i, u (or u1 != u2) on layer i-1, w on layer i-2
+            determined.update(anchors)
             for anchor in anchors:
-                rest = sorted(determined.undetermined(adj[anchor]))
+                rest = sorted(adj[anchor] - determined)
                 relations += [(anchor, x, False) for x in rest]
             # one step's relations are contiguous
-            determined.log(v, cls.kind, partners, tuple(range(2 * first, 2 * len(relations))))
+            trace.append(TraceEntry(v, cls.kind, partners, tuple(range(2 * first, 2 * len(relations)))))
     if root not in determined:
         # nothing paired the root, so no perfect pairing across the cut
         # can exist; a 2-colouring here would leave the root with zero
         # cross neighbors
-        return PmcEncoding(g.n, None, determined, root)
-    return PmcEncoding(g.n, tuple(relations), determined, None)
+        return PmcEncoding(g.n, None, trace, root)
+    return PmcEncoding(g.n, tuple(relations), trace, None)
 
 
 def solve_parity(var_count: int, relations: Sequence[Relation]) -> tuple[bool, ...] | None:

@@ -3,7 +3,7 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.  Six references are kept as
+enumeration instead of augmenting paths.  Seven references are kept as
 specifications instead: propagate_reference, the plain sorted-rescan
 form of the forcing loop that the incremental forcing.propagate must
 match; random_connected_4chordal_reference, the generator that checks
@@ -13,7 +13,11 @@ find_dpm_reference, the dpm search that lists perfect matchings until
 one disconnects, whose answer oracle.find_dpm must reproduce after
 deciding by matching cuts; sweep_components_reference, the pmc
 component sweep made on induced copies, whose sweeps the in-place
-pmc.sweep_components must reproduce, ids included; cut_reference,
+pmc.sweep_components must reproduce, ids included;
+build_pmc_formula_reference, the pmc sweep that keeps its determined
+vertices in a DeterminedSet class and refuses to determine one twice,
+whose relations, blocked vertex and trace the plain-set sweep of
+pmc.build_pmc_formula must reproduce; cut_reference,
 the per-edge cut builder whose cuts and witnesses the one-pass
 certificate predicates must reproduce; and solve_dpm_reference, the
 4-chordal dpm seed loop that pairs the matched core's A-B partners and
@@ -28,10 +32,24 @@ from itertools import combinations, product
 
 from matchcut import Cut, Graph, GraphError, build_graph, oracle
 from matchcut.forcing import ForcingState, Refutation, propagate, split_free_vertices
-from matchcut.graphs import connected_components, induced_subgraph, is_connected, make_cut
+from matchcut.graphs import (
+    BfsLevels,
+    bfs_levels,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+    make_cut,
+)
 from matchcut.matching import has_perfect_matching, maximum_matching
 from matchcut.oracle import DEFAULT_LIMITS, OracleLimits
-from matchcut.pmc import ComponentSweep, build_pmc_formula
+from matchcut.pmc import (
+    ComponentSweep,
+    LeafClassification,
+    PmcEncoding,
+    Relation,
+    TraceEntry,
+    build_pmc_formula,
+)
 
 
 def cross_degrees(g: Graph, x: set[int]) -> list[int]:
@@ -83,6 +101,120 @@ def sweep_components_reference(
         blocked = None if encoding.blocked is None else old_ids[encoding.blocked]
         out.append(ComponentSweep(old_ids, relations, blocked))
     return out
+
+
+class DeterminedSet:
+    """Vertices whose cross partner is already encoded, plus the trace."""
+
+    def __init__(self) -> None:
+        self._members: set[int] = set()
+        self.trace: list[TraceEntry] = []
+
+    def __contains__(self, v: int) -> bool:
+        return v in self._members
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self._members)
+
+    def undetermined(self, vertices: frozenset[int]) -> frozenset[int]:
+        """The vertices among vertices that are not determined yet."""
+        return vertices - self._members
+
+    def add(self, vertices: tuple[int, ...]) -> None:
+        for v in vertices:
+            if v in self._members:
+                raise ValueError(f"vertex {v} determined twice")
+            self._members.add(v)
+
+    def log(self, vertex: int, rule: str, partners: tuple[int, ...], clause_ids: tuple[int, ...]) -> None:
+        self.trace.append(TraceEntry(vertex, rule, partners, clause_ids))
+
+
+def classify_leaf_reference(
+    g: Graph, levels: BfsLevels, determined: DeterminedSet, v: int
+) -> LeafClassification:
+    """Classify v against the undetermined part of the layer below it."""
+    level_of = levels.level_of
+    i = level_of[v]
+    below = sorted(u for u in determined.undetermined(g.adj[v]) if level_of[u] == i - 1)
+    if not below:
+        return LeafClassification("none")
+    if len(below) == 1:
+        return LeafClassification("c1", u=below[0])
+    if len(below) == 2:
+        u1, u2 = below
+        if i >= 2 and not g.has_edge(u1, u2):
+            common = sorted(
+                w
+                for w in g.adj[u1] & g.adj[u2]
+                if levels.level_of[w] == i - 2 and w not in determined
+            )
+            if common:
+                return LeafClassification("c2", u1=u1, u2=u2, w=common[0])
+        return LeafClassification("none")
+    open_below = [
+        u
+        for u in levels.levels[i - 1]
+        if u not in determined
+    ]
+    comps = connected_components(g, open_below)
+    comp_of = {}
+    for idx, comp in enumerate(comps):
+        for u in comp:
+            comp_of[u] = idx
+    groups: dict[int, list[int]] = {}
+    for u in below:
+        groups.setdefault(comp_of[u], []).append(u)
+    if len(groups) == 2:
+        sizes = sorted(groups.values(), key=len)
+        if len(sizes[0]) == 1:
+            return LeafClassification("c3", u=sizes[0][0])
+    return LeafClassification("none")
+
+
+def build_pmc_formula_reference(
+    g: Graph, root: int, *, reverse_scan: bool = False, levels: BfsLevels | None = None
+) -> PmcEncoding:
+    """The pmc sweep with its determined vertices kept in a DeterminedSet
+    that refuses to determine a vertex twice and logs the trace; its
+    encoding carries that set's trace."""
+    if levels is None:
+        levels = bfs_levels(g, root)
+    adj = g.adj
+    determined = DeterminedSet()
+    relations: list[Relation] = []
+
+    for i in range(levels.h, 0, -1):
+        layer = levels.levels[i]
+        for v in reversed(layer) if reverse_scan else layer:
+            if v in determined:
+                continue
+            cls = classify_leaf_reference(g, levels, determined, v)
+            if cls.kind == "none":
+                return PmcEncoding(g.n, None, determined.trace, v)
+            first = len(relations)
+            if cls.kind in ("c1", "c3"):
+                partners = (cls.u,)
+                relations.append((v, cls.u, True))
+                anchors = (v, cls.u)
+            else:
+                partners = (cls.u1, cls.u2, cls.w)
+                relations.append((v, cls.w, True))
+                relations.append((cls.u1, cls.u2, True))
+                anchors = (v, cls.w, cls.u1, cls.u2)
+            determined.add(anchors)
+            for anchor in anchors:
+                rest = sorted(determined.undetermined(adj[anchor]))
+                relations += [(anchor, x, False) for x in rest]
+            # one step's relations are contiguous
+            determined.log(v, cls.kind, partners, tuple(range(2 * first, 2 * len(relations))))
+    if root not in determined:
+        return PmcEncoding(g.n, None, determined.trace, root)
+    return PmcEncoding(g.n, tuple(relations), determined.trace, None)
 
 
 def all_matching_cuts(g: Graph) -> list[frozenset[int]]:

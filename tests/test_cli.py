@@ -321,6 +321,56 @@ class TestCheck:
         assert rc == 0
         assert payload["verdict"] == "YES" and payload["contains_induced"] is False
 
+    @pytest.mark.parametrize(
+        "argv, text, payload",
+        [
+            (
+                ["G", "--pt-free", "6"],
+                "check: pt-free t=6\nverdict: YES\nlongest-induced-path: 5\n",
+                '{"check": "pt-free", "longest_induced_path": 5, "t": 6, "verdict": "YES"}\n',
+            ),
+            (
+                ["G", "--pt-free", "5"],
+                "check: pt-free t=5\nverdict: NO\nlongest-induced-path: 5\n",
+                '{"check": "pt-free", "longest_induced_path": 5, "t": 5, "verdict": "NO"}\n',
+            ),
+            (
+                ["G", "--k-chordal", "4"],
+                "check: k-chordal k=4\nverdict: YES\nlongest-induced-cycle: 4\n",
+                '{"check": "k-chordal", "k": 4, "longest_induced_cycle": 4, "verdict": "YES"}\n',
+            ),
+            (
+                ["G", "--k-chordal", "3"],
+                "check: k-chordal k=3\nverdict: NO\nlongest-induced-cycle: 4\n",
+                '{"check": "k-chordal", "k": 3, "longest_induced_cycle": 4, "verdict": "NO"}\n',
+            ),
+            (
+                ["G", "--pattern", "P5"],
+                "check: pattern-free n=5\nverdict: NO\ncontains-induced: True\n",
+                '{"check": "pattern-free", "contains_induced": true, "pattern_n": 5, "verdict": "NO"}\n',
+            ),
+            (
+                ["G", "--pattern", "P6"],
+                "check: pattern-free n=6\nverdict: YES\ncontains-induced: False\n",
+                '{"check": "pattern-free", "contains_induced": false, "pattern_n": 6, "verdict": "YES"}\n',
+            ),
+            (
+                ["P4", "--k-chordal", "4"],
+                "check: k-chordal k=4\nverdict: YES\nlongest-induced-cycle: none\n",
+                '{"check": "k-chordal", "k": 4, "longest_induced_cycle": null, "verdict": "YES"}\n',
+            ),
+        ],
+    )
+    def test_full_output(self, capsys, graph_file, two_squares, argv, text, payload):
+        # G is two_squares, Pk the path on k vertices
+        files = {"G": graph_file("g", two_squares)}
+        files |= {f"P{k}": graph_file(f"p{k}", path_graph(k)) for k in (4, 5, 6)}
+        argv = ["check"] + [files.get(a, a) for a in argv]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text
+        assert main(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == payload
+
     def test_exactly_one_kind_required(self, capsys, graph_file, two_squares):
         path = graph_file("g", two_squares)
         with pytest.raises(SystemExit) as exc:
@@ -481,6 +531,29 @@ class TestExitCodes:
         rc, payload = run_json(capsys, ["check", path, "--pt-free", "1"])
         assert rc == 0 and payload["verdict"] == "NO"
         rc, payload = run_json(capsys, ["check", path, "--k-chordal", "3"])
+        assert rc == 0 and payload["verdict"] == "YES"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "G", "--algo", "oracle", "--problem", "mc"],
+            ["solve", "G", "--algo", "oracle", "--problem", "dpm"],
+            ["check", "G", "--pt-free", "5"],
+            ["check", "G", "--k-chordal", "4"],
+        ],
+    )
+    def test_search_deeper_than_recursion_limit(self, capsys, graph_file, argv):
+        # each of these searches recurses once per vertex of the path
+        path = graph_file("g", path_graph(1200))
+        argv = [path if a == "G" else a for a in argv]
+        assert main(argv + ["--max-oracle-n", "5000"]) == 3
+        assert capsys.readouterr().err.startswith("oracle limit:")
+
+    def test_pmc_oracle_on_long_path_answers(self, capsys, graph_file):
+        path = graph_file("g", path_graph(1200))
+        rc, payload = run_json(
+            capsys, ["solve", path, "--algo", "oracle", "--problem", "pmc", "--max-oracle-n", "5000"]
+        )
         assert rc == 0 and payload["verdict"] == "YES"
 
     def test_raised_max_oracle_n(self, capsys, graph_file):

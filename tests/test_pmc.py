@@ -14,10 +14,10 @@ from matchcut.graphs import (
     cycle_graph,
     disjoint_union,
     induced_subgraph,
+    is_connected,
     path_graph,
 )
 from matchcut.pmc import (
-    DeterminedSet,
     TraceEntry,
     build_pmc_formula,
     classify_leaf,
@@ -28,34 +28,14 @@ from matchcut.pmc import (
 from matchcut.twosat import neg, pos, solve_2sat
 
 
-class TestDeterminedSet:
-    def test_membership_and_growth(self):
-        det = DeterminedSet()
-        assert 3 not in det and len(det) == 0
-        det.add((3, 1))
-        assert 3 in det and 1 in det and len(det) == 2
-        assert det.members == frozenset({1, 3})
-
-    def test_duplicate_rejected(self):
-        det = DeterminedSet()
-        det.add((3, 1))
-        with pytest.raises(ValueError):
-            det.add((2, 3))
-
-    def test_trace_logging(self):
-        det = DeterminedSet()
-        det.log(5, "c1", (2,), (0, 1))
-        assert det.trace == [TraceEntry(5, "c1", (2,), (0, 1))]
-
-
 class TestClassifyLeaf:
     def test_single_open_neighbor_below(self):
         g = path_graph(3)
-        cls = classify_leaf(g, bfs_levels(g, 0), DeterminedSet(), 2)
+        cls = classify_leaf(g, bfs_levels(g, 0), set(), 2)
         assert cls.kind == "c1" and cls.u == 1
 
     def test_square_closure(self, two_squares):
-        cls = classify_leaf(two_squares, bfs_levels(two_squares, 0), DeterminedSet(), 5)
+        cls = classify_leaf(two_squares, bfs_levels(two_squares, 0), set(), 5)
         assert cls.kind == "c2"
         assert (cls.u1, cls.u2, cls.w) == (3, 4, 1)
 
@@ -63,15 +43,14 @@ class TestClassifyLeaf:
         # 4-cycle 0-1-3-2; once the root is determined no square closes
         g = build_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         levels = bfs_levels(g, 0)
-        open_det = DeterminedSet()
+        open_det = set()
         assert classify_leaf(g, levels, open_det, 3).kind == "c2"
-        taken = DeterminedSet()
-        taken.add((0,))
+        taken = {0}
         assert classify_leaf(g, levels, taken, 3).kind == "none"
 
     def test_pair_adjacent_below(self):
         g = build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        cls = classify_leaf(g, bfs_levels(g, 0), DeterminedSet(), 3)
+        cls = classify_leaf(g, bfs_levels(g, 0), set(), 3)
         assert cls.kind == "none"
 
     def test_isolated_component_neighbor(self):
@@ -79,7 +58,7 @@ class TestClassifyLeaf:
         g = build_graph(
             5, [(0, 1), (0, 2), (0, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
         )
-        cls = classify_leaf(g, bfs_levels(g, 0), DeterminedSet(), 4)
+        cls = classify_leaf(g, bfs_levels(g, 0), set(), 4)
         assert cls.kind == "c3" and cls.u == 1
 
     def test_triple_single_component(self):
@@ -87,7 +66,7 @@ class TestClassifyLeaf:
             5,
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)],
         )
-        cls = classify_leaf(g, bfs_levels(g, 0), DeterminedSet(), 4)
+        cls = classify_leaf(g, bfs_levels(g, 0), set(), 4)
         assert cls.kind == "none"
 
     def test_two_components_both_large(self):
@@ -99,13 +78,12 @@ class TestClassifyLeaf:
                 (1, 5), (2, 5), (3, 5), (4, 5),
             ],
         )
-        cls = classify_leaf(g, bfs_levels(g, 0), DeterminedSet(), 5)
+        cls = classify_leaf(g, bfs_levels(g, 0), set(), 5)
         assert cls.kind == "none"
 
     def test_no_open_vertex_below(self):
         g = path_graph(2)
-        det = DeterminedSet()
-        det.add((0,))
+        det = {0}
         assert classify_leaf(g, bfs_levels(g, 0), det, 1).kind == "none"
 
 
@@ -126,7 +104,7 @@ class TestBuildFormula:
             (pos(2), pos(0)),
             (neg(2), neg(0)),
         )
-        assert enc.determined.trace == [
+        assert enc.trace == [
             TraceEntry(5, "c2", (3, 4, 1), tuple(range(8))),
             TraceEntry(2, "c1", (0,), (8, 9)),
         ]
@@ -156,13 +134,13 @@ class TestBuildFormula:
             (pos(0), pos(2)),
             (neg(0), neg(2)),
         )
-        assert [e.vertex for e in enc.determined.trace] == [4, 5, 0]
+        assert [e.vertex for e in enc.trace] == [4, 5, 0]
         assert solve_2sat(enc.formula) is None
 
     def test_braced_hexagon_reverse_blocks(self, braced_hexagon):
         enc = build_pmc_formula(braced_hexagon, 2, reverse_scan=True)
         assert enc.formula is None and enc.blocked == 4
-        assert enc.determined.trace == [
+        assert enc.trace == [
             TraceEntry(5, "c2", (1, 3, 2), tuple(range(12)))
         ]
 
@@ -170,6 +148,44 @@ class TestBuildFormula:
         # the sweep pairs 4-3 and 2-1, leaving the root with no partner
         enc = build_pmc_formula(path_graph(5), 0)
         assert enc.formula is None and enc.blocked == 0
+
+    def test_formula_built_once(self, two_squares):
+        enc = build_pmc_formula(two_squares, 0)
+        assert enc.formula is not None and enc.formula is enc.formula
+
+
+class TestSweepReference:
+    """build_pmc_formula keeps its determined vertices in a plain set; it
+    must reproduce the relations, blocked vertex and trace of the
+    DeterminedSet sweep in bruteforce."""
+
+    @staticmethod
+    def outcomes(graphs, roots) -> set[str]:
+        """Compare both sweeps of each graph from each root, in both scan
+        orders; return the rules applied and the outcomes reached."""
+        seen = set()
+        for g in graphs:
+            for root in roots(g):
+                for reverse in (False, True):
+                    got = build_pmc_formula(g, root, reverse_scan=reverse)
+                    assert got == bruteforce.build_pmc_formula_reference(g, root, reverse_scan=reverse)
+                    seen.add("blocked" if got.relations is None else "swept")
+                    seen.update(entry.rule for entry in got.trace)
+        return seen
+
+    def test_generated_graphs(self):
+        rng = random.Random(19)
+        graphs = [g for seed in range(100) for g in sample_instances(seed, 3, 30) if is_connected(g)]
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        seen = self.outcomes(graphs, lambda g: range(4))
+        assert seen == {"c1", "c2", "c3", "swept", "blocked"}
+
+    def test_ladders_and_prisms(self):
+        rng = random.Random(23)
+        graphs = [ladder(k) for k in (2, 3, 6, 25, 60)] + [tree_prism(t, rng) for t in (3, 8, 20, 40)]
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        seen = self.outcomes(graphs, lambda g: (0, g.n // 2, g.n - 1))
+        assert seen == {"c1", "c2", "swept"}
 
 
 class TestSolvePmc:
