@@ -258,8 +258,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget-seconds", type=_seconds, default=60.0)
-        p.add_argument("--max-oracle-n", type=_count, default=30)
+        p.add_argument(
+            "--budget-seconds",
+            type=_seconds,
+            default=60.0,
+            help="time bound on exhaustive search only (default 60)",
+        )
+        p.add_argument(
+            "--max-oracle-n",
+            type=_count,
+            default=30,
+            help="vertex bound on exhaustive search only (default 30)",
+        )
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_solve = sub.add_parser("solve", help="decide a matching-cut problem")

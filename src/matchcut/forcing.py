@@ -12,16 +12,14 @@ the dpm solver completes it by matching.perfect_matching_through.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import Cut, Graph, GraphError, check_matching_cut, connected_components, is_connected
 from .matching import has_perfect_matching, perfect_matching_through
 
 
-@dataclass(frozen=True)
-class ForcingState:
+class ForcingState(NamedTuple):
     """Stable outcome of rule propagation for one seed edge."""
 
     a: frozenset[int]
@@ -31,8 +29,7 @@ class ForcingState:
     free: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(NamedTuple):
     """Proof that no matching cut separates the seed pair.
 
     rule names the refutation rule that fired; vertex is the free vertex

@@ -6,8 +6,7 @@ plain list of (u, v) pairs with u < v; helpers below validate the shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -19,8 +18,7 @@ class GraphError(ValueError):
 # the oracle itself; matchcut.oracle re-exports all four.
 
 
-@dataclass(frozen=True)
-class OracleLimits:
+class OracleLimits(NamedTuple):
     max_vertices: int = 30
     budget_seconds: float = 60.0
 
@@ -196,8 +194,7 @@ def is_connected(g: Graph) -> bool:
     return len(connected_components(g)[0]) == g.n
 
 
-@dataclass(frozen=True)
-class BfsLevels:
+class BfsLevels(NamedTuple):
     """Breadth-first distance layers from a root vertex, each in
     ascending order; level_of[v] is v's layer for v in the root's
     component, and means nothing elsewhere."""
@@ -249,8 +246,7 @@ def bfs_levels(g: Graph, root: int) -> BfsLevels:
     return BfsLevels(root, tuple(level_of), levels)
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """A bipartition of the vertex set with its crossing edges.
 
     side[v] is True when v lies in the X part.  crossing lists the edges
@@ -370,10 +366,24 @@ def is_perfect_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
 
 
 def is_disconnected_perfect_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
-    """True when the matching is perfect and removing its edges disconnects g."""
+    """True when the matching is perfect and removing its edges disconnects g.
+
+    One breadth-first search from vertex 0 that skips each vertex's
+    matched edge tells whether g without the matching is connected.
+    """
     edges = list(matching)
-    if not is_perfect_matching(g, edges):
+    if not is_perfect_matching(g, edges) or g.n == 0:
         return False
-    dropped = {(min(u, v), max(u, v)) for u, v in edges}
-    kept = [(u, v) for u, v in g.edges() if (u, v) not in dropped]
-    return not is_connected(build_graph(g.n, kept))
+    mate = [0] * g.n
+    for u, v in edges:
+        mate[u], mate[v] = v, u
+    adj = g.adj
+    marked = [False] * g.n
+    marked[0] = True
+    found = [0]
+    for v in found:
+        for u in adj[v]:
+            if not marked[u] and u != mate[v]:
+                marked[u] = True
+                found.append(u)
+    return len(found) < g.n

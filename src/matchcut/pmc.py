@@ -14,8 +14,6 @@ on it as the parity pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -110,8 +108,7 @@ def classify_leaf(
     return _NONE
 
 
-@dataclass(frozen=True)
-class PmcEncoding:
+class PmcEncoding(NamedTuple):
     """Sweep outcome: the relations over g's vertices, or the vertex
     that blocked the sweep (relations None), and the trace of the
     determination steps made."""
@@ -121,9 +118,9 @@ class PmcEncoding:
     trace: list[TraceEntry]
     blocked: int | None
 
-    @cached_property
+    @property
     def formula(self) -> TwoSatInstance | None:
-        """The relations as a 2-CNF, built on first access."""
+        """The relations as a 2-CNF, built on each access."""
         if self.relations is None:
             return None
         from .twosat import TwoSatInstance
@@ -235,8 +232,7 @@ def solve_parity(var_count: int, relations: Sequence[Relation]) -> tuple[bool, .
     return tuple(side)
 
 
-@dataclass(frozen=True)
-class ComponentSweep:
+class ComponentSweep(NamedTuple):
     """One component's sweep, over the whole graph's vertex ids.
 
     vertices lists the component in ascending order.  relations is None

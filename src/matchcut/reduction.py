@@ -10,8 +10,8 @@ variable per clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .graphs import (
     Cut,
@@ -29,24 +29,28 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class Formula13:
-    """A positive 1-in-3 formula: ordered triples of distinct variables."""
-
+class _Formula13Fields(NamedTuple):
     var_count: int
     clauses: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self) -> None:
-        if self.var_count < 0:
+
+class Formula13(_Formula13Fields):
+    """A positive 1-in-3 formula: ordered triples of distinct variables."""
+
+    __slots__ = ()
+
+    def __new__(cls, var_count: int, clauses: tuple[tuple[int, int, int], ...]) -> Formula13:
+        if var_count < 0:
             raise ValueError("variable count must be nonnegative")
-        for clause in self.clauses:
+        for clause in clauses:
             if len(clause) != 3:
                 raise ValueError(f"clause {clause} must have exactly three variables")
             if len(set(clause)) != 3:
                 raise ValueError(f"clause {clause} repeats a variable")
             for var in clause:
-                if not (0 <= var < self.var_count):
+                if not (0 <= var < var_count):
                     raise ValueError(f"variable {var} out of range")
+        return super().__new__(cls, var_count, clauses)
 
 
 # block offsets: hub, three variable slots, three guards, three links,
@@ -76,8 +80,16 @@ def clause_gadget() -> Graph:
     return build_graph(_BLOCK, _GADGET_EDGES)
 
 
-@dataclass(frozen=True)
-class GadgetLayout:
+def _slot_cliques(formula: Formula13) -> dict[int, frozenset[int]]:
+    """Per variable, the slot vertices of its occurrences."""
+    slots: dict[int, set[int]] = {x: set() for x in range(formula.var_count)}
+    for j, clause in enumerate(formula.clauses):
+        for k, var in enumerate(clause):
+            slots[var].add(_BLOCK * j + _OFF_CJK[k])
+    return {x: frozenset(q) for x, q in slots.items()}
+
+
+class GadgetLayout(NamedTuple):
     """A reduction instance plus role maps back into the formula."""
 
     graph: Graph
@@ -88,9 +100,13 @@ class GadgetLayout:
     ajk: tuple[tuple[int, int, int], ...]
     bjk: tuple[tuple[int, int, int], ...]
     cjk_prime: tuple[tuple[int, int, int], ...]
-    q_cliques: dict[int, frozenset[int]] = field(compare=False)
-    f_clique: frozenset[int] = field(default_factory=frozenset)
-    t_clique: frozenset[int] = field(default_factory=frozenset)
+    f_clique: frozenset[int] = frozenset()
+    t_clique: frozenset[int] = frozenset()
+
+    @property
+    def q_cliques(self) -> dict[int, frozenset[int]]:
+        """Per variable, its slot clique; built from formula on each access."""
+        return _slot_cliques(self.formula)
 
 
 def build_reduction(formula: Formula13) -> GadgetLayout:
@@ -108,17 +124,13 @@ def build_reduction(formula: Formula13) -> GadgetLayout:
         for u, v in _GADGET_EDGES:
             add(base + u, base + v)
 
-    slots_of_var: dict[int, list[int]] = {x: [] for x in range(formula.var_count)}
-    for j, clause in enumerate(formula.clauses):
-        for k, var in enumerate(clause):
-            slots_of_var[var].append(_BLOCK * j + _OFF_CJK[k])
     f_members = [v for j in range(m) for v in (_BLOCK * j + _OFF_C, _BLOCK * j + _OFF_CPRIME)]
     t_members = [_BLOCK * j + off for j in range(m) for off in _OFF_AJK]
     for u, v in combinations(sorted(f_members), 2):
         add(u, v)
     for u, v in combinations(sorted(t_members), 2):
         add(u, v)
-    for slots in slots_of_var.values():
+    for slots in _slot_cliques(formula).values():
         for u, v in combinations(sorted(slots), 2):
             add(u, v)
 
@@ -132,7 +144,6 @@ def build_reduction(formula: Formula13) -> GadgetLayout:
         ajk=tuple(tuple(_BLOCK * j + off for off in _OFF_AJK) for j in range(m)),
         bjk=tuple(tuple(_BLOCK * j + off for off in _OFF_BJK) for j in range(m)),
         cjk_prime=tuple(tuple(_BLOCK * j + off for off in _OFF_PRIME) for j in range(m)),
-        q_cliques={x: frozenset(slots) for x, slots in slots_of_var.items()},
         f_clique=frozenset(f_members),
         t_clique=frozenset(t_members),
     )
@@ -159,9 +170,9 @@ def assignment_to_pmc(layout: GadgetLayout, assignment: tuple[bool, ...]) -> Cut
     if not is_one_in_three(formula, assignment):
         raise GraphError("assignment does not satisfy exactly one variable per clause")
     x: set[int] = set(layout.f_clique)
-    for var, val in enumerate(assignment):
-        if not val:
-            x |= layout.q_cliques.get(var, frozenset())
+    for var, q in layout.q_cliques.items():
+        if not assignment[var]:
+            x |= q
     for j, clause in enumerate(formula.clauses):
         k = next(pos for pos, var in enumerate(clause) if assignment[var])
         x.add(layout.bjk[j][k])
@@ -187,8 +198,7 @@ def cut_to_assignment(layout: GadgetLayout, cut: Cut) -> tuple[bool, ...]:
     elif not layout.f_clique <= x:
         raise GraphError("hub clique is split by the cut")
     assignment = []
-    for var in range(layout.formula.var_count):
-        q = layout.q_cliques.get(var, frozenset())
+    for var, q in layout.q_cliques.items():
         if not q:
             # a variable with no occurrence carries no signal; pin it False
             assignment.append(False)
@@ -204,16 +214,14 @@ def cut_to_assignment(layout: GadgetLayout, cut: Cut) -> tuple[bool, ...]:
     return result
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool | None
     detail: str
     completed: bool
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

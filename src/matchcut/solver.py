@@ -7,7 +7,6 @@ imports the module it calls, so a run loads only the solvers it uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import graphs
@@ -19,7 +18,6 @@ PROBLEMS = ("mc", "pmc", "dpm")
 ALGOS = ("auto", "fourchordal", "oracle")
 
 
-@dataclass(frozen=True)
 class Result:
     """The answer to one problem: YES with cut, or NO with cut None.
 
@@ -29,14 +27,45 @@ class Result:
     the per-component pmc sweeps the 4-chordal solver made, so that the
     2-CNF of the same components is not swept again; it is None on
     every other path.
+
+    A Result is immutable.  It compares, hashes and prints by its other
+    five fields: sweeps records how the answer was found, not the answer.
     """
 
-    problem: str
-    algo: str | None
-    cut: graphs.Cut | None
-    matching: tuple[tuple[int, int], ...] | None = None
-    reason: str | None = None
-    sweeps: tuple[ComponentSweep, ...] | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("problem", "algo", "cut", "matching", "reason", "sweeps")
+
+    def __init__(
+        self,
+        problem: str,
+        algo: str | None,
+        cut: graphs.Cut | None,
+        matching: tuple[tuple[int, int], ...] | None = None,
+        reason: str | None = None,
+        sweeps: tuple[ComponentSweep, ...] | None = None,
+    ) -> None:
+        for name, value in zip(self.__slots__, (problem, algo, cut, matching, reason, sweeps)):
+            object.__setattr__(self, name, value)
+
+    def _answer(self) -> tuple:
+        return (self.problem, self.algo, self.cut, self.matching, self.reason)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._answer() == other._answer()
+
+    def __hash__(self) -> int:
+        return hash(self._answer())
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._answer())
+        return "Result(" + ", ".join(f"{name}={value!r}" for name, value in fields) + ")"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _pick_algo(g: graphs.Graph, limits: graphs.OracleLimits | None) -> str:
@@ -47,6 +76,35 @@ def _pick_algo(g: graphs.Graph, limits: graphs.OracleLimits | None) -> str:
     except oracle.OracleError:
         return "oracle"
     return "fourchordal" if (cycle is None or cycle <= 4) else "oracle"
+
+
+def _certified(g: graphs.Graph, result: Result) -> Result:
+    """result, once a YES is checked on g: its cut must be g's matching
+    cut (perfect for pmc) on the cut's X side, and a dpm matching a
+    disconnected perfect matching of g holding every crossing edge of
+    the cut.  A certificate that fails is a fault of the solver that
+    made it, so it is not returned: RuntimeError.
+    """
+    cut = result.cut
+    if cut is None:
+        return result
+    if result.problem == "pmc":
+        ok = graphs.check_perfect_matching_cut(g, cut.x)[0] == cut
+    else:
+        ok = graphs.check_matching_cut(g, cut.x)[0] == cut
+    if ok and result.problem == "dpm":
+        pairs = result.matching or ()
+        matched = {(min(e), max(e)) for e in pairs}
+        try:
+            ok = graphs.is_disconnected_perfect_matching(g, pairs) and all(
+                (min(e), max(e)) in matched for e in cut.crossing
+            )
+        except graphs.GraphError:
+            # a matched pair that is not an edge of g
+            ok = False
+    if not ok:
+        raise RuntimeError(f"internal error: the {result.problem} certificate fails its check")
+    return result
 
 
 def solve(
@@ -63,6 +121,11 @@ def solve(
     search, raising OracleSizeError or OracleBudgetError past limits;
     "auto" takes the first when an exhaustive search finds no longer
     chordless cycle, and the oracle otherwise.
+
+    Every YES is certified on g before it is returned.  The 4-chordal
+    mc and pmc solvers check their own cuts as they build them; an
+    oracle cut and every dpm matching are checked here, and one that
+    fails raises RuntimeError.
     """
     if problem not in PROBLEMS or algo not in ALGOS:
         raise ValueError(f"unknown problem {problem!r} or algorithm {algo!r}")
@@ -79,7 +142,7 @@ def solve(
         pairs = matching.perfect_matching_through(g, split)
         if pairs is None:
             return Result(problem, None, None)
-        return Result(problem, None, split, tuple(pairs))
+        return _certified(g, Result(problem, None, split, tuple(pairs)))
 
     if algo == "auto":
         algo = _pick_algo(g, limits)
@@ -100,9 +163,9 @@ def solve(
         if problem != "dpm":
             mode = "matching_only" if problem == "mc" else "perfect_only"
             cuts = oracle.enumerate_matching_cuts(g, mode, limits, stop_after=1)
-            return Result(problem, algo, cuts[0] if cuts else None)
+            return _certified(g, Result(problem, algo, cuts[0] if cuts else None))
         found = oracle.find_dpm(g, limits)
     if found is None:
         return Result(problem, algo, None)
     pairs, cut = found
-    return Result(problem, algo, cut, tuple(pairs))
+    return _certified(g, Result(problem, algo, cut, tuple(pairs)))

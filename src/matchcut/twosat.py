@@ -6,7 +6,7 @@ Unit clauses are encoded by repeating the literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 Lit = tuple[int, bool]
 Clause = tuple[Lit, Lit]
@@ -20,16 +20,23 @@ def neg(v: int) -> Lit:
     return (v, False)
 
 
-@dataclass(frozen=True)
-class TwoSatInstance:
+class _TwoSatFields(NamedTuple):
     var_count: int
     clauses: tuple[Clause, ...]
 
-    def __post_init__(self) -> None:
-        for clause in self.clauses:
+
+class TwoSatInstance(_TwoSatFields):
+    """A 2-CNF over variables 0..var_count-1; every literal is checked
+    to be in range."""
+
+    __slots__ = ()
+
+    def __new__(cls, var_count: int, clauses: tuple[Clause, ...]) -> TwoSatInstance:
+        for clause in clauses:
             for var, _ in clause:
-                if not (0 <= var < self.var_count):
+                if not (0 <= var < var_count):
                     raise ValueError(f"literal variable {var} out of range")
+        return super().__new__(cls, var_count, clauses)
 
 
 def verify_assignment(inst: TwoSatInstance, assignment: tuple[bool, ...]) -> bool:

@@ -176,6 +176,22 @@ class TestCuts:
         # same pairs perfectly match the prism but leave it connected
         assert not is_disconnected_perfect_matching(two_triangles, [(0, 1), (2, 3), (4, 5)])
 
+    def test_disconnected_perfect_matching_matches_reference(self):
+        # every perfect matching of random graphs, and the matching less
+        # one pair, against removing the matching and testing the rest
+        rng = random.Random(31)
+        verdicts = set()
+        for _ in range(300):
+            g = random_graph(rng, 2 * rng.randint(1, 4), rng.uniform(0.3, 0.9))
+            for m in bruteforce.perfect_matchings(g):
+                pairs = sorted(m)
+                got = is_disconnected_perfect_matching(g, pairs)
+                assert got == bruteforce.removal_disconnects(g, pairs), (g, pairs)
+                assert not is_disconnected_perfect_matching(g, pairs[1:])
+                verdicts.add(got)
+        assert verdicts == {True, False}
+        assert not is_disconnected_perfect_matching(build_graph(0, []), [])
+
     def test_predicates_match_per_edge_reference(self):
         # random bipartitions, an empty and a full side, and planted
         # perfect matching cuts: random edges inside each side plus a

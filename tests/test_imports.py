@@ -4,7 +4,7 @@ A fresh interpreter imports only the modules a command runs: the
 exhaustive oracle, the gadget builder, the pmc solver, 2-SAT and the
 generator stay unloaded on the mc/dpm path, and the mc/dpm solver,
 blossom matching and the oracle on the pmc path, so start-up does not
-pay for them.
+pay for them.  No command loads dataclasses or inspect.
 """
 
 import json
@@ -29,20 +29,25 @@ UNUSED_ON_MC_DPM = (
 )
 
 
+def last_line_after(code: str) -> str:
+    """The last line code prints, run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def loaded_after(code: str) -> set[str]:
     """The matchcut modules in sys.modules after code runs in a fresh
     interpreter."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     report = (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('matchcut'))))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code + report], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return set(json.loads(last_line_after(code + report)))
 
 
 def test_cli_import_loads_no_solver_it_does_not_run():
@@ -105,6 +110,42 @@ def test_oracle_dpm_loads_blossom_but_no_polynomial_solver(tmp_path):
         "matchcut.oracle",
         "matchcut.solver",
     }
+
+
+def test_no_command_loads_dataclasses_or_inspect(tmp_path):
+    # dataclasses costs about 10 ms of start-up, most of it for inspect,
+    # ast, dis and tokenize.  The commands run one after another in one
+    # interpreter; the first after which a module appears loaded it.
+    graph = tmp_path / "ladder.graph"
+    graph.write_text("6 7\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n")
+    cnf = tmp_path / "clauses.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 3 0\n1 2 3 0\n")
+    commands = [
+        ["solve", str(graph), "--problem", problem, "--algo", algo]
+        for problem in ("mc", "dpm", "pmc")
+        for algo in ("fourchordal", "auto", "oracle")
+    ] + [
+        ["check", str(graph), "--k-chordal", "4"],
+        ["check", str(graph), "--pt-free", "5"],
+        ["check", str(graph), "--pattern", str(graph)],
+        ["reduce", str(cnf), "--out", str(tmp_path / "gadget")],
+        ["crosscheck", "--count", "3", "--max-n", "8"],
+    ]
+    code = (
+        "import json, sys\n"
+        "import matchcut.cli\n"
+        "first = {}\n"
+        "def note(step):\n"
+        "    for name in ('dataclasses', 'inspect'):\n"
+        "        if name in sys.modules:\n"
+        "            first.setdefault(name, step)\n"
+        "note('import matchcut.cli')\n"
+        f"for argv in {commands!r}:\n"
+        "    assert matchcut.cli.main(argv) == 0, argv\n"
+        "    note(' '.join(argv))\n"
+        "print(json.dumps(first))"
+    )
+    assert json.loads(last_line_after(code)) == {}
 
 
 def test_package_import_loads_no_module():

@@ -21,11 +21,12 @@ from matchcut.pmc import (
     TraceEntry,
     build_pmc_formula,
     classify_leaf,
+    relation_clauses,
     solve_parity,
     solve_pmc_4chordal,
     sweep_components,
 )
-from matchcut.twosat import neg, pos, solve_2sat
+from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat
 
 
 class TestClassifyLeaf:
@@ -149,9 +150,11 @@ class TestBuildFormula:
         enc = build_pmc_formula(path_graph(5), 0)
         assert enc.formula is None and enc.blocked == 0
 
-    def test_formula_built_once(self, two_squares):
+    def test_formula_equal_on_every_read(self, two_squares):
+        # a plain property: each read builds the same 2-CNF of the relations
         enc = build_pmc_formula(two_squares, 0)
-        assert enc.formula is not None and enc.formula is enc.formula
+        expected = TwoSatInstance(6, relation_clauses(enc.relations))
+        assert enc.formula == enc.formula == expected
 
 
 class TestSweepReference:

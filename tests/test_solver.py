@@ -7,6 +7,7 @@ import pytest
 import bruteforce
 from conftest import random_graph
 from matchcut import (
+    Cut,
     Result,
     build_graph,
     check_matching_cut,
@@ -15,7 +16,7 @@ from matchcut import (
     solve,
 )
 from matchcut.generators import sample_instances
-from matchcut.graphs import disjoint_union
+from matchcut.graphs import disjoint_union, make_cut
 from matchcut.matching import maximum_matching
 from matchcut.oracle import find_dpm, has_dpm
 
@@ -118,3 +119,54 @@ def test_empty_graph_and_unknown_names():
         solve(empty, "tsp")
     with pytest.raises(ValueError):
         solve(empty, "mc", "guess")
+
+
+DOMINO_X = {0, 3, 4}
+# solve's dpm answer on the domino: matching 0-1 2-3 4-5 around X = {0, 3, 4}
+DOMINO_CROSSING = ((0, 1), (3, 2), (4, 5))
+
+
+@pytest.mark.parametrize(
+    "pairs, crossing",
+    [
+        ([(0, 1), (2, 3)], DOMINO_CROSSING),  # not perfect
+        ([(0, 5), (1, 2), (3, 4)], DOMINO_CROSSING),  # 0-5 is not an edge
+        ([(0, 3), (1, 2), (4, 5)], DOMINO_CROSSING),  # misses crossing 0-1 and 3-2
+        ([(0, 1), (2, 3), (4, 5)], ((0, 1), (4, 5))),  # not the cut of X
+    ],
+)
+@pytest.mark.parametrize(
+    "algo, solver",
+    [("fourchordal", "matchcut.forcing.solve_dpm_4chordal"), ("oracle", "matchcut.oracle.find_dpm")],
+)
+def test_corrupted_dpm_certificate_is_not_returned(
+    monkeypatch, domino, pairs, crossing, algo, solver
+):
+    side = tuple(v in DOMINO_X for v in range(6))
+    cut = Cut(side, crossing)
+    monkeypatch.setattr(solver, lambda g, limits=None: (pairs, cut))
+    with pytest.raises(RuntimeError, match="internal error: the dpm certificate"):
+        solve(domino, "dpm", algo)
+
+
+def test_corrupted_component_split_matching_is_not_returned(monkeypatch):
+    g = disjoint_union(build_graph(2, [(0, 1)]), build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    assert solve(g, "dpm").matching == ((0, 1), (2, 3), (4, 5))
+    monkeypatch.setattr(
+        "matchcut.matching.perfect_matching_through", lambda g, cut: [(0, 1), (2, 3)]
+    )
+    with pytest.raises(RuntimeError, match="internal error: the dpm certificate"):
+        solve(g, "dpm")
+
+
+@pytest.mark.parametrize(
+    "problem, x",
+    [("mc", {0}), ("pmc", {0, 1, 2, 3})],  # 0 has two cross edges; 0 and 1 none
+)
+def test_corrupted_oracle_cut_is_not_returned(monkeypatch, domino, problem, x):
+    cut = make_cut(domino, x)
+    monkeypatch.setattr(
+        "matchcut.oracle.enumerate_matching_cuts", lambda g, mode, limits, stop_after: [cut]
+    )
+    with pytest.raises(RuntimeError, match=f"internal error: the {problem} certificate"):
+        solve(domino, problem, "oracle")
