@@ -182,25 +182,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             " repeat the clause for a gadget whose matching cuts are all perfect",
             file=sys.stderr,
         )
-    payload = {
+    sizes = {
         "clauses": len(formula.clauses),
         "variables": formula.var_count,
         "n": layout.graph.n,
         "m": layout.graph.m,
-        "graph": str(graph_path),
-        "layout": str(sidecar_path),
     }
-    _emit(
-        args,
-        payload,
-        [
-            f"clauses: {len(formula.clauses)}",
-            f"variables: {formula.var_count}",
-            f"n: {layout.graph.n}",
-            f"m: {layout.graph.m}",
-            f"wrote: {graph_path} {sidecar_path}",
-        ],
-    )
+    lines = [f"{key}: {value}" for key, value in sizes.items()]
+    lines.append(f"wrote: {graph_path} {sidecar_path}")
+    _emit(args, sizes | {"graph": str(graph_path), "layout": str(sidecar_path)}, lines)
     return 0
 
 
@@ -257,18 +247,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    defaults = OracleLimits()
+
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--budget-seconds",
             type=_seconds,
-            default=60.0,
-            help="time bound on exhaustive search only (default 60)",
+            default=defaults.budget_seconds,
+            help=f"time bound on exhaustive search only (default {defaults.budget_seconds:g})",
         )
         p.add_argument(
             "--max-oracle-n",
             type=_count,
-            default=30,
-            help="vertex bound on exhaustive search only (default 30)",
+            default=defaults.max_vertices,
+            help=f"vertex bound on exhaustive search only (default {defaults.max_vertices})",
         )
         p.add_argument("--format", choices=("text", "json"), default="text")
 

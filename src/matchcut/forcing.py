@@ -7,7 +7,7 @@ graphs without chordless cycles longer than four, every free component
 of a stable state attaches to exactly one side, which yields polynomial
 solvers for matching cuts and for perfect matchings containing one.
 Each stable seed's cut is checked as a matching cut before it is used;
-the dpm solver completes it by matching.perfect_matching_through.
+the dpm solver hands the cuts to matching.first_completion.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
 from .graphs import Cut, Graph, GraphError, check_matching_cut, connected_components, is_connected
-from .matching import has_perfect_matching, perfect_matching_through
+from .matching import first_completion
 
 
 class ForcingState(NamedTuple):
@@ -214,18 +214,10 @@ def solve_dpm_4chordal(g: Graph) -> tuple[list[tuple[int, int]], Cut] | None:
     the matching, or None.  Complete on connected graphs without
     chordless cycles longer than four.
 
-    A graph of odd order, or one whose blossom matching is not perfect,
-    answers None before any seed is tried: one O(n^3) matching run in
-    place of a propagation per seed edge.  Otherwise each surviving
-    seed costs a propagation, a free-vertex split and one completion of
-    its cut (perfect_matching_through).
+    The stable seeds' cuts go to first_completion, so a graph without a
+    perfect matching answers None before any seed is tried: one O(n^3)
+    matching run in place of a propagation per seed edge.
     """
     if not is_connected(g):
         raise GraphError("disconnected-perfect-matching search requires a connected graph")
-    if g.n % 2 or not has_perfect_matching(g):
-        return None
-    for cut in _stable_seeds(g):
-        matching = perfect_matching_through(g, cut)
-        if matching is not None:
-            return matching, cut
-    return None
+    return first_completion(g, _stable_seeds(g))

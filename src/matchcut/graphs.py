@@ -365,17 +365,11 @@ def is_perfect_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
     return is_matching(edges) and 2 * len(edges) == g.n
 
 
-def is_disconnected_perfect_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
-    """True when the matching is perfect and removing its edges disconnects g.
-
-    One breadth-first search from vertex 0 that skips each vertex's
-    matched edge tells whether g without the matching is connected.
-    """
-    edges = list(matching)
-    if not is_perfect_matching(g, edges) or g.n == 0:
-        return False
-    mate = [0] * g.n
-    for u, v in edges:
+def part_without(g: Graph, matching: Iterable[tuple[int, int]]) -> list[int]:
+    """The vertices vertex 0 reaches in g without the matching's edges:
+    one breadth-first search that skips each vertex's matched edge."""
+    mate = [-1] * g.n
+    for u, v in matching:
         mate[u], mate[v] = v, u
     adj = g.adj
     marked = [False] * g.n
@@ -386,4 +380,12 @@ def is_disconnected_perfect_matching(g: Graph, matching: Iterable[tuple[int, int
             if not marked[u] and u != mate[v]:
                 marked[u] = True
                 found.append(u)
-    return len(found) < g.n
+    return found
+
+
+def is_disconnected_perfect_matching(g: Graph, matching: Iterable[tuple[int, int]]) -> bool:
+    """True when the matching is perfect and removing its edges disconnects g."""
+    edges = list(matching)
+    if not is_perfect_matching(g, edges) or g.n == 0:
+        return False
+    return len(part_without(g, edges)) < g.n

@@ -9,6 +9,7 @@ ascending.
 from __future__ import annotations
 
 from collections import deque
+from typing import Iterable
 
 from .graphs import Cut, Graph, induced_subgraph
 
@@ -113,8 +114,9 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
 
 
 def has_perfect_matching(g: Graph) -> bool:
-    """True when a matching covers every vertex; the empty graph qualifies."""
-    return 2 * len(maximum_matching(g)) == g.n
+    """True when a matching covers every vertex; the empty graph
+    qualifies, and a graph of odd order fails without a blossom run."""
+    return g.n % 2 == 0 and 2 * len(maximum_matching(g)) == g.n
 
 
 def perfect_matching_through(g: Graph, cut: Cut) -> list[tuple[int, int]] | None:
@@ -135,3 +137,21 @@ def perfect_matching_through(g: Graph, cut: Cut) -> list[tuple[int, int]] | None
         return None
     pairs = [(old_ids[u], old_ids[v]) for u, v in inner]
     return sorted(pairs + [(min(edge), max(edge)) for edge in cut.crossing])
+
+
+def first_completion(
+    g: Graph, cuts: Iterable[Cut]
+) -> tuple[list[tuple[int, int]], Cut] | None:
+    """(matching, cut) for the first of the matching cuts that
+    perfect_matching_through completes, or None.
+
+    A graph without a perfect matching answers None before any cut is
+    drawn: one blossom run in place of one per cut.
+    """
+    if not has_perfect_matching(g):
+        return None
+    for cut in cuts:
+        matching = perfect_matching_through(g, cut)
+        if matching is not None:
+            return matching, cut
+    return None

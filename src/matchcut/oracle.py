@@ -9,7 +9,8 @@ budget (OracleLimits).  All procedures are deterministic.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Iterator
 
 from .graphs import (
     Cut,
@@ -19,6 +20,7 @@ from .graphs import (
     OracleLimits,
     OracleSizeError,
     make_cut,
+    part_without,
 )
 
 DEFAULT_LIMITS = OracleLimits()
@@ -60,29 +62,21 @@ def enumerate_matching_cuts(
     (every vertex has at most one cross neighbor), "perfect_only" keeps
     perfect matching cuts (exactly one cross neighbor each).
     Representatives put vertex 0 on the X side; output is ordered
-    lexicographically by side vector.
+    lexicographically by side vector.  stop_after, None or >= 0, keeps
+    only that many of the first cuts; a negative value is a ValueError.
     """
     if mode not in ("matching_only", "perfect_only"):
         raise ValueError(f"unknown enumeration mode {mode!r}")
     deadline = _guard(g, limits)
-    out: list[Cut] = []
-    if g.n < 2:
-        return out
-
-    def keep(cut: Cut) -> bool:
-        out.append(cut)
-        return stop_after is not None and len(out) >= stop_after
-
-    _enumerate_pruned(g, mode == "perfect_only", deadline, keep)
-    return out
+    return list(islice(_enumerate_pruned(g, mode == "perfect_only", deadline), stop_after))
 
 
-def _enumerate_pruned(
-    g: Graph, perfect: bool, deadline: _Deadline, accept: Callable[[Cut], bool]
-) -> bool:
-    """Pass each cut to accept, in lexicographic order of the side
-    vector, until accept returns True; True when it did."""
+def _enumerate_pruned(g: Graph, perfect: bool, deadline: _Deadline) -> Iterator[Cut]:
+    """Yield each cut in lexicographic order of the side vector; a graph
+    of fewer than two vertices has none."""
     n = g.n
+    if n < 2:
+        return
     adj = [sorted(g.adj[v]) for v in range(n)]
     side = [-1] * n
     cross = [0] * n
@@ -148,23 +142,21 @@ def _enumerate_pruned(
                 if side[u] != -1 and side[u] != s:
                     cross[u] -= 1
 
-    def search() -> bool:
+    def search() -> Iterator[Cut]:
         deadline.check()
         v = next((u for u in range(n) if side[u] == -1), -1)
         if v == -1:
-            return any(s == 1 for s in side) and accept(
-                make_cut(g, {u for u in range(n) if side[u] == 0})
-            )
+            if any(s == 1 for s in side):
+                yield make_cut(g, {u for u in range(n) if side[u] == 0})
+            return
         for s in (0, 1):
             trail: list[int] = []
-            if assign_forced(v, s, trail) and search():
-                undo(trail)
-                return True
+            if assign_forced(v, s, trail):
+                yield from search()
             undo(trail)
-        return False
 
-    root_trail: list[int] = []
-    return assign_forced(0, 0, root_trail) and search()
+    if assign_forced(0, 0, []):
+        yield from search()
 
 
 def has_mc(g: Graph, limits: OracleLimits | None = None) -> bool:
@@ -190,38 +182,26 @@ def perfect_matchings(
     adj = [sorted(g.adj[v]) for v in range(n)]
     mate = [-1] * n
     chosen: list[tuple[int, int]] = []
-    deadline.check()
-    if n == 0:
-        yield ()
-        return
-    # one [vertex, index of its next partner in adj] per matched pair
-    stack = [[0, 0]]
-    while stack:
-        frame = stack[-1]
-        v, i = frame
-        if i:
-            # undo this level's previous choice
-            u = chosen.pop()[1]
-            mate[v] = mate[u] = -1
-        nbrs = adj[v]
-        while i < len(nbrs) and mate[nbrs[i]] != -1:
-            i += 1
-        if i == len(nbrs):
-            stack.pop()
-            continue
-        u = nbrs[i]
-        frame[1] = i + 1
-        mate[v] = u
-        mate[u] = v
-        chosen.append((v, u))
-        deadline.check()
-        w = v + 1
-        while w < n and mate[w] != -1:
-            w += 1
-        if w == n:
+
+    def extend(v: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        # v is the lowest unmatched vertex, n once every vertex is matched
+        if v == n:
             yield tuple(chosen)
-        else:
-            stack.append([w, 0])
+            return
+        for u in adj[v]:
+            if mate[u] == -1:
+                mate[v], mate[u] = u, v
+                chosen.append((v, u))
+                deadline.check()
+                w = v + 1
+                while w < n and mate[w] != -1:
+                    w += 1
+                yield from extend(w)
+                chosen.pop()
+                mate[v] = mate[u] = -1
+
+    deadline.check()
+    yield from extend(0)
 
 
 def find_dpm(
@@ -240,27 +220,10 @@ def find_dpm(
         return None
     spent = time.monotonic() - start
     left = OracleLimits(limits.max_vertices, max(0.0, limits.budget_seconds - spent))
-    n = g.n
-    masks = g.adjacency_masks()
-    full = (1 << n) - 1
     for matching in perfect_matchings(g, left):
-        # neighbours without the matched partner, as bitmasks
-        rest = masks[:]
-        for u, v in matching:
-            rest[u] ^= 1 << v
-            rest[v] ^= 1 << u
-        # grow vertex 0's part of g minus the matching a layer at a time
-        seen = frontier = 1
-        while frontier and seen != full:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= rest[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= frontier
-        if seen != full:
-            return matching, make_cut(g, (v for v in range(n) if seen >> v & 1))
+        part = part_without(g, matching)
+        if len(part) < g.n:
+            return matching, make_cut(g, part)
     return None
 
 
@@ -270,21 +233,13 @@ def has_dpm(g: Graph, limits: OracleLimits | None = None) -> bool:
     Such a matching holds the crossing edges of a matching cut and
     perfectly matches the graph without their ends; conversely, any
     matching cut whose crossing edges' ends leave a perfectly matchable
-    rest extends to one.  So this searches the matching cuts, with one
-    matching.perfect_matching_through run per cut, and lists no perfect
-    matching.
+    rest extends to one.  So matching.first_completion runs over the
+    matching cuts, and no perfect matching is listed.
     """
-    n = g.n
-    if n == 0:
-        return False
     deadline = _guard(g, limits)
-    from . import matching
+    from .matching import first_completion
 
-    if n % 2 or not matching.has_perfect_matching(g):
-        return False
-    return _enumerate_pruned(
-        g, False, deadline, lambda cut: matching.perfect_matching_through(g, cut) is not None
-    )
+    return first_completion(g, _enumerate_pruned(g, False, deadline)) is not None
 
 
 def longest_induced_path(g: Graph, limits: OracleLimits | None = None) -> int:

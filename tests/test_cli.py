@@ -395,6 +395,21 @@ class TestReduce:
         expected = layout_sidecar(build_reduction(formula))
         assert (tmp_path / "inst.layout.json").read_text() == expected
 
+    def test_full_output(self, capsys, write, tmp_path):
+        cnf = write("f.cnf", format_formula_dimacs(Formula13(4, ((0, 1, 2), (1, 2, 3)))))
+        out = str(tmp_path / "inst")
+        argv = ["reduce", cnf, "--out", out]
+        assert main(argv) == 0
+        assert capsys.readouterr() == (
+            f"clauses: 2\nvariables: 4\nn: 28\nm: 59\nwrote: {out}.graph {out}.layout.json\n",
+            "",
+        )
+        assert main(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            f'{{"clauses": 2, "graph": "{out}.graph", "layout": "{out}.layout.json", '
+            '"m": 59, "n": 28, "variables": 4}\n'
+        )
+
     def test_rejects_bad_cnf(self, capsys, write, tmp_path):
         cnf = write("f.cnf", "p cnf 3 1\n1 2 0\n")
         rc = main(["reduce", cnf, "--out", str(tmp_path / "x")])

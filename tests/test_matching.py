@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 import bruteforce
 from matchcut import build_graph, is_matching
 from matchcut.graphs import complete_graph, cycle_graph, path_graph
-from matchcut.matching import has_perfect_matching, maximum_matching
+import matchcut.matching
+from matchcut.matching import first_completion, has_perfect_matching, maximum_matching
+from matchcut.oracle import enumerate_matching_cuts
 from conftest import petersen_graph, random_graph
 
 
@@ -34,6 +36,37 @@ class TestKnownSizes:
         assert not has_perfect_matching(cycle_graph(5))
         assert not has_perfect_matching(path_graph(3))
         assert has_perfect_matching(complete_graph(4))
+
+    def test_odd_order_needs_no_blossom(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("blossom ran")
+
+        monkeypatch.setattr(matchcut.matching, "maximum_matching", refuse)
+        assert not has_perfect_matching(cycle_graph(5))
+        assert not has_perfect_matching(path_graph(1))
+
+
+def refusing(*cuts):
+    """The given cuts, then an AssertionError when one more is drawn."""
+    yield from cuts
+    raise AssertionError("a cut was drawn")
+
+
+class TestFirstCompletion:
+    def test_no_perfect_matching_draws_no_cut(self):
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        for g in (cycle_graph(5), path_graph(3), star):
+            assert first_completion(g, refusing()) is None
+
+    def test_first_completing_cut(self, domino):
+        cuts = enumerate_matching_cuts(domino)[::-1]
+        assert sorted(cuts[0].x) == [0, 3, 4]
+        assert first_completion(domino, refusing(*cuts)) == ([(0, 1), (2, 3), (4, 5)], cuts[0])
+
+    def test_no_cut_completes(self, two_triangles):
+        cuts = enumerate_matching_cuts(two_triangles)
+        assert len(cuts) == 1
+        assert first_completion(two_triangles, iter(cuts)) is None
 
 
 class TestOutputContract:

@@ -71,6 +71,17 @@ class TestEnumerateCuts:
         cuts = enumerate_matching_cuts(g, "matching_only", WIDE, stop_after=1)
         assert len(cuts) == 1
 
+    def test_stop_after_keeps_a_prefix(self):
+        g = cycle_graph(8)
+        for mode in ("matching_only", "perfect_only"):
+            every = enumerate_matching_cuts(g, mode, WIDE)
+            for k in range(len(every) + 2):
+                assert enumerate_matching_cuts(g, mode, WIDE, stop_after=k) == every[:k]
+
+    def test_negative_stop_after(self):
+        with pytest.raises(ValueError):
+            enumerate_matching_cuts(cycle_graph(8), "matching_only", WIDE, stop_after=-1)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             enumerate_matching_cuts(cycle_graph(4), "bogus", WIDE)
@@ -116,6 +127,22 @@ class TestPerfectMatchingsAndDpm:
             g = random_graph(random.Random(seed), 6, 0.5)
             got = {frozenset(map(tuple, m)) for m in perfect_matchings(g, WIDE)}
             assert got == set(bruteforce.perfect_matchings(g))
+
+    def test_listing_order(self):
+        # lexicographic on the partner choices is the sorted order of the
+        # matchings as sorted pair tuples
+        graphs = [build_graph(0, []), path_graph(5), complete_graph(6)]
+        graphs += [random_graph(random.Random(seed), 2 + seed % 7, 0.6) for seed in range(60)]
+        for g in graphs:
+            want = sorted(tuple(sorted(m)) for m in bruteforce.perfect_matchings(g))
+            assert list(perfect_matchings(g, WIDE)) == want, g
+        assert list(perfect_matchings(build_graph(0, []), WIDE)) == [()]
+
+    def test_zero_budget_stops_before_the_first_matching(self):
+        for g in (build_graph(0, []), complete_graph(4)):
+            listing = perfect_matchings(g, OracleLimits(30, 0.0))
+            with pytest.raises(OracleBudgetError):
+                next(listing)
 
     def test_has_dpm_examples(self, two_triangles, domino):
         assert not has_dpm(two_triangles)
