@@ -62,10 +62,6 @@ def _limits(args: argparse.Namespace) -> OracleLimits:
     )
 
 
-def _format_pairs(pairs) -> str:
-    return " ".join(f"{u}-{v}" for u, v in pairs)
-
-
 def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -73,45 +69,41 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> Non
         print("\n".join(text_lines))
 
 
+def _text(value: str | list) -> str:
+    """A report field as text: a word as it is, a list as its vertices
+    or u-v pairs separated by spaces."""
+    if isinstance(value, str):
+        return value
+    return " ".join("-".join(map(str, e)) if isinstance(e, list) else str(e) for e in value)
+
+
 def _solve_output(result: Result) -> tuple[dict, list[str]]:
-    payload: dict = {"problem": result.problem}
-    lines = []
+    """The JSON payload and the text lines, both from one field dict
+    in text order."""
+    fields: dict = {}
     if result.algo is not None:
-        payload["algo"] = result.algo
-        lines.append(f"algo: {result.algo}")
+        fields["algo"] = result.algo
     cut = result.cut
     if cut is None:
-        payload["verdict"] = "NO"
-        lines.append("verdict: NO")
+        fields["verdict"] = "NO"
     else:
         x: list[int] = []
         y: list[int] = []
         for v, in_x in enumerate(cut.side):
             (x if in_x else y).append(v)
-        payload |= {
-            "verdict": "YES",
-            "x": x,
-            "y": y,
-            "crossing": [list(e) for e in cut.crossing],
-        }
-        lines += [
-            "verdict: YES",
-            "x: " + " ".join(map(str, x)),
-            "y: " + " ".join(map(str, y)),
-            "crossing: " + _format_pairs(cut.crossing),
-        ]
+        fields |= {"verdict": "YES", "x": x, "y": y, "crossing": [list(e) for e in cut.crossing]}
     if result.matching is not None:
-        payload["matching"] = [list(e) for e in result.matching]
-        lines.append("matching: " + _format_pairs(result.matching))
+        fields["matching"] = [list(e) for e in result.matching]
     if result.reason is not None:
-        payload["reason"] = result.reason
-        lines.append(f"reason: {result.reason}")
-    return payload, lines
+        fields["reason"] = result.reason
+    lines = [f"{key}: {_text(value)}" for key, value in fields.items()]
+    return {"problem": result.problem} | fields, lines
 
 
 def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
     """Write the merged per-component 2-CNF and its variable sidecar,
-    sweeping only the components that result's solve did not."""
+    from the sweeps of result's solve, or from fresh ones when it made
+    none."""
     from .files import format_twosat_dimacs, twosat_sidecar
     from .pmc import build_merged_formula
 
@@ -306,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, GraphError, OSError) as exc:
+    except (ParseError, GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OracleSizeError, OracleBudgetError, RecursionError) as exc:

@@ -94,6 +94,8 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
                 var_count, promised = int(parts[2]), int(parts[3])
             except ValueError as exc:
                 raise ParseError(f"non-numeric problem line {line!r}") from exc
+            if var_count < 0:
+                raise ParseError(f"problem line declares {var_count} variables")
             if var_count > MAX_VARIABLES:
                 raise ParseError(
                     f"problem line declares {var_count} variables, the limit is {MAX_VARIABLES}"

@@ -18,20 +18,22 @@ from typing import Iterator
 
 from .graphs import Graph, GraphError, build_graph
 
+# the per-vertex probability of attempting a chordless-square splice
+SQUARE_CHANCE = 0.25
+
 
 def random_connected_4chordal(
     rng: random.Random,
     n: int,
     *,
     clique_growth: float = 0.45,
-    square_chance: float = 0.25,
 ) -> Graph:
     """Sample a connected n-vertex graph with all chordless cycles short.
 
     Deterministic for a given rng state.  clique_growth tunes density;
-    square_chance is the per-vertex probability of attempting a
-    chordless-square splice (skipped when it would create a longer
-    chordless cycle).
+    a vertex attempts a chordless-square splice with probability
+    SQUARE_CHANCE (skipped when it would create a longer chordless
+    cycle).
     """
     if n < 1:
         raise GraphError("need at least one vertex")
@@ -86,7 +88,7 @@ def random_connected_4chordal(
         return True
 
     for v in range(1, n):
-        if v >= 3 and rng.random() < square_chance and try_square(v):
+        if v >= 3 and rng.random() < SQUARE_CHANCE and try_square(v):
             continue
         attach_to_clique(v)
     return build_graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])

@@ -15,7 +15,7 @@ on it as the parity pass.
 from __future__ import annotations
 
 from itertools import compress
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     BfsLevels,
@@ -44,39 +44,27 @@ class TraceEntry(NamedTuple):
     clause_ids: tuple[int, ...]
 
 
-class LeafClassification(NamedTuple):
-    """How an undetermined vertex attaches to the layer below.
-
-    kind "c1": exactly one undetermined neighbor below (u).
-    kind "c2": exactly two, non-adjacent, with a common undetermined
-               vertex w two layers down closing a chordless square.
-    kind "c3": three or more, exactly one of which (u) lies in its own
-               component of the undetermined part of the layer below.
-    kind "none": no rule applies; no perfect matching cut exists.
-    """
-
-    kind: str
-    u: int | None = None
-    u1: int | None = None
-    u2: int | None = None
-    w: int | None = None
-
-
-_NONE = LeafClassification("none")
-
-
 def classify_leaf(
     g: Graph, levels: BfsLevels, determined: set[int], v: int
-) -> LeafClassification:
+) -> tuple[str, tuple[int, ...]]:
     """Classify v against the undetermined part of the layer below it;
-    determined holds the vertices whose cross partner is encoded."""
+    determined holds the vertices whose cross partner is encoded.
+
+    Returns the (rule, partners) pair that v's TraceEntry records:
+    ("c1", (u,)): exactly one undetermined neighbor below, u.
+    ("c2", (u1, u2, w)): exactly two, non-adjacent, with a common
+        undetermined vertex w two layers down closing a chordless square.
+    ("c3", (u,)): three or more, exactly one of which, u, lies in its
+        own component of the undetermined part of the layer below.
+    ("none", ()): no rule applies; no perfect matching cut exists.
+    """
     level_of = levels.level_of
     i = level_of[v]
     below = sorted(u for u in g.adj[v] - determined if level_of[u] == i - 1)
     if not below:
-        return _NONE
+        return "none", ()
     if len(below) == 1:
-        return LeafClassification("c1", u=below[0])
+        return "c1", (below[0],)
     if len(below) == 2:
         u1, u2 = below
         if i >= 2 and not g.has_edge(u1, u2):
@@ -86,13 +74,9 @@ def classify_leaf(
                 if levels.level_of[w] == i - 2 and w not in determined
             )
             if common:
-                return LeafClassification("c2", u1=u1, u2=u2, w=common[0])
-        return _NONE
-    open_below = [
-        u
-        for u in levels.levels[i - 1]
-        if u not in determined
-    ]
+                return "c2", (u1, u2, common[0])
+        return "none", ()
+    open_below = [u for u in levels.levels[i - 1] if u not in determined]
     comps = connected_components(g, open_below)
     comp_of = {}
     for idx, comp in enumerate(comps):
@@ -104,8 +88,8 @@ def classify_leaf(
     if len(groups) == 2:
         sizes = sorted(groups.values(), key=len)
         if len(sizes[0]) == 1:
-            return LeafClassification("c3", u=sizes[0][0])
-    return _NONE
+            return "c3", (sizes[0][0],)
+    return "none", ()
 
 
 class PmcEncoding(NamedTuple):
@@ -165,19 +149,18 @@ def build_pmc_formula(
         for v in reversed(layer) if reverse_scan else layer:
             if v in determined:
                 continue
-            cls = classify_leaf(g, levels, determined, v)
-            if cls.kind == "none":
+            rule, partners = classify_leaf(g, levels, determined, v)
+            if rule == "none":
                 return PmcEncoding(g.n, None, trace, v)
             first = len(relations)
-            if cls.kind in ("c1", "c3"):
-                partners = (cls.u,)
-                relations.append((v, cls.u, True))
-                anchors = (v, cls.u)
+            if rule == "c2":
+                u1, u2, w = partners
+                relations.append((v, w, True))
+                relations.append((u1, u2, True))
+                anchors = (v, w, u1, u2)
             else:
-                partners = (cls.u1, cls.u2, cls.w)
-                relations.append((v, cls.w, True))
-                relations.append((cls.u1, cls.u2, True))
-                anchors = (v, cls.w, cls.u1, cls.u2)
+                relations.append((v, partners[0], True))
+                anchors = (v, *partners)
             # the anchors are distinct and were all undetermined: v sits on
             # layer i, u (or u1 != u2) on layer i-1, w on layer i-2
             determined.update(anchors)
@@ -185,7 +168,7 @@ def build_pmc_formula(
                 rest = sorted(adj[anchor] - determined)
                 relations += [(anchor, x, False) for x in rest]
             # one step's relations are contiguous
-            trace.append(TraceEntry(v, cls.kind, partners, tuple(range(2 * first, 2 * len(relations)))))
+            trace.append(TraceEntry(v, rule, partners, tuple(range(2 * first, 2 * len(relations)))))
     if root not in determined:
         # nothing paired the root, so no perfect pairing across the cut
         # can exist; a 2-colouring here would leave the root with zero
@@ -258,8 +241,7 @@ def sweep_components(
     reverse_scan: bool = False,
 ) -> Iterator[ComponentSweep]:
     """Sweep each component of g, or each of comps (components of g in
-    connected_components order), one at a time, so a caller that stops
-    early sweeps no more.
+    connected_components order), one at a time.
 
     Every component is swept in place on g: one level_of list serves
     all their layerings, so a component costs only its own size.  root
@@ -279,21 +261,20 @@ def sweep_components(
 
 
 def build_merged_formula(
-    g: Graph, swept: tuple[ComponentSweep, ...] | None = None
+    g: Graph, sweeps: Iterable[ComponentSweep] | None = None
 ) -> tuple[TwoSatInstance, list[int], list[int]]:
     """The 2-CNF of every component, over g's own vertex ids.
 
-    swept holds the sweeps of g's first components, as
-    solve_pmc_sweeps returns them; only the components after them are
-    swept here.  Returns (instance, shallow, blocked): the merged
-    clauses, the vertices of components too shallow for the sweep, and
-    the vertex that blocked each blocked sweep; neither adds clauses.
+    sweeps holds the sweeps of all of g's components, as
+    solve_pmc_sweeps returns them; when None, every component is swept
+    here.  Returns (instance, shallow, blocked): the merged clauses, the
+    vertices of components too shallow for the sweep, and the vertex
+    that blocked each blocked sweep; neither adds clauses.
     """
     from .twosat import TwoSatInstance
 
-    sweeps: list[ComponentSweep] = list(swept or ())
-    if sum(len(s.vertices) for s in sweeps) < g.n:
-        sweeps.extend(sweep_components(g, connected_components(g)[len(sweeps):]))
+    if sweeps is None:
+        sweeps = sweep_components(g)
     relations: list[Relation] = []
     shallow: list[int] = []
     blocked: list[int] = []
@@ -314,34 +295,29 @@ def solve_pmc_sweeps(
     root: int | None = None,
     reverse_scan: bool = False,
 ) -> tuple[Cut | None, tuple[ComponentSweep, ...]]:
-    """solve_pmc_4chordal, also returning the sweeps it made.
+    """solve_pmc_4chordal, also returning the sweeps it made: one per
+    component, in connected_components order.
 
-    comps, when given, are g's connected components in
-    connected_components order.  The sweeps cover a prefix of them: all
-    of them, unless a blocked sweep or a shallow component other than
-    K2 answered NO first.
+    comps, when given, are g's connected components in that order.
+    Every component is swept before the verdict is read off the sweeps.
     """
-    if g.n < 2:
-        return None, ()
-    swept: list[ComponentSweep] = []
+    sweeps = tuple(sweep_components(g, comps, root, reverse_scan))
     relations: list[Relation] = []
-    for sweep in sweep_components(g, comps, root, reverse_scan):
-        swept.append(sweep)
-        if sweep.shallow:
-            if len(sweep.vertices) != 2:
-                return None, tuple(swept)
-            relations.append((sweep.vertices[0], sweep.vertices[1], True))
-        elif sweep.relations is None:
-            return None, tuple(swept)
-        else:
+    for sweep in sweeps:
+        if sweep.relations is not None:
             relations.extend(sweep.relations)
+        elif sweep.shallow and len(sweep.vertices) == 2:
+            relations.append((*sweep.vertices, True))
+        else:
+            # a blocked sweep, or a shallow component other than K2
+            return None, sweeps
     model = solve_parity(g.n, relations)
     if model is None:
-        return None, tuple(swept)
+        return None, sweeps
     # only a broken no-long-chordless-cycle promise can make this check
     # fail; never return an invalid cut
     cut, _ = check_perfect_matching_cut(g, compress(range(g.n), model))
-    return cut, tuple(swept)
+    return cut, sweeps
 
 
 def solve_pmc_4chordal(

@@ -24,8 +24,8 @@ class Result:
     algo is the algorithm that decided, or None when the graph's shape
     answered first.  matching is the dpm perfect matching on YES.
     reason names the shortcut behind a NO that has one.  sweeps holds
-    the per-component pmc sweeps the 4-chordal solver made, so that the
-    2-CNF of the same components is not swept again; it is None on
+    the 4-chordal pmc solver's sweeps, one per component of the graph,
+    so that its 2-CNF is built without sweeping again; it is None on
     every other path.
 
     A Result is immutable.  It compares, hashes and prints by its other

@@ -44,7 +44,6 @@ from matchcut.matching import has_perfect_matching, maximum_matching
 from matchcut.oracle import DEFAULT_LIMITS, OracleLimits
 from matchcut.pmc import (
     ComponentSweep,
-    LeafClassification,
     PmcEncoding,
     Relation,
     TraceEntry,
@@ -136,15 +135,16 @@ class DeterminedSet:
 
 def classify_leaf_reference(
     g: Graph, levels: BfsLevels, determined: DeterminedSet, v: int
-) -> LeafClassification:
-    """Classify v against the undetermined part of the layer below it."""
+) -> tuple[str, tuple[int, ...]]:
+    """Classify v against the undetermined part of the layer below it,
+    as a (rule, partners) pair."""
     level_of = levels.level_of
     i = level_of[v]
     below = sorted(u for u in determined.undetermined(g.adj[v]) if level_of[u] == i - 1)
     if not below:
-        return LeafClassification("none")
+        return "none", ()
     if len(below) == 1:
-        return LeafClassification("c1", u=below[0])
+        return "c1", (below[0],)
     if len(below) == 2:
         u1, u2 = below
         if i >= 2 and not g.has_edge(u1, u2):
@@ -154,8 +154,8 @@ def classify_leaf_reference(
                 if levels.level_of[w] == i - 2 and w not in determined
             )
             if common:
-                return LeafClassification("c2", u1=u1, u2=u2, w=common[0])
-        return LeafClassification("none")
+                return "c2", (u1, u2, common[0])
+        return "none", ()
     open_below = [
         u
         for u in levels.levels[i - 1]
@@ -172,8 +172,8 @@ def classify_leaf_reference(
     if len(groups) == 2:
         sizes = sorted(groups.values(), key=len)
         if len(sizes[0]) == 1:
-            return LeafClassification("c3", u=sizes[0][0])
-    return LeafClassification("none")
+            return "c3", (sizes[0][0],)
+    return "none", ()
 
 
 def build_pmc_formula_reference(
@@ -193,25 +193,25 @@ def build_pmc_formula_reference(
         for v in reversed(layer) if reverse_scan else layer:
             if v in determined:
                 continue
-            cls = classify_leaf_reference(g, levels, determined, v)
-            if cls.kind == "none":
+            rule, partners = classify_leaf_reference(g, levels, determined, v)
+            if rule == "none":
                 return PmcEncoding(g.n, None, determined.trace, v)
             first = len(relations)
-            if cls.kind in ("c1", "c3"):
-                partners = (cls.u,)
-                relations.append((v, cls.u, True))
-                anchors = (v, cls.u)
+            if rule in ("c1", "c3"):
+                (u,) = partners
+                relations.append((v, u, True))
+                anchors = (v, u)
             else:
-                partners = (cls.u1, cls.u2, cls.w)
-                relations.append((v, cls.w, True))
-                relations.append((cls.u1, cls.u2, True))
-                anchors = (v, cls.w, cls.u1, cls.u2)
+                u1, u2, w = partners
+                relations.append((v, w, True))
+                relations.append((u1, u2, True))
+                anchors = (v, w, u1, u2)
             determined.add(anchors)
             for anchor in anchors:
                 rest = sorted(determined.undetermined(adj[anchor]))
                 relations += [(anchor, x, False) for x in rest]
             # one step's relations are contiguous
-            determined.log(v, cls.kind, partners, tuple(range(2 * first, 2 * len(relations))))
+            determined.log(v, rule, partners, tuple(range(2 * first, 2 * len(relations))))
     if root not in determined:
         return PmcEncoding(g.n, None, determined.trace, root)
     return PmcEncoding(g.n, tuple(relations), determined.trace, None)

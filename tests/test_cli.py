@@ -423,6 +423,13 @@ class TestReduce:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "x.graph").exists()
 
+    def test_negative_variable_count(self, capsys, write, tmp_path):
+        cnf = write("f.cnf", "p cnf -1 0\n")
+        rc = main(["reduce", cnf, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: problem line declares -1 variables\n"
+        assert not (tmp_path / "x.graph").exists()
+
 
 class TestCrosscheck:
     ARGS = ["crosscheck", "--seed", "0", "--count", "5", "--max-n", "10"]
@@ -472,6 +479,23 @@ class TestExitCodes:
         path = write("bad", "not a graph\n")
         rc = main(["solve", path, "--problem", "mc"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "BAD", "--problem", "mc"],
+            ["check", "BAD", "--k-chordal", "4"],
+            ["check", "G", "--pattern", "BAD"],
+            ["reduce", "BAD", "--out", "OUT"],
+        ],
+    )
+    def test_input_not_utf8(self, capsys, tmp_path, graph_file, two_squares, argv):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe\x00")
+        swap = {"BAD": str(bad), "G": graph_file("g", two_squares), "OUT": str(tmp_path / "out")}
+        rc = main([swap.get(a, a) for a in argv])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
     def test_vertex_count_cap(self, capsys, write):
         path = write("huge", "1000001 0\n")

@@ -83,6 +83,7 @@ class TestDimacs:
             "p cnf 3 2\n1 2 3 0\n",
             "p cnf 3 1\n1 q 3 0\n",
             "p cnf 1000001 1\n1 2 3 0\n",
+            "p cnf -1 0\n",
         ],
     )
     def test_rejects_malformed(self, text):

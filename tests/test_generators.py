@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from matchcut import GraphError, random_connected_4chordal
+from matchcut import GraphError, generators, random_connected_4chordal
 from matchcut.generators import sample_instances
 from matchcut.graphs import is_connected
 
@@ -37,7 +37,7 @@ class TestRandomConnected4Chordal:
         g = random_connected_4chordal(random.Random(7), 40)
         assert g.n == 40 and is_connected(g)
 
-    def test_matches_reference(self):
+    def test_matches_reference(self, monkeypatch):
         # the one-search splice check keeps every graph the exhaustive
         # cycle check produced, for the same rng stream
         master = random.Random(20261018)
@@ -46,9 +46,8 @@ class TestRandomConnected4Chordal:
             n = master.randint(1, 40)
             density = master.uniform(0.1, 0.9)
             square = master.choice((0.25, 0.6))
-            got = random_connected_4chordal(
-                random.Random(seed), n, clique_growth=density, square_chance=square
-            )
+            monkeypatch.setattr(generators, "SQUARE_CHANCE", square)
+            got = random_connected_4chordal(random.Random(seed), n, clique_growth=density)
             want = bruteforce.random_connected_4chordal_reference(
                 random.Random(seed), n, clique_growth=density, square_chance=square
             )

@@ -24,6 +24,7 @@ from matchcut.pmc import (
     relation_clauses,
     solve_parity,
     solve_pmc_4chordal,
+    solve_pmc_sweeps,
     sweep_components,
 )
 from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat
@@ -32,43 +33,38 @@ from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat
 class TestClassifyLeaf:
     def test_single_open_neighbor_below(self):
         g = path_graph(3)
-        cls = classify_leaf(g, bfs_levels(g, 0), set(), 2)
-        assert cls.kind == "c1" and cls.u == 1
+        assert classify_leaf(g, bfs_levels(g, 0), set(), 2) == ("c1", (1,))
 
     def test_square_closure(self, two_squares):
-        cls = classify_leaf(two_squares, bfs_levels(two_squares, 0), set(), 5)
-        assert cls.kind == "c2"
-        assert (cls.u1, cls.u2, cls.w) == (3, 4, 1)
+        # partners (u1, u2, w)
+        assert classify_leaf(two_squares, bfs_levels(two_squares, 0), set(), 5) == ("c2", (3, 4, 1))
 
     def test_pair_without_open_square_vertex(self):
         # 4-cycle 0-1-3-2; once the root is determined no square closes
         g = build_graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         levels = bfs_levels(g, 0)
         open_det = set()
-        assert classify_leaf(g, levels, open_det, 3).kind == "c2"
+        assert classify_leaf(g, levels, open_det, 3) == ("c2", (1, 2, 0))
         taken = {0}
-        assert classify_leaf(g, levels, taken, 3).kind == "none"
+        assert classify_leaf(g, levels, taken, 3) == ("none", ())
 
     def test_pair_adjacent_below(self):
         g = build_graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        cls = classify_leaf(g, bfs_levels(g, 0), set(), 3)
-        assert cls.kind == "none"
+        assert classify_leaf(g, bfs_levels(g, 0), set(), 3) == ("none", ())
 
     def test_isolated_component_neighbor(self):
         # below layer splits as {1} + {2, 3}; vertex 1 is the private one
         g = build_graph(
             5, [(0, 1), (0, 2), (0, 3), (2, 3), (1, 4), (2, 4), (3, 4)]
         )
-        cls = classify_leaf(g, bfs_levels(g, 0), set(), 4)
-        assert cls.kind == "c3" and cls.u == 1
+        assert classify_leaf(g, bfs_levels(g, 0), set(), 4) == ("c3", (1,))
 
     def test_triple_single_component(self):
         g = build_graph(
             5,
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4)],
         )
-        cls = classify_leaf(g, bfs_levels(g, 0), set(), 4)
-        assert cls.kind == "none"
+        assert classify_leaf(g, bfs_levels(g, 0), set(), 4) == ("none", ())
 
     def test_two_components_both_large(self):
         g = build_graph(
@@ -79,13 +75,12 @@ class TestClassifyLeaf:
                 (1, 5), (2, 5), (3, 5), (4, 5),
             ],
         )
-        cls = classify_leaf(g, bfs_levels(g, 0), set(), 5)
-        assert cls.kind == "none"
+        assert classify_leaf(g, bfs_levels(g, 0), set(), 5) == ("none", ())
 
     def test_no_open_vertex_below(self):
         g = path_graph(2)
         det = {0}
-        assert classify_leaf(g, bfs_levels(g, 0), det, 1).kind == "none"
+        assert classify_leaf(g, bfs_levels(g, 0), det, 1) == ("none", ())
 
 
 class TestBuildFormula:
@@ -205,6 +200,7 @@ class TestSolvePmc:
         assert solve_pmc_4chordal(braced_hexagon) is None
         assert solve_pmc_4chordal(path_graph(5)) is None
         assert solve_pmc_4chordal(path_graph(1)) is None
+        assert solve_pmc_4chordal(build_graph(0, [])) is None
 
     def test_shallow_fallback(self):
         cut = solve_pmc_4chordal(path_graph(2))
@@ -228,6 +224,19 @@ class TestSolvePmc:
         assert {v - 6 for v in cut.x if v >= 6} in ({0, 3, 4}, {1, 2, 5})
         with_triangle = disjoint_union(two_squares, complete_graph(3))
         assert solve_pmc_4chordal(with_triangle) is None
+
+    @pytest.mark.parametrize("first", ["blocked", "shallow"])
+    def test_no_sweeps_every_component(self, first, braced_hexagon, two_squares, domino):
+        # the first component answers NO: braced_hexagon blocks from
+        # vertex 0, and K4 is shallow; the later ones are swept all the same
+        head = braced_hexagon if first == "blocked" else complete_graph(4)
+        g = disjoint_union(head, two_squares, domino)
+        cut, sweeps = solve_pmc_sweeps(g)
+        assert cut is None
+        assert sweeps == tuple(sweep_components(g))
+        assert [tuple(s.vertices) for s in sweeps] == [tuple(sorted(c)) for c in connected_components(g)]
+        assert (sweeps[0].blocked == 4) if first == "blocked" else sweeps[0].shallow
+        assert all(s.relations is not None for s in sweeps[1:])
 
     @pytest.mark.parametrize("root", range(6))
     @pytest.mark.parametrize("reverse", [False, True])
@@ -322,7 +331,7 @@ class TestSweepInPlace:
     @staticmethod
     def kinds(g, roots) -> set[str]:
         """Compare both sweeps of g, and of the components after its
-        first (as build_merged_formula sweeps them), for each root and
+        first (a comps list other than all of them), for each root and
         scan order; return which outcomes occurred."""
         comps = connected_components(g)
         seen = set()
