@@ -286,7 +286,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser("crosscheck", help="compare solvers against oracles")
     p_cross.add_argument("--seed", type=int, default=0)
     p_cross.add_argument("--count", type=_count, default=25)
-    p_cross.add_argument("--max-n", type=int, default=14)
+    p_cross.add_argument(
+        "--max-n",
+        type=int,
+        default=14,
+        help="largest instance size, at most --max-oracle-n and 10^6 (default 14)",
+    )
     add_common(p_cross)
     p_cross.set_defaults(func=cmd_crosscheck)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, GraphError, build_graph
+from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
 
 if TYPE_CHECKING:
     from .reduction import Formula13, GadgetLayout
@@ -23,10 +23,8 @@ class ParseError(ValueError):
     """Malformed input text."""
 
 
-# build_graph allocates one adjacency set per declared vertex, and
-# build_reduction one slot list per declared variable, so both headers
-# are checked before either runs
-MAX_VERTICES = 10**6
+# build_reduction allocates one slot list per declared variable, so a
+# CNF header is capped like a graph header
 MAX_VARIABLES = MAX_VERTICES
 
 

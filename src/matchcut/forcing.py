@@ -12,6 +12,7 @@ the dpm solver hands the cuts to matching.first_completion.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
@@ -52,97 +53,73 @@ def propagate(g: Graph, a: int, b: int) -> ForcingState | Refutation:
         no refutation rule fires anywhere, and the lowest applicable
         vertex moves first.
 
-    Cost follows what the seed touches, not n.  Counters live only for
-    free vertices next to a forced one.  After each step only the
-    vertices whose counters changed are rescanned: the previous scan
-    found nothing refutable, so the lowest refutable vertex is one of
-    them.  Placeable vertices wait in a min-heap; a vertex placeable
-    toward a side stays so, and one placeable toward both is refutable,
-    so the heap's lowest free entry is the vertex the rules move next.
-    A seed is refuted in O(d log d) for the d vertices it touches; only
-    a surviving seed pays O(n) to build its ForcingState.
+    Cost follows what the seed touches, not n.  Each forced vertex has a
+    class code: 0 for A, 1 for B, 2 for X\\A and 3 for Y\\B, so a code's
+    parity is its side.  Counters per class code live only for free
+    vertices next to a forced one.  After each step only the vertices
+    whose counters changed are rescanned: the previous scan found
+    nothing refutable, so the lowest refutable vertex is one of them.
+    Placeable vertices wait in a min-heap; a vertex placeable toward a
+    side stays so, and one placeable toward both is refutable, so the
+    heap's lowest free entry is the vertex the rules move next.  A seed
+    is refuted in O(d log d) for the d vertices it touches; only a
+    surviving seed pays O(n) to build its ForcingState.
     """
     if not (0 <= a < g.n and 0 <= b < g.n) or not g.has_edge(a, b):
         raise GraphError(f"seed pair ({a}, {b}) must be an edge")
     adj = g.adj
-    side = {a: 0, b: 1}  # forced vertices: 0 for X, 1 for Y
-    in_a = {a}
-    in_b = {b}
-    # per touched free vertex: neighbors in A, in B, in X\A, in Y\B
-    na: dict[int, int] = {}
-    nb: dict[int, int] = {}
-    nx: dict[int, int] = {}
-    ny: dict[int, int] = {}
-    for v in adj[a]:
-        na[v] = 1
-    for v in adj[b]:
-        nb[v] = 1
-    dirty = (na.keys() | nb.keys()) - {a, b}
+    cls: dict[int, int] = {a: 0, b: 1}  # forced vertex -> class code
+    # touched free vertex -> its neighbors per class code
+    count: defaultdict[int, list[int]] = defaultdict(lambda: [0, 0, 0, 0])
+    dirty: set[int] = set()
     placeable: list[int] = []  # min-heap; entries go stale once forced
 
-    def place(v: int, s: int) -> None:
-        side[v] = s
-        counter = nx if s == 0 else ny
+    def move(v: int, old: int | None, new: int) -> None:
+        # v leaves class old (None when v was free) for class new
+        cls[v] = new
         for u in adj[v]:
-            if u not in side:
-                counter[u] = counter.get(u, 0) + 1
+            if u not in cls:
+                c = count[u]
+                if old is not None:
+                    c[old] -= 1
+                c[new] += 1
                 dirty.add(u)
 
-    def match_pair(v: int, w: int) -> None:
-        # v on the X side joins A, its unique cross partner w joins B
-        in_a.add(v)
-        in_b.add(w)
-        for u in adj[v]:
-            if u not in side:
-                nx[u] -= 1
-                na[u] = na.get(u, 0) + 1
-                dirty.add(u)
-        for u in adj[w]:
-            if u not in side:
-                ny[u] -= 1
-                nb[u] = nb.get(u, 0) + 1
-                dirty.add(u)
-
+    move(a, None, 0)
+    move(b, None, 1)
     while True:
         for v in sorted(dirty):
-            va = na.get(v, 0)
-            vb = nb.get(v, 0)
-            vx = nx.get(v, 0)
-            vy = ny.get(v, 0)
-            if va and (vb or vy >= 2):
+            ca, cb, cx, cy = count[v]
+            if ca and (cb or cy >= 2):
                 return Refutation("R1", v)
-            if vb and (va or vx >= 2):
+            if cb and (ca or cx >= 2):
                 return Refutation("R2", v)
-            if vx >= 2 and vy >= 2:
+            if cx >= 2 and cy >= 2:
                 return Refutation("R3", v)
-            if va or vb or vx >= 2 or vy >= 2:
+            if ca or cb or cx >= 2 or cy >= 2:
                 heappush(placeable, v)
         dirty.clear()
-        while placeable and placeable[0] in side:
+        while placeable and placeable[0] in cls:
             heappop(placeable)
         if not placeable:
             break
         v = heappop(placeable)
-        if na.get(v) or nx.get(v, 0) >= 2:
-            partner = -1
-            if ny.get(v) == 1:
-                partner = next(u for u in adj[v] if side.get(u) == 1 and u not in in_b)
-            place(v, 0)
-            if partner != -1:
-                match_pair(v, partner)
+        c = count[v]
+        s = 0 if c[0] or c[2] >= 2 else 1
+        if c[3 - s] == 1:
+            # v's one neighbor in class 3 - s is its partner; the pair
+            # joins the matched core, v in A or B by its side s
+            partner = next(u for u in adj[v] if cls.get(u) == 3 - s)
+            move(v, None, s)
+            move(partner, 3 - s, 1 - s)
         else:
-            partner = -1
-            if nx.get(v) == 1:
-                partner = next(u for u in adj[v] if side.get(u) == 0 and u not in in_a)
-            place(v, 1)
-            if partner != -1:
-                match_pair(partner, v)
+            move(v, None, 2 + s)
     return ForcingState(
-        a=frozenset(in_a),
-        b=frozenset(in_b),
-        x=frozenset(v for v, s in side.items() if s == 0),
-        y=frozenset(v for v, s in side.items() if s == 1),
-        free=frozenset(v for v in range(g.n) if v not in side),
+        a=frozenset(v for v, k in cls.items() if k == 0),
+        b=frozenset(v for v, k in cls.items() if k == 1),
+        x=frozenset(v for v, k in cls.items() if not k & 1),
+        y=frozenset(v for v, k in cls.items() if k & 1),
+        free=frozenset(v for v in range(g.n) if v not in cls),
     )
 
 

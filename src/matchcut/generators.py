@@ -16,7 +16,7 @@ import random
 from collections import deque
 from typing import Iterator
 
-from .graphs import Graph, GraphError, build_graph
+from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
 
 # the per-vertex probability of attempting a chordless-square splice
 SQUARE_CHANCE = 0.25
@@ -104,6 +104,8 @@ def iter_instances(
     """The instances of sample_instances, drawn one at a time."""
     if min_n > max_n:
         raise GraphError(f"instance sizes need min_n <= max_n, got {min_n} > {max_n}")
+    if max_n > MAX_VERTICES:
+        raise GraphError(f"instance size {max_n} exceeds the limit of {MAX_VERTICES}")
     master = random.Random(seed)
     for _ in range(count):
         child = random.Random(master.randrange(2**32))

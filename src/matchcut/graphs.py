@@ -83,6 +83,11 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# build_graph allocates one adjacency set per vertex before it reads an
+# edge, so graph headers and generated instances are capped first
+MAX_VERTICES = 10**6
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate an edge list and return the graph it describes.
 

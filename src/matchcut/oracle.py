@@ -113,8 +113,6 @@ def _enumerate_pruned(g: Graph, perfect: bool, deadline: _Deadline) -> Iterator[
         while queue:
             deadline.check()
             u = queue.pop()
-            if side[u] == -1:
-                continue
             su = side[u]
             if cross[u] == 1 and open_nbrs[u] > 0:
                 for w in adj[u]:

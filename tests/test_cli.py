@@ -468,6 +468,22 @@ class TestCrosscheck:
         assert rc == 3
         assert captured.out == "" and captured.err.startswith("oracle limit:")
 
+    @pytest.mark.parametrize("extra", [[], ["--seed", "7"], ["--count", "0"]])
+    def test_max_n_above_graph_cap(self, capsys, monkeypatch, extra):
+        # with the oracle bound raised past it, the 10^6 graph cap
+        # refuses the size before any instance is generated
+        import matchcut.generators
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was generated")
+
+        monkeypatch.setattr(matchcut.generators, "random_connected_4chordal", no_draw)
+        argv = ["crosscheck", "--max-n", "1000000000", "--max-oracle-n", "1000000000"]
+        rc = main(argv + extra)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and captured.err.startswith("error:")
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys, tmp_path):

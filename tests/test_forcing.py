@@ -86,6 +86,42 @@ class TestPropagate:
             cross = [u for u in two_triangles.adj[v] if u in state.y]
             assert len(cross) == 1 and cross[0] in state.b
 
+    def test_r2_fires(self):
+        # 1 and 2 join X\A from A = {0}, so 3 sees B = {4} and X\A twice
+        g = build_graph(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (3, 4)])
+        assert propagate(g, 0, 4) == Refutation("R2", 3)
+        assert bruteforce.propagate_reference(g, 0, 4) == Refutation("R2", 3)
+
+    def test_r3_fires(self):
+        # R3 is rare: random graphs of at most 14 vertices almost never reach it
+        edges = (
+            "0-2 0-3 0-4 0-8 1-11 2-5 2-6 2-7 2-8 2-11 3-6 3-8 4-8 "
+            "7-9 7-10 8-12 9-12 10-12 11-12"
+        )
+        g = build_graph(13, [tuple(map(int, e.split("-"))) for e in edges.split()])
+        assert propagate(g, 2, 7) == Refutation("R3", 12)
+        assert bruteforce.propagate_reference(g, 2, 7) == Refutation("R3", 12)
+
+    def test_matches_reference_on_fixed_corpus(self):
+        rng = random.Random(18)
+        graphs = [ladder(k) for k in range(2, 12)]
+        graphs += [ladder(k, (0,)) for k in range(2, 8)]
+        graphs += [ladder(k, (0, 2 * k - 1)) for k in range(2, 8)]
+        graphs += [tree_prism(t, rng) for t in range(2, 12)]
+        graphs += sample_instances(18, 10, 60, min_n=20)
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        seen = set()
+        for g in graphs:
+            for a, b in both_orientations(g):
+                got = propagate(g, a, b)
+                assert got == bruteforce.propagate_reference(g, a, b), (g, a, b)
+                if isinstance(got, Refutation):
+                    seen.add(got.rule)
+                elif len(got.a) >= 2:
+                    seen.add("paired")
+        # the corpus reaches both refutation rules and the pairing step
+        assert {"R1", "R2", "paired"} <= seen
+
     @given(st.integers(0, 100_000), st.integers(2, 12), st.floats(0.1, 0.9))
     def test_matches_reference_on_random_graphs(self, seed, n, p):
         g = random_graph(random.Random(seed), n, p)

@@ -55,6 +55,14 @@ class TestRandomConnected4Chordal:
 
 
 class TestSampleInstances:
+    def test_sizes_above_graph_cap_refused(self):
+        from matchcut.graphs import MAX_VERTICES
+
+        with pytest.raises(GraphError):
+            next(generators.iter_instances(0, 0, MAX_VERTICES + 1))
+        # the cap itself is allowed; a count of 0 draws nothing
+        assert list(generators.iter_instances(0, 0, MAX_VERTICES)) == []
+
     def test_reproducible(self):
         a = sample_instances(20230501, 10, 16)
         b = sample_instances(20230501, 10, 16)
