@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .files import ParseError, format_graph, parse_graph
 from .graphs import Graph, GraphError, OracleBudgetError, OracleLimits, OracleSizeError
@@ -62,7 +63,7 @@ def _limits(args: argparse.Namespace) -> OracleLimits:
     )
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -77,9 +78,9 @@ def _text(value: str | list) -> str:
     return " ".join("-".join(map(str, e)) if isinstance(e, list) else str(e) for e in value)
 
 
-def _solve_output(result: Result) -> tuple[dict, list[str]]:
+def _solve_output(result: Result) -> tuple[dict, Iterator[str]]:
     """The JSON payload and the text lines, both from one field dict
-    in text order."""
+    in text order; the lines are formatted only if they are read."""
     fields: dict = {}
     if result.algo is not None:
         fields["algo"] = result.algo
@@ -96,7 +97,7 @@ def _solve_output(result: Result) -> tuple[dict, list[str]]:
         fields["matching"] = [list(e) for e in result.matching]
     if result.reason is not None:
         fields["reason"] = result.reason
-    lines = [f"{key}: {_text(value)}" for key, value in fields.items()]
+    lines = (f"{key}: {_text(value)}" for key, value in fields.items())
     return {"problem": result.problem} | fields, lines
 
 
@@ -107,9 +108,11 @@ def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
     from .files import format_twosat_dimacs, twosat_sidecar
     from .pmc import build_merged_formula
 
-    inst, shallow, blocked = build_merged_formula(g, None if result is None else result.sweeps)
-    Path(prefix + ".cnf").write_text(format_twosat_dimacs(inst))
-    Path(prefix + ".vars.json").write_text(twosat_sidecar(inst, shallow, blocked))
+    relations, shallow, blocked = build_merged_formula(g, None if result is None else result.sweeps)
+    with open(prefix + ".cnf", "w") as out:
+        format_twosat_dimacs(g.n, relations, out)
+    with open(prefix + ".vars.json", "w") as out:
+        twosat_sidecar(g.n, shallow, blocked, out)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -167,7 +170,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     graph_path = Path(args.out + ".graph")
     sidecar_path = Path(args.out + ".layout.json")
     graph_path.write_text(format_graph(layout.graph))
-    sidecar_path.write_text(layout_sidecar(layout))
+    with sidecar_path.open("w") as out:
+        layout_sidecar(layout, out)
     if len(formula.clauses) == 1:
         print(
             "warning: the one-clause gadget has matching cuts that are not perfect;"

@@ -10,13 +10,13 @@ distinct positive literals per clause.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
 
 if TYPE_CHECKING:
+    from .pmc import Relation
     from .reduction import Formula13, GadgetLayout
-    from .twosat import TwoSatInstance
 
 
 class ParseError(ValueError):
@@ -147,31 +147,45 @@ def format_formula_dimacs(formula: Formula13) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_twosat_dimacs(inst: TwoSatInstance) -> str:
-    """2-CNF in DIMACS form; variable i+1 stands for vertex i."""
-    lines = [f"p cnf {inst.var_count} {len(inst.clauses)}"]
-    for (v1, p1), (v2, p2) in inst.clauses:
-        lines.append(f"{v1 + 1 if p1 else -v1 - 1} {v2 + 1 if p2 else -v2 - 1} 0")
-    return "\n".join(lines) + "\n"
+def format_twosat_dimacs(var_count: int, relations: Sequence[Relation], out: TextIO) -> None:
+    """Write the 2-CNF of relations to out in DIMACS form: clause for
+    clause that of pmc.relation_clauses, so a relation (a, b, differ)
+    gives "a b 0" and "-a -b 0", b negated when differ is False.
+    Variable i+1 stands for vertex i.
+
+    Raises ValueError, before anything is written, on an endpoint
+    outside 0..var_count-1.
+    """
+    for a, b, _ in relations:
+        if not (0 <= a < var_count and 0 <= b < var_count):
+            bad = b if 0 <= a < var_count else a
+            raise ValueError(f"literal variable {bad} out of range")
+    out.write(f"p cnf {var_count} {2 * len(relations)}\n")
+    out.writelines(
+        f"{a + 1} {b + 1 if differ else -b - 1} 0\n{-a - 1} {-b - 1 if differ else b + 1} 0\n"
+        for a, b, differ in relations
+    )
 
 
-def twosat_sidecar(inst: TwoSatInstance, shallow: list[int], blocked: list[int]) -> str:
-    """JSON sidecar mapping DIMACS variables to vertex ids, with the
-    vertices of components the encoding leaves out: too shallow to
-    sweep, or the vertex that blocked a component's sweep."""
-    return json.dumps(
+def twosat_sidecar(var_count: int, shallow: list[int], blocked: list[int], out: TextIO) -> None:
+    """Write the JSON sidecar mapping DIMACS variables to vertex ids,
+    with the vertices of components the encoding leaves out: too
+    shallow to sweep, or the vertex that blocked a component's sweep."""
+    json.dump(
         {
-            "variable_to_vertex": {str(v + 1): v for v in range(inst.var_count)},
+            "variable_to_vertex": {str(v + 1): v for v in range(var_count)},
             "unencoded_shallow_vertices": shallow,
             "blocked_vertices": blocked,
         },
+        out,
         indent=2,
         sort_keys=True,
-    ) + "\n"
+    )
+    out.write("\n")
 
 
-def layout_sidecar(layout: GadgetLayout) -> str:
-    """JSON sidecar mapping gadget roles to vertex ids."""
+def layout_sidecar(layout: GadgetLayout, out: TextIO) -> None:
+    """Write the JSON sidecar mapping gadget roles to vertex ids."""
     payload = {
         "c": list(layout.c),
         "c_prime": list(layout.c_prime),
@@ -183,4 +197,5 @@ def layout_sidecar(layout: GadgetLayout) -> str:
         "F": sorted(layout.f_clique),
         "T": sorted(layout.t_clique),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    json.dump(payload, out, indent=2, sort_keys=True)
+    out.write("\n")

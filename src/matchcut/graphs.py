@@ -96,7 +96,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj: list = [set() for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
@@ -106,7 +106,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"duplicate edge ({u}, {v})")
         adj[u].add(v)
         adj[v].add(u)
-    return Graph(n, tuple(frozenset(s) for s in adj))
+    # frozen in place, so each set is freed as its frozenset is made and
+    # the adjacency is never held twice
+    for v in range(n):
+        adj[v] = frozenset(adj[v])
+    return Graph(n, tuple(adj))
 
 
 def path_graph(t: int) -> Graph:

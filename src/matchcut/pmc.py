@@ -262,17 +262,16 @@ def sweep_components(
 
 def build_merged_formula(
     g: Graph, sweeps: Iterable[ComponentSweep] | None = None
-) -> tuple[TwoSatInstance, list[int], list[int]]:
-    """The 2-CNF of every component, over g's own vertex ids.
+) -> tuple[list[Relation], list[int], list[int]]:
+    """The relations of every component, over g's own vertex ids.
 
     sweeps holds the sweeps of all of g's components, as
     solve_pmc_sweeps returns them; when None, every component is swept
-    here.  Returns (instance, shallow, blocked): the merged clauses, the
+    here.  Returns (relations, shallow, blocked): the merged relations,
+    whose relation_clauses are the 2-CNF that --emit-2cnf writes, the
     vertices of components too shallow for the sweep, and the vertex
-    that blocked each blocked sweep; neither adds clauses.
+    that blocked each blocked sweep; neither adds relations.
     """
-    from .twosat import TwoSatInstance
-
     if sweeps is None:
         sweeps = sweep_components(g)
     relations: list[Relation] = []
@@ -285,7 +284,7 @@ def build_merged_formula(
             blocked.append(sweep.blocked)
         else:
             relations.extend(sweep.relations)
-    return TwoSatInstance(g.n, relation_clauses(relations)), shallow, blocked
+    return relations, shallow, blocked
 
 
 def solve_pmc_sweeps(

@@ -81,12 +81,17 @@ def clause_gadget() -> Graph:
 
 
 def _slot_cliques(formula: Formula13) -> dict[int, frozenset[int]]:
-    """Per variable, the slot vertices of its occurrences."""
-    slots: dict[int, set[int]] = {x: set() for x in range(formula.var_count)}
+    """Per variable, the slot vertices of its occurrences.  Sets are
+    built only for the variables that occur; the others share one empty
+    set, so a large declared count with few clauses stays small."""
+    slots: dict[int, set[int]] = {}
     for j, clause in enumerate(formula.clauses):
         for k, var in enumerate(clause):
-            slots[var].add(_BLOCK * j + _OFF_CJK[k])
-    return {x: frozenset(q) for x, q in slots.items()}
+            slots.setdefault(var, set()).add(_BLOCK * j + _OFF_CJK[k])
+    empty: frozenset[int] = frozenset()
+    return {
+        x: frozenset(slots[x]) if x in slots else empty for x in range(formula.var_count)
+    }
 
 
 class GadgetLayout(NamedTuple):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -243,6 +244,35 @@ class TestSolve:
         assert sidecar["unencoded_shallow_vertices"] == [0, 1, 2, 3]
         assert (tmp_path / "enc.cnf").read_text() == "p cnf 4 0\n"
 
+    def test_emit_twosat_mixed_components_bytes(
+        self, capsys, graph_file, tmp_path, two_squares, braced_hexagon
+    ):
+        # a swept component (0-5), a shallow K2 (6-7), a shallow star
+        # (8-11) and a component whose sweep blocks (12-17, at 16)
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        g = disjoint_union(two_squares, complete_graph(2), star, braced_hexagon)
+        prefix = str(tmp_path / "enc")
+        rc = main(["solve", graph_file("g", g), "--problem", "pmc", "--emit-2cnf", prefix])
+        assert rc == 0
+        assert capsys.readouterr().out == "algo: fourchordal\nverdict: NO\n"
+        assert (tmp_path / "enc.cnf").read_text() == (
+            "p cnf 18 10\n"
+            "6 2 0\n-6 -2 0\n"
+            "4 5 0\n-4 -5 0\n"
+            "2 -1 0\n-2 1 0\n"
+            "4 -3 0\n-4 3 0\n"
+            "3 1 0\n-3 -1 0\n"
+        )
+        variables = sorted(str(v + 1) for v in range(18))
+        assert (tmp_path / "enc.vars.json").read_text() == (
+            '{\n  "blocked_vertices": [\n    16\n  ],\n'
+            '  "unencoded_shallow_vertices": [\n'
+            + ",\n".join(f"    {v}" for v in range(6, 12))
+            + '\n  ],\n  "variable_to_vertex": {\n'
+            + ",\n".join(f'    "{x}": {int(x) - 1}' for x in variables)
+            + "\n  }\n}\n"
+        )
+
     @pytest.mark.parametrize("first", ["two_squares", "braced_hexagon", "path3"])
     def test_emit_twosat_sweeps_each_component_once(
         self, request, capsys, monkeypatch, graph_file, tmp_path, first, two_squares, domino
@@ -392,8 +422,9 @@ class TestReduce:
         assert payload["n"] == 14 and payload["m"] == 22
         g = parse_graph((tmp_path / "inst.graph").read_text())
         assert g.n == 14 and g.m == 22
-        expected = layout_sidecar(build_reduction(formula))
-        assert (tmp_path / "inst.layout.json").read_text() == expected
+        expected = io.StringIO()
+        layout_sidecar(build_reduction(formula), expected)
+        assert (tmp_path / "inst.layout.json").read_text() == expected.getvalue()
 
     def test_full_output(self, capsys, write, tmp_path):
         cnf = write("f.cnf", format_formula_dimacs(Formula13(4, ((0, 1, 2), (1, 2, 3)))))

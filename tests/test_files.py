@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -15,8 +16,8 @@ from matchcut.files import (
     twosat_sidecar,
 )
 from matchcut.graphs import path_graph
+from matchcut.pmc import relation_clauses
 from matchcut.reduction import Formula13, build_reduction
-from matchcut.twosat import TwoSatInstance, neg, pos
 
 
 class TestGraphFormat:
@@ -114,25 +115,69 @@ class TestFormulaFormat:
             formula_from_dimacs(text)
 
 
+def written(writer, *args) -> str:
+    """What writer puts into the open file it takes last."""
+    out = io.StringIO()
+    writer(*args, out)
+    return out.getvalue()
+
+
 class TestTwoSatSidecars:
     def test_dimacs(self):
-        inst = TwoSatInstance(3, ((pos(0), neg(1)), (neg(2), neg(2))))
-        assert format_twosat_dimacs(inst) == "p cnf 3 2\n1 -2 0\n-3 -3 0\n"
+        text = written(format_twosat_dimacs, 3, [(0, 1, False), (2, 1, True)])
+        assert text == "p cnf 3 4\n1 -2 0\n-1 2 0\n3 2 0\n-3 -2 0\n"
+
+    def test_dimacs_without_relations(self):
+        assert written(format_twosat_dimacs, 2, []) == "p cnf 2 0\n"
+        assert written(format_twosat_dimacs, 0, ()) == "p cnf 0 0\n"
+
+    @given(st.integers(0, 100_000))
+    def test_dimacs_states_relation_clauses(self, seed):
+        # the writer's clauses are relation_clauses', in order, each
+        # literal written as DIMACS does: variable i+1, negated when false
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        relations = [
+            (rng.randrange(n), rng.randrange(n), rng.random() < 0.5)
+            for _ in range(rng.randint(0, 6))
+        ]
+        lines = [f"p cnf {n} {2 * len(relations)}"]
+        for clause in relation_clauses(relations):
+            lines.append(" ".join(str(v + 1 if p else -v - 1) for v, p in clause) + " 0")
+        assert written(format_twosat_dimacs, n, relations) == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "relations", [[(0, 3, True)], [(3, 0, False)], [(0, 1, True), (-1, 0, False)]]
+    )
+    def test_dimacs_rejects_endpoint_out_of_range(self, relations):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="out of range"):
+            format_twosat_dimacs(3, relations, out)
+        assert out.getvalue() == ""
 
     def test_variable_map(self):
-        inst = TwoSatInstance(2, ())
-        payload = json.loads(twosat_sidecar(inst, [], [1]))
+        payload = json.loads(written(twosat_sidecar, 2, [], [1]))
         assert payload == {
             "variable_to_vertex": {"1": 0, "2": 1},
             "unencoded_shallow_vertices": [],
             "blocked_vertices": [1],
         }
 
+    def test_variable_map_bytes(self):
+        assert written(twosat_sidecar, 0, [], []) == (
+            '{\n  "blocked_vertices": [],\n  "unencoded_shallow_vertices": [],\n'
+            '  "variable_to_vertex": {}\n}\n'
+        )
+        assert written(twosat_sidecar, 2, [0, 1], []) == (
+            '{\n  "blocked_vertices": [],\n  "unencoded_shallow_vertices": [\n'
+            '    0,\n    1\n  ],\n  "variable_to_vertex": {\n    "1": 0,\n    "2": 1\n  }\n}\n'
+        )
+
 
 class TestLayoutSidecar:
     def test_one_clause_layout(self):
         layout = build_reduction(Formula13(3, ((0, 1, 2),)))
-        payload = json.loads(layout_sidecar(layout))
+        payload = json.loads(written(layout_sidecar, layout))
         assert set(payload) == {
             "c", "c_prime", "cjk", "ajk", "bjk", "cjk_prime", "Q", "F", "T",
         }
@@ -145,3 +190,29 @@ class TestLayoutSidecar:
         assert payload["Q"] == {"0": [1], "1": [2], "2": [3]}
         assert payload["F"] == [0, 13]
         assert payload["T"] == [4, 5, 6]
+
+    def test_unused_variables_bytes(self):
+        # "p cnf 10 1" with clause "1 2 3 0": variables 4..10 occur
+        # nowhere, so their slot cliques are empty and share one set
+        layout = build_reduction(formula_from_dimacs("p cnf 10 1\n1 2 3 0\n"))
+        q = layout.q_cliques
+        assert len({id(q[x]) for x in range(3, 10)}) == 1
+        unused = "".join(f'    "{x}": [],\n' for x in range(3, 9))
+        assert written(layout_sidecar, layout) == (
+            '{\n  "F": [\n    0,\n    13\n  ],\n'
+            '  "Q": {\n'
+            '    "0": [\n      1\n    ],\n'
+            '    "1": [\n      2\n    ],\n'
+            '    "2": [\n      3\n    ],\n'
+            f'{unused}'
+            '    "9": []\n'
+            '  },\n'
+            '  "T": [\n    4,\n    5,\n    6\n  ],\n'
+            '  "ajk": [\n    [\n      4,\n      5,\n      6\n    ]\n  ],\n'
+            '  "bjk": [\n    [\n      7,\n      8,\n      9\n    ]\n  ],\n'
+            '  "c": [\n    0\n  ],\n'
+            '  "c_prime": [\n    13\n  ],\n'
+            '  "cjk": [\n    [\n      1,\n      2,\n      3\n    ]\n  ],\n'
+            '  "cjk_prime": [\n    [\n      10,\n      11,\n      12\n    ]\n  ]\n'
+            '}\n'
+        )

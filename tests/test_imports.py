@@ -86,10 +86,23 @@ def test_fourchordal_pmc_loads_no_mc_dpm_solver_or_oracle(tmp_path):
         f"assert main({argv!r}) == 0"
     )
     assert "matchcut.pmc" in loaded
-    # the parity pass decides; 2-SAT is loaded only to write --emit-2cnf
+    # the parity pass decides, so 2-SAT is not loaded
     assert loaded.isdisjoint(
         {"matchcut.forcing", "matchcut.matching", "matchcut.oracle", "matchcut.twosat"}
     )
+
+
+def test_emit_2cnf_loads_no_twosat(tmp_path):
+    # the 2-CNF is written straight from the sweep's relations
+    path = tmp_path / "ladder.graph"
+    path.write_text("6 7\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n")
+    argv = ["solve", str(path), "--problem", "pmc", "--emit-2cnf", str(tmp_path / "enc")]
+    loaded = loaded_after(
+        "from matchcut.cli import main\n"
+        f"assert main({argv!r}) == 0"
+    )
+    assert "matchcut.pmc" in loaded and "matchcut.twosat" not in loaded
+    assert (tmp_path / "enc.cnf").read_text().startswith("p cnf 6 ")
 
 
 def test_oracle_dpm_loads_blossom_but_no_polynomial_solver(tmp_path):

@@ -1,0 +1,57 @@
+"""High-water marks of the parse and --emit-2cnf paths, read with
+tracemalloc: what the interpreter allocates, deterministic for one
+interpreter.  Each bound sits between the streaming code's ratio and
+that of code that holds its data twice (a list of sets beside their
+frozensets, a clause tuple per relation, the whole file text)."""
+
+import gc
+import tracemalloc
+
+import pytest
+
+from conftest import ladder
+from matchcut.cli import _emit_twosat
+from matchcut.files import format_graph, parse_graph
+from matchcut.solver import solve
+
+
+@pytest.fixture(scope="module")
+def big_ladder():
+    # 2,000 vertices, 2,998 edges
+    return ladder(1000)
+
+
+def traced(call):
+    """call()'s result, the bytes it left allocated, and its peak above
+    what was allocated before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, current - base, peak - base
+
+
+def test_parse_graph_peak(big_ladder):
+    # the adjacency sets are frozen one at a time, each freed as its
+    # frozenset is made (1.45x here; 2.06x with every set kept alive)
+    text = format_graph(big_ladder)
+    g, kept, peak = traced(lambda: parse_graph(text))
+    assert g == big_ladder
+    assert peak <= 1.6 * kept
+
+
+def test_emit_twosat_peak(big_ladder, tmp_path):
+    # the 2-CNF is written from the relations and both files are
+    # streamed (5.5x the bytes written here; 17x with the clause tuples
+    # and the file text built whole)
+    result = solve(big_ladder, "pmc", "fourchordal")
+    assert result.cut is not None
+    prefix = str(tmp_path / "enc")
+    _, _, peak = traced(lambda: _emit_twosat(big_ladder, prefix, result))
+    written = sum((tmp_path / ("enc" + ext)).stat().st_size for ext in (".cnf", ".vars.json"))
+    assert written > 80_000
+    assert peak <= 8 * written
