@@ -102,17 +102,17 @@ def _solve_output(result: Result) -> tuple[dict, Iterator[str]]:
 
 
 def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
-    """Write the merged per-component 2-CNF and its variable sidecar,
-    from the sweeps of result's solve, or from fresh ones when it made
+    """Write the 2-CNF of every component and its variable sidecar,
+    from the sweep of result's solve, or from a fresh one when it made
     none."""
     from .files import format_twosat_dimacs, twosat_sidecar
-    from .pmc import build_merged_formula
+    from .pmc import sweep_components
 
-    relations, shallow, blocked = build_merged_formula(g, None if result is None else result.sweeps)
+    sweep = sweep_components(g) if result is None or result.sweep is None else result.sweep
     with open(prefix + ".cnf", "w") as out:
-        format_twosat_dimacs(g.n, relations, out)
+        format_twosat_dimacs(g.n, sweep.relations, out)
     with open(prefix + ".vars.json", "w") as out:
-        twosat_sidecar(g.n, shallow, blocked, out)
+        twosat_sidecar(g.n, [v for comp in sweep.shallow for v in comp], sweep.blocked, out)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

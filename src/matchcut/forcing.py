@@ -161,8 +161,13 @@ def _stable_seeds(g: Graph) -> Iterator[Cut]:
     """Yield the matching cut state.x | f_x of each seed edge, in
     g.edges() order, whose propagation is not refuted, whose free
     components each attach to one side, and whose cut passes the
-    matching-cut check."""
+    matching-cut check.  A seed edge on a triangle is skipped (R1
+    would refute it): the triangle's third vertex lies on one side, so
+    the edge's end on the other side would have two neighbors across.
+    """
     for a, b in g.edges():
+        if not g.adj[a].isdisjoint(g.adj[b]):
+            continue
         state = propagate(g, a, b)
         if isinstance(state, Refutation):
             continue

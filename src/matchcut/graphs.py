@@ -198,9 +198,7 @@ def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(connected_components(g)[0]) == g.n
+    return g.n == 0 or len(part_without(g, ())) == g.n
 
 
 class BfsLevels(NamedTuple):

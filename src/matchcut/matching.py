@@ -18,9 +18,9 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     """A maximum-cardinality matching as sorted (min, max) pairs.
 
     Each augmenting search undoes only the entries the previous search
-    wrote, in place of an O(n) reset per root.  A blossom still costs
-    O(n): lca and the contraction each allocate an n-entry mark list,
-    though the contraction relabels by scanning only the current
+    wrote, in place of an O(n) reset per root.  A blossom costs what
+    its search touched, not O(n): lca and the contraction mark vertices
+    in sets, and the contraction relabels by scanning only the current
     tree's k vertices, in O(k log k).
     """
     n = g.n
@@ -32,25 +32,25 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     touched: list[int] = []  # vertices the current search has written
 
     def lca(a: int, b: int) -> int:
-        marked = [False] * n
+        marked: set[int] = set()
         v = a
         while True:
             v = base[v]
-            marked[v] = True
+            marked.add(v)
             if mate[v] == -1:
                 break
             v = parent[mate[v]]
         v = b
         while True:
             v = base[v]
-            if marked[v]:
+            if v in marked:
                 return v
             v = parent[mate[v]]
 
-    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+    def mark_path(v: int, stem: int, child: int, in_blossom: set[int]) -> None:
         while base[v] != stem:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
+            in_blossom.add(base[v])
+            in_blossom.add(base[mate[v]])
             parent[v] = child
             child = mate[v]
             v = parent[mate[v]]
@@ -75,13 +75,13 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
                 if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
                     # odd cycle found: shrink the blossom around its stem
                     stem = lca(v, to)
-                    in_blossom = [False] * n
+                    in_blossom: set[int] = set()
                     mark_path(v, stem, to, in_blossom)
                     mark_path(to, stem, v, in_blossom)
                     # only vertices of this search's tree can lie in
                     # the blossom; visit them in ascending id order
                     for i in sorted(set(touched)):
-                        if in_blossom[base[i]]:
+                        if base[i] in in_blossom:
                             base[i] = stem
                             if not used[i]:
                                 used[i] = True

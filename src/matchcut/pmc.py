@@ -14,8 +14,8 @@ on it as the parity pass.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, compress
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .graphs import (
     BfsLevels,
@@ -177,7 +177,7 @@ def build_pmc_formula(
     return PmcEncoding(g.n, tuple(relations), trace, None)
 
 
-def solve_parity(var_count: int, relations: Sequence[Relation]) -> tuple[bool, ...] | None:
+def solve_parity(var_count: int, relations: Iterable[Relation]) -> tuple[bool, ...] | None:
     """2-colour the relations, or None when they hold an odd cycle.
 
     The smallest vertex of each component of the relations (an
@@ -215,23 +215,17 @@ def solve_parity(var_count: int, relations: Sequence[Relation]) -> tuple[bool, .
     return tuple(side)
 
 
-class ComponentSweep(NamedTuple):
-    """One component's sweep, over the whole graph's vertex ids.
+class PmcSweep(NamedTuple):
+    """Every component's sweep, over the graph's own vertex ids, each
+    field in connected_components order: the relations of the
+    components swept to the root; the ascending vertices of each
+    shallow component, whose root is adjacent to every other vertex
+    (breadth-first height at most one, which the sweep cannot layer);
+    and the vertex that blocked each blocked sweep."""
 
-    vertices lists the component in ascending order.  relations is None
-    when the sweep blocked at vertex blocked, and both are None when the
-    component is shallow: its root is adjacent to every other vertex,
-    so its breadth-first height is at most one, which the sweep cannot
-    layer.
-    """
-
-    vertices: Sequence[int]
-    relations: tuple[Relation, ...] | None
-    blocked: int | None
-
-    @property
-    def shallow(self) -> bool:
-        return self.relations is None and self.blocked is None
+    relations: list[Relation]
+    shallow: list[tuple[int, ...]]
+    blocked: list[int]
 
 
 def sweep_components(
@@ -239,52 +233,29 @@ def sweep_components(
     comps: list[frozenset[int]] | None = None,
     root: int | None = None,
     reverse_scan: bool = False,
-) -> Iterator[ComponentSweep]:
+) -> PmcSweep:
     """Sweep each component of g, or each of comps (components of g in
-    connected_components order), one at a time.
+    connected_components order), into one PmcSweep.
 
     Every component is swept in place on g: one level_of list serves
     all their layerings, so a component costs only its own size.  root
     picks the root of its own component; every other component is
     rooted at its lowest vertex.
     """
+    sweep = PmcSweep([], [], [])
     level_of = [-1] * g.n
     for comp in connected_components(g) if comps is None else comps:
-        vertices = range(g.n) if len(comp) == g.n else tuple(sorted(comp))
-        start = root if root in comp else vertices[0]
-        if g.degree(start) == len(vertices) - 1:
-            yield ComponentSweep(vertices, None, None)
+        start = root if root in comp else min(comp)
+        if g.degree(start) == len(comp) - 1:
+            sweep.shallow.append(tuple(sorted(comp)))
             continue
         levels = component_levels(g, start, level_of)
         encoding = build_pmc_formula(g, start, reverse_scan=reverse_scan, levels=levels)
-        yield ComponentSweep(vertices, encoding.relations, encoding.blocked)
-
-
-def build_merged_formula(
-    g: Graph, sweeps: Iterable[ComponentSweep] | None = None
-) -> tuple[list[Relation], list[int], list[int]]:
-    """The relations of every component, over g's own vertex ids.
-
-    sweeps holds the sweeps of all of g's components, as
-    solve_pmc_sweeps returns them; when None, every component is swept
-    here.  Returns (relations, shallow, blocked): the merged relations,
-    whose relation_clauses are the 2-CNF that --emit-2cnf writes, the
-    vertices of components too shallow for the sweep, and the vertex
-    that blocked each blocked sweep; neither adds relations.
-    """
-    if sweeps is None:
-        sweeps = sweep_components(g)
-    relations: list[Relation] = []
-    shallow: list[int] = []
-    blocked: list[int] = []
-    for sweep in sweeps:
-        if sweep.shallow:
-            shallow.extend(sweep.vertices)
-        elif sweep.relations is None:
-            blocked.append(sweep.blocked)
+        if encoding.relations is None:
+            sweep.blocked.append(encoding.blocked)
         else:
-            relations.extend(sweep.relations)
-    return relations, shallow, blocked
+            sweep.relations.extend(encoding.relations)
+    return sweep
 
 
 def solve_pmc_sweeps(
@@ -293,30 +264,27 @@ def solve_pmc_sweeps(
     *,
     root: int | None = None,
     reverse_scan: bool = False,
-) -> tuple[Cut | None, tuple[ComponentSweep, ...]]:
-    """solve_pmc_4chordal, also returning the sweeps it made: one per
-    component, in connected_components order.
+) -> tuple[Cut | None, PmcSweep]:
+    """solve_pmc_4chordal, also returning the PmcSweep of every component
+    that the verdict is read off; comps, when given, are g's components
+    in connected_components order.
 
-    comps, when given, are g's connected components in that order.
-    Every component is swept before the verdict is read off the sweeps.
+    A blocked sweep or a shallow component other than K2 answers NO;
+    otherwise one parity pass reads the relations and one relation
+    across each K2.  Where the K2 relations sit does not change the
+    model: each relation component's smallest vertex is True.
     """
-    sweeps = tuple(sweep_components(g, comps, root, reverse_scan))
-    relations: list[Relation] = []
-    for sweep in sweeps:
-        if sweep.relations is not None:
-            relations.extend(sweep.relations)
-        elif sweep.shallow and len(sweep.vertices) == 2:
-            relations.append((*sweep.vertices, True))
-        else:
-            # a blocked sweep, or a shallow component other than K2
-            return None, sweeps
-    model = solve_parity(g.n, relations)
+    sweep = sweep_components(g, comps, root, reverse_scan)
+    if sweep.blocked or any(len(comp) != 2 for comp in sweep.shallow):
+        return None, sweep
+    k2 = ((u, v, True) for u, v in sweep.shallow)
+    model = solve_parity(g.n, chain(sweep.relations, k2))
     if model is None:
-        return None, sweeps
+        return None, sweep
     # only a broken no-long-chordless-cycle promise can make this check
     # fail; never return an invalid cut
     cut, _ = check_perfect_matching_cut(g, compress(range(g.n), model))
-    return cut, sweeps
+    return cut, sweep
 
 
 def solve_pmc_4chordal(

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 from . import graphs
 
 if TYPE_CHECKING:
-    from .pmc import ComponentSweep
+    from .pmc import PmcSweep
 
 PROBLEMS = ("mc", "pmc", "dpm")
 ALGOS = ("auto", "fourchordal", "oracle")
@@ -23,16 +23,16 @@ class Result:
 
     algo is the algorithm that decided, or None when the graph's shape
     answered first.  matching is the dpm perfect matching on YES.
-    reason names the shortcut behind a NO that has one.  sweeps holds
-    the 4-chordal pmc solver's sweeps, one per component of the graph,
-    so that its 2-CNF is built without sweeping again; it is None on
+    reason names the shortcut behind a NO that has one.  sweep holds
+    the 4-chordal pmc solver's sweep of every component of the graph,
+    so that its 2-CNF is written without sweeping again; it is None on
     every other path.
 
     A Result is immutable.  It compares, hashes and prints by its other
-    five fields: sweeps records how the answer was found, not the answer.
+    five fields: sweep records how the answer was found, not the answer.
     """
 
-    __slots__ = ("problem", "algo", "cut", "matching", "reason", "sweeps")
+    __slots__ = ("problem", "algo", "cut", "matching", "reason", "sweep")
 
     def __init__(
         self,
@@ -41,9 +41,9 @@ class Result:
         cut: graphs.Cut | None,
         matching: tuple[tuple[int, int], ...] | None = None,
         reason: str | None = None,
-        sweeps: tuple[ComponentSweep, ...] | None = None,
+        sweep: PmcSweep | None = None,
     ) -> None:
-        for name, value in zip(self.__slots__, (problem, algo, cut, matching, reason, sweeps)):
+        for name, value in zip(self.__slots__, (problem, algo, cut, matching, reason, sweep)):
             object.__setattr__(self, name, value)
 
     def _answer(self) -> tuple:
@@ -129,12 +129,14 @@ def solve(
     """
     if problem not in PROBLEMS or algo not in ALGOS:
         raise ValueError(f"unknown problem {problem!r} or algorithm {algo!r}")
-    comps = graphs.connected_components(g)
-    if problem == "pmc" and any(len(c) % 2 for c in comps):
-        # a component of odd order cannot be perfectly matched across
-        return Result(problem, None, None, reason="odd component")
-    if problem != "pmc" and len(comps) > 1:
-        split = graphs.make_cut(g, comps[0])
+    if problem == "pmc":
+        comps = graphs.connected_components(g)
+        if any(len(c) % 2 for c in comps):
+            # a component of odd order cannot be perfectly matched across
+            return Result(problem, None, None, reason="odd component")
+    elif g.n and len(first := graphs.part_without(g, ())) < g.n:
+        # vertex 0's component, walked alone, splits a disconnected graph
+        split = graphs.make_cut(g, first)
         if problem == "mc":
             return Result(problem, None, split)
         from . import matching
@@ -150,8 +152,8 @@ def solve(
         if problem == "pmc":
             from . import pmc
 
-            cut, sweeps = pmc.solve_pmc_sweeps(g, comps)
-            return Result(problem, algo, cut, sweeps=sweeps)
+            cut, sweep = pmc.solve_pmc_sweeps(g, comps)
+            return Result(problem, algo, cut, sweep=sweep)
         from . import forcing
 
         if problem == "mc":

@@ -3,7 +3,7 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.  Seven references are kept as
+enumeration instead of augmenting paths.  Eight references are kept as
 specifications instead: propagate_reference, the plain sorted-rescan
 form of the forcing loop that the incremental forcing.propagate must
 match; random_connected_4chordal_reference, the generator that checks
@@ -12,22 +12,26 @@ output the one-search splice check must reproduce;
 find_dpm_reference, the dpm search that lists perfect matchings until
 one disconnects, whose answer oracle.find_dpm must reproduce after
 deciding by matching cuts; sweep_components_reference, the pmc
-component sweep made on induced copies, whose sweeps the in-place
-pmc.sweep_components must reproduce, ids included;
+component sweep made on induced copies, whose merged PmcSweep the
+in-place pmc.sweep_components must reproduce, ids included;
 build_pmc_formula_reference, the pmc sweep that keeps its determined
 vertices in a DeterminedSet class and refuses to determine one twice,
 whose relations, blocked vertex and trace the plain-set sweep of
 pmc.build_pmc_formula must reproduce; cut_reference,
 the per-edge cut builder whose cuts and witnesses the one-pass
-certificate predicates must reproduce; and solve_dpm_reference, the
+certificate predicates must reproduce; solve_dpm_reference, the
 4-chordal dpm seed loop that pairs the matched core's A-B partners and
 matches the rest, whose certificates the completion of each seed's cut
-by matching.perfect_matching_through must reproduce.
+by matching.perfect_matching_through must reproduce; and
+maximum_matching_reference, the blossom search that marks with an
+n-entry list per blossom, whose pairs the set-marking
+matching.maximum_matching must reproduce.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, product
 
 from matchcut import Cut, Graph, GraphError, build_graph, oracle
@@ -43,8 +47,8 @@ from matchcut.graphs import (
 from matchcut.matching import has_perfect_matching, maximum_matching
 from matchcut.oracle import DEFAULT_LIMITS, OracleLimits
 from matchcut.pmc import (
-    ComponentSweep,
     PmcEncoding,
+    PmcSweep,
     Relation,
     TraceEntry,
     build_pmc_formula,
@@ -78,12 +82,12 @@ def cut_reference(g: Graph, x_side, low: int, high: int) -> tuple[Cut | None, in
 
 def sweep_components_reference(
     g: Graph, comps=None, root: int | None = None, reverse_scan: bool = False
-) -> list[ComponentSweep]:
+) -> PmcSweep:
     """The pmc component sweep made on copies: a component that is not
     all of g is swept on its induced subgraph, with ids renumbered in
     ascending order, and its relations and blocked vertex are mapped
-    back to g's ids."""
-    out = []
+    back to g's ids before they join the merged record."""
+    out = PmcSweep([], [], [])
     for comp in connected_components(g) if comps is None else comps:
         if len(comp) == g.n:
             sub, old_ids = g, range(g.n)
@@ -91,14 +95,13 @@ def sweep_components_reference(
             sub, old_ids = induced_subgraph(g, comp)
         local_root = old_ids.index(root) if root in comp else 0
         if sub.degree(local_root) == sub.n - 1:
-            out.append(ComponentSweep(old_ids, None, None))
+            out.shallow.append(tuple(old_ids))
             continue
         encoding = build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
-        relations = encoding.relations
-        if relations is not None and sub is not g:
-            relations = tuple((old_ids[a], old_ids[b], d) for a, b, d in relations)
-        blocked = None if encoding.blocked is None else old_ids[encoding.blocked]
-        out.append(ComponentSweep(old_ids, relations, blocked))
+        if encoding.relations is None:
+            out.blocked.append(old_ids[encoding.blocked])
+        else:
+            out.relations.extend((old_ids[a], old_ids[b], d) for a, b, d in encoding.relations)
     return out
 
 
@@ -327,6 +330,100 @@ def max_matching_size(g: Graph) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def maximum_matching_reference(g: Graph) -> list[tuple[int, int]]:
+    """matching.maximum_matching with a list of n marks per blossom, in
+    lca and in the contraction, where the package marks in sets; the
+    pairs must be the same."""
+    n = g.n
+    adj = [sorted(g.adj[v]) for v in range(n)]
+    mate = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+    used = [False] * n
+    touched: list[int] = []  # vertices the current search has written
+
+    def lca(a: int, b: int) -> int:
+        marked = [False] * n
+        v = a
+        while True:
+            v = base[v]
+            marked[v] = True
+            if mate[v] == -1:
+                break
+            v = parent[mate[v]]
+        v = b
+        while True:
+            v = base[v]
+            if marked[v]:
+                return v
+            v = parent[mate[v]]
+
+    def mark_path(v: int, stem: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != stem:
+            in_blossom[base[v]] = True
+            in_blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def find_augmenting_path(root: int) -> int:
+        # undo only what the previous search wrote: it recorded each
+        # vertex it marked used or gave a parent, and it rewrites the
+        # parent or base of tree vertices alone
+        for v in touched:
+            used[v] = False
+            parent[v] = -1
+            base[v] = v
+        touched.clear()
+        used[root] = True
+        touched.append(root)
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in adj[v]:
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    # odd cycle found: shrink the blossom around its stem
+                    stem = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, stem, to, in_blossom)
+                    mark_path(to, stem, v, in_blossom)
+                    # only vertices of this search's tree can lie in
+                    # the blossom; visit them in ascending id order
+                    for i in sorted(set(touched)):
+                        if in_blossom[base[i]]:
+                            base[i] = stem
+                            if not used[i]:
+                                used[i] = True
+                                touched.append(i)
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    touched.append(to)
+                    if mate[to] == -1:
+                        return to
+                    used[mate[to]] = True
+                    touched.append(mate[to])
+                    queue.append(mate[to])
+        return -1
+
+    for seed in range(n):
+        if mate[seed] != -1:
+            continue
+        end = find_augmenting_path(seed)
+        if end == -1:
+            continue
+        while end != -1:
+            prev = parent[end]
+            nxt = mate[prev]
+            mate[end] = prev
+            mate[prev] = end
+            end = nxt
+
+    return sorted((v, mate[v]) for v in range(n) if mate[v] > v)
 
 
 def longest_induced_path(g: Graph) -> int:

@@ -307,6 +307,33 @@ class TestSolve:
         verdict = "YES" if first == "two_squares" else "NO"
         assert capsys.readouterr().out.count(f"verdict: {verdict}\n") == 2
 
+    @pytest.mark.parametrize("emit", [False, True])
+    def test_one_sweep_per_solve(
+        self, capsys, monkeypatch, graph_file, tmp_path, emit, two_squares, braced_hexagon
+    ):
+        # a swept component (0-5), a shallow K2 (6-7), a shallow star
+        # (8-11) and a blocked one (12-17): the solve sweeps the two deep
+        # ones once each, and --emit-2cnf writes from that same sweep
+        import matchcut.pmc
+
+        sweep = matchcut.pmc.build_pmc_formula
+        calls = []
+
+        def counting_sweep(g, root, **kwargs):
+            calls.append(root)
+            return sweep(g, root, **kwargs)
+
+        monkeypatch.setattr(matchcut.pmc, "build_pmc_formula", counting_sweep)
+        star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        g = disjoint_union(two_squares, complete_graph(2), star, braced_hexagon)
+        argv = ["solve", graph_file("g", g), "--problem", "pmc", "--algo", "fourchordal"]
+        if emit:
+            argv += ["--emit-2cnf", str(tmp_path / "enc")]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "algo: fourchordal\nverdict: NO\n"
+        assert calls == [0, 12]
+        assert (tmp_path / "enc.cnf").exists() == emit
+
     def test_emit_twosat_requires_pmc(self, capsys, graph_file, two_squares):
         path = graph_file("g", two_squares)
         rc = main(["solve", path, "--problem", "mc", "--emit-2cnf", "unused"])

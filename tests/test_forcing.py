@@ -35,6 +35,22 @@ from matchcut.graphs import (
 from matchcut.pmc import solve_pmc_4chordal
 
 
+def path_power(n: int, k: int) -> Graph:
+    """The k-th power of the path on n vertices: a k-tree."""
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, min(n, i + k + 1))])
+
+
+def random_ktree(n: int, k: int, rng: random.Random) -> Graph:
+    """K_{k+1}, then each further vertex joined to a random k-clique."""
+    edges = [(u, v) for u in range(k + 1) for v in range(u + 1, k + 1)]
+    cliques = [tuple(c for c in range(k + 1) if c != skip) for skip in range(k + 1)]
+    for v in range(k + 1, n):
+        base = cliques[rng.randrange(len(cliques))]
+        edges += [(u, v) for u in base]
+        cliques += [tuple(sorted(set(base) - {u} | {v})) for u in base]
+    return build_graph(n, edges)
+
+
 def both_orientations(g):
     for u, v in g.edges():
         yield u, v
@@ -198,6 +214,26 @@ class TestSolveMc:
             lambda g, state: (frozenset(range(g.n)) - {min(state.b)}, frozenset(), None),
         )
         assert solve_mc_4chordal(g) is None
+
+    def test_triangle_edges_are_not_propagated(self, monkeypatch):
+        # every edge of a k-tree (k >= 2) lies on a triangle, so no cut
+        # crosses one: strips (path squares), path cubes and random
+        # k-trees answer NO for mc and dpm without propagating a seed
+        rng = random.Random(29)
+        graphs = [path_power(n, k) for k in (2, 3) for n in (k + 1, 10, 101, 400)]
+        graphs += [random_ktree(n, k, rng) for k in (2, 3, 4) for n in (k + 1, 30, 200)]
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        calls = []
+        real = matchcut.forcing.propagate
+        monkeypatch.setattr(
+            matchcut.forcing, "propagate", lambda g, a, b: calls.append((a, b)) or real(g, a, b)
+        )
+        for g in graphs:
+            assert solve_mc_4chordal(g) is None
+            assert solve_dpm_4chordal(g) is None
+        assert calls == []
+        # the count is live: the seeds of a square are propagated
+        assert solve_mc_4chordal(cycle_graph(4)) is not None and calls
 
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 from matchcut import build_graph, is_matching
+from matchcut.generators import sample_instances
 from matchcut.graphs import complete_graph, cycle_graph, path_graph
 import matchcut.matching
 from matchcut.matching import first_completion, has_perfect_matching, maximum_matching
@@ -97,3 +98,14 @@ class TestOutputContract:
         h.add_nodes_from(range(g.n))
         h.add_edges_from(g.edges())
         assert len(mm) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+    def test_same_pairs_as_list_marking_reference(self):
+        # random graphs, generator draws, and path squares, whose
+        # augmenting searches from the second seed on each shrink a blossom
+        rng = random.Random(23)
+        graphs = [random_graph(rng, rng.randint(0, 40), rng.uniform(0.02, 0.9)) for _ in range(400)]
+        graphs += sample_instances(3, 60, 120)
+        for n in (2, 3, 7, 50, 301, 1000):
+            graphs.append(build_graph(n, [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n]))
+        for g in graphs:
+            assert maximum_matching(g) == bruteforce.maximum_matching_reference(g)

@@ -1,8 +1,10 @@
-"""High-water marks of the parse and --emit-2cnf paths, read with
-tracemalloc: what the interpreter allocates, deterministic for one
-interpreter.  Each bound sits between the streaming code's ratio and
-that of code that holds its data twice (a list of sets beside their
-frozensets, a clause tuple per relation, the whole file text)."""
+"""High-water marks of the parse, --emit-2cnf and disconnected-split
+paths, read with tracemalloc: what the interpreter allocates,
+deterministic for one interpreter.  Each bound sits between the
+streaming code's ratio and that of code that holds its data twice (a
+list of sets beside their frozensets, a clause tuple per relation, the
+whole file text) or builds what it does not read (a set per
+component)."""
 
 import gc
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from conftest import ladder
 from matchcut.cli import _emit_twosat
 from matchcut.files import format_graph, parse_graph
+from matchcut.graphs import build_graph
 from matchcut.solver import solve
 
 
@@ -55,3 +58,13 @@ def test_emit_twosat_peak(big_ladder, tmp_path):
     written = sum((tmp_path / ("enc" + ext)).stat().st_size for ext in (".cnf", ".vars.json"))
     assert written > 80_000
     assert peak <= 8 * written
+
+
+@pytest.mark.parametrize("problem", ["mc", "dpm"])
+def test_disconnected_split_peak(problem):
+    # only vertex 0's component is walked to split the graph: 16 bytes
+    # per vertex here (two lists), 265 with a frozenset per component
+    g = build_graph(200_000, [])
+    result, _, peak = traced(lambda: solve(g, problem))
+    assert (result.cut is not None) == (problem == "mc")
+    assert peak <= 40 * g.n

@@ -231,12 +231,18 @@ class TestSolvePmc:
         # vertex 0, and K4 is shallow; the later ones are swept all the same
         head = braced_hexagon if first == "blocked" else complete_graph(4)
         g = disjoint_union(head, two_squares, domino)
-        cut, sweeps = solve_pmc_sweeps(g)
+        cut, sweep = solve_pmc_sweeps(g)
         assert cut is None
-        assert sweeps == tuple(sweep_components(g))
-        assert [tuple(s.vertices) for s in sweeps] == [tuple(sorted(c)) for c in connected_components(g)]
-        assert (sweeps[0].blocked == 4) if first == "blocked" else sweeps[0].shallow
-        assert all(s.relations is not None for s in sweeps[1:])
+        assert sweep == sweep_components(g)
+        if first == "blocked":
+            assert sweep.blocked == [4] and sweep.shallow == []
+        else:
+            assert sweep.blocked == [] and sweep.shallow == [(0, 1, 2, 3)]
+        # the later components' relations are all there, and only theirs
+        later = sweep_components(g, connected_components(g)[1:])
+        assert later.blocked == later.shallow == []
+        assert sweep.relations == later.relations
+        assert {v for a, b, _ in later.relations for v in (a, b)} == set(range(head.n, g.n))
 
     @pytest.mark.parametrize("root", range(6))
     @pytest.mark.parametrize("reverse", [False, True])
@@ -326,7 +332,7 @@ class TestSolveParity:
 
 class TestSweepInPlace:
     """sweep_components sweeps every component on g itself; it must
-    yield the sweeps of the copy-based reference, ids included."""
+    return the merged sweep of the copy-based reference, ids included."""
 
     @staticmethod
     def kinds(g, roots) -> set[str]:
@@ -338,13 +344,11 @@ class TestSweepInPlace:
         for root in roots:
             for reverse in (False, True):
                 for part in (None, comps[1:]):
-                    got = list(sweep_components(g, part, root, reverse))
+                    got = sweep_components(g, part, root, reverse)
                     assert got == bruteforce.sweep_components_reference(g, part, root, reverse)
-                    for sweep in got:
-                        if sweep.shallow:
-                            seen.add("shallow")
-                        else:
-                            seen.add("blocked" if sweep.relations is None else "swept")
+                    # a component swept to the root leaves a relation
+                    kinds = zip(("swept", "shallow", "blocked"), got)
+                    seen.update(kind for kind, found in kinds if found)
         return seen
 
     @staticmethod

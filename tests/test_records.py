@@ -7,7 +7,7 @@ import pytest
 
 from matchcut.forcing import ForcingState, Refutation
 from matchcut.graphs import BfsLevels, Cut, OracleLimits, build_graph
-from matchcut.pmc import ComponentSweep, PmcEncoding, TraceEntry
+from matchcut.pmc import PmcEncoding, PmcSweep, TraceEntry
 from matchcut.reduction import (
     CheckResult,
     Formula13,
@@ -30,7 +30,7 @@ RECORDS = [
     (Cut, ((True, False), ((0, 1),)), ((False, True), ((1, 0),))),
     (ForcingState, tuple(frozenset({v}) for v in range(5)), (frozenset(),) * 5),
     (Refutation, ("R1", 3), ("R2", 3)),
-    (ComponentSweep, ((0, 1), ((0, 1, True),), None), ((0, 1), None, 1)),
+    (PmcSweep, (((0, 1, True),), ((2, 3),), ()), ((), (), (1,))),
     (TwoSatInstance, (2, (((0, True), (1, False)),)), (2, ())),
     (Formula13, (3, ((0, 1, 2),)), (4, ((0, 1, 2),))),
     (GadgetLayout, tuple(LAYOUT), tuple(LAYOUT)[:-1] + (frozenset(),)),
@@ -83,12 +83,12 @@ def test_cut_repr():
 
 
 class TestResult:
-    SWEEPS = (ComponentSweep(range(2), ((0, 1, True),), None),)
+    SWEEP = PmcSweep([(0, 1, True)], [], [])
 
     def test_sweeps_left_out_of_eq_hash_and_repr(self):
         plain = Result("pmc", "fourchordal", CUT)
-        swept = Result("pmc", "fourchordal", CUT, sweeps=self.SWEEPS)
-        assert swept.sweeps == self.SWEEPS and plain.sweeps is None
+        swept = Result("pmc", "fourchordal", CUT, sweep=self.SWEEP)
+        assert swept.sweep == self.SWEEP and plain.sweep is None
         assert plain == swept and hash(plain) == hash(swept)
         assert hash(swept) == hash(("pmc", "fourchordal", CUT, None, None))
         assert repr(swept) == repr(plain) == (
@@ -106,7 +106,7 @@ class TestResult:
 
     def test_assignment_raises(self):
         r = Result("mc", None, None)
-        for name in ("problem", "sweeps", "extra"):
+        for name in ("problem", "sweep", "extra"):
             with pytest.raises(AttributeError):
                 setattr(r, name, 1)
         with pytest.raises(AttributeError):
