@@ -116,10 +116,11 @@ def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    g = parse_graph(Path(args.graph).read_text())
     if args.emit_2cnf and args.problem != "pmc":
+        # a usage error, refused before the graph is read
         print("--emit-2cnf applies to --problem pmc only", file=sys.stderr)
         return 2
+    g = parse_graph(Path(args.graph).read_text())
     result = None
     try:
         result = solve(g, args.problem, args.algo, _limits(args))
@@ -191,9 +192,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    from .generators import iter_instances
+    from .generators import MIN_INSTANCE_N, iter_instances
 
     limits = _limits(args)
+    if args.max_n < MIN_INSTANCE_N:
+        raise GraphError(
+            f"--max-n {args.max_n} is below the smallest instance size, {MIN_INSTANCE_N}"
+        )
     if args.max_n > limits.max_vertices:
         # the oracles would refuse the larger instances; refuse before
         # generating any of them
@@ -294,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=14,
-        help="largest instance size, at most --max-oracle-n and 10^6 (default 14)",
+        help="largest instance size, at least 4 (the smallest drawn) and at most"
+        " --max-oracle-n and 10^6 (default 14)",
     )
     add_common(p_cross)
     p_cross.set_defaults(func=cmd_crosscheck)

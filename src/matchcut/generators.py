@@ -21,6 +21,9 @@ from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
 # the per-vertex probability of attempting a chordless-square splice
 SQUARE_CHANCE = 0.25
 
+# the smallest instance size iter_instances and sample_instances draw
+MIN_INSTANCE_N = 4
+
 
 def random_connected_4chordal(
     rng: random.Random,
@@ -99,7 +102,7 @@ def iter_instances(
     count: int,
     max_n: int,
     *,
-    min_n: int = 4,
+    min_n: int = MIN_INSTANCE_N,
 ) -> Iterator[Graph]:
     """The instances of sample_instances, drawn one at a time."""
     if min_n > max_n:
@@ -119,7 +122,7 @@ def sample_instances(
     count: int,
     max_n: int,
     *,
-    min_n: int = 4,
+    min_n: int = MIN_INSTANCE_N,
 ) -> list[Graph]:
     """A reproducible batch of random instances derived from one seed."""
     return list(iter_instances(seed, count, max_n, min_n=min_n))

@@ -139,26 +139,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return build_graph(n, edges)
 
 
-def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
-    """Materialize g[subset] with dense ids.
-
-    Returns (subgraph, old_ids) where old_ids[new] is the original id;
-    ids are remapped in ascending order.
-    """
-    old_ids = tuple(sorted(set(subset)))
-    if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
-        raise GraphError("subset vertex out of range")
-    new_of = {old: new for new, old in enumerate(old_ids)}
-    keep = set(old_ids)
-    edges = [
-        (new_of[u], new_of[v])
-        for u in old_ids
-        for v in g.adj[u]
-        if u < v and v in keep
-    ]
-    return build_graph(len(old_ids), edges), old_ids
-
-
 def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Components of g, or of g[subset], ordered by smallest member.
 

@@ -3,19 +3,27 @@ completion of a matching cut to a perfect matching.
 
 Cubic in the vertex count at worst, deterministic: augmenting searches
 are seeded from vertices in ascending id order and neighbors scanned
-ascending.
+ascending.  Every search runs in the graph's own vertex ids; none
+copies the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graphs import Cut, Graph, induced_subgraph
+from .graphs import Cut, Graph
 
 
 def maximum_matching(g: Graph) -> list[tuple[int, int]]:
-    """A maximum-cardinality matching as sorted (min, max) pairs.
+    """A maximum-cardinality matching as sorted (min, max) pairs."""
+    return _blossom([sorted(nbrs) for nbrs in g.adj])
+
+
+def _blossom(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """A maximum-cardinality matching of the graph whose ascending
+    neighbor lists are adj, as sorted (min, max) pairs; a vertex with
+    no neighbors is never matched.
 
     Each augmenting search undoes only the entries the previous search
     wrote, in place of an O(n) reset per root.  A blossom costs what
@@ -23,8 +31,7 @@ def maximum_matching(g: Graph) -> list[tuple[int, int]]:
     in sets, and the contraction relabels by scanning only the current
     tree's k vertices, in O(k log k).
     """
-    n = g.n
-    adj = [sorted(g.adj[v]) for v in range(n)]
+    n = len(adj)
     mate = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -126,17 +133,18 @@ def perfect_matching_through(g: Graph, cut: Cut) -> list[tuple[int, int]] | None
     The crossing edges match their ends, and no edge joins what is left
     of the two sides: X keeps one vertex per crossing edge fewer, which
     must leave it even, and one blossom run on g without the crossing
-    ends decides the rest.
+    ends decides the rest.  It runs on g's own neighbor lists with the
+    ends left out, so it pairs what a copy of g without them would.
     """
     if (sum(cut.side) - len(cut.crossing)) % 2:
         return None
     ends = {v for edge in cut.crossing for v in edge}
-    rest, old_ids = induced_subgraph(g, (v for v in range(g.n) if v not in ends))
-    inner = maximum_matching(rest)
-    if 2 * len(inner) != rest.n:
+    # the ends share one empty tuple, which costs no list per end
+    adj = [() if v in ends else sorted(nbrs - ends) for v, nbrs in enumerate(g.adj)]
+    inner = _blossom(adj)
+    if 2 * len(inner) != g.n - len(ends):
         return None
-    pairs = [(old_ids[u], old_ids[v]) for u, v in inner]
-    return sorted(pairs + [(min(edge), max(edge)) for edge in cut.crossing])
+    return sorted(inner + [(min(edge), max(edge)) for edge in cut.crossing])
 
 
 def first_completion(

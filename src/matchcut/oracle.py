@@ -2,8 +2,10 @@
 induced path/cycle search, induced-subgraph containment, and 1-in-3
 assignment enumeration.
 
-Every entry point is guarded by an instance-size bound and a wall-clock
-budget (OracleLimits).  All procedures are deterministic.
+Every graph search is guarded by an instance-size bound and a
+wall-clock budget (OracleLimits).  enumerate_one_in_three keeps the
+budget but bounds the formula by its own limit of 25 variables in place
+of the vertex bound.  All procedures are deterministic.
 """
 
 from __future__ import annotations

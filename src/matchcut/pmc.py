@@ -220,8 +220,11 @@ class PmcSweep(NamedTuple):
     field in connected_components order: the relations of the
     components swept to the root; the ascending vertices of each
     shallow component, whose root is adjacent to every other vertex
-    (breadth-first height at most one, which the sweep cannot layer);
-    and the vertex that blocked each blocked sweep."""
+    (breadth-first height at most one); and the vertex that blocked
+    each blocked sweep.  A shallow component is recorded, not swept,
+    because that costs less: swept from its root, every such component
+    but K2 would block and K2 would be paired, the verdict and
+    certificate that solve_pmc_sweeps reads off the record."""
 
     relations: list[Relation]
     shallow: list[tuple[int, ...]]
@@ -300,13 +303,15 @@ def solve_pmc_4chordal(
     only K2 has a perfect matching cut: every other neighbor of the root
     shares its side, which leaves the root's partner with no partner of
     its own.  Such a component is answered in closed form, X = its lower
-    vertex.  root picks the layering root for its component (lowest
-    vertex elsewhere); together with reverse_scan it varies the sweep
-    order, which must never change the verdict.  Complete on graphs
-    without chordless cycles longer than four; the cut returned has
-    passed check_perfect_matching_cut regardless.  Nothing here is
-    exhaustive: each component costs at most one layering and one
-    sweep, and the graph one parity pass and one certificate check.
+    vertex.  The sweep would answer it the same way; the closed form
+    only costs less, which tells on graphs of many small components.
+    root picks the layering root for its component (lowest vertex
+    elsewhere); together with reverse_scan it varies the sweep order,
+    which must never change the verdict.  Complete on graphs without
+    chordless cycles longer than four; the cut returned has passed
+    check_perfect_matching_cut regardless.  Nothing here is exhaustive:
+    each component costs at most one layering and one sweep, and the
+    graph one parity pass and one certificate check.
     """
     cut, _ = solve_pmc_sweeps(g, root=root, reverse_scan=reverse_scan)
     return cut

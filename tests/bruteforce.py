@@ -3,7 +3,7 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.  Eight references are kept as
+enumeration instead of augmenting paths.  Nine references are kept as
 specifications instead: propagate_reference, the plain sorted-rescan
 form of the forcing loop that the incremental forcing.propagate must
 match; random_connected_4chordal_reference, the generator that checks
@@ -22,10 +22,15 @@ the per-edge cut builder whose cuts and witnesses the one-pass
 certificate predicates must reproduce; solve_dpm_reference, the
 4-chordal dpm seed loop that pairs the matched core's A-B partners and
 matches the rest, whose certificates the completion of each seed's cut
-by matching.perfect_matching_through must reproduce; and
+by matching.perfect_matching_through must reproduce;
 maximum_matching_reference, the blossom search that marks with an
 n-entry list per blossom, whose pairs the set-marking
-matching.maximum_matching must reproduce.
+matching.maximum_matching must reproduce; and
+perfect_matching_through_reference, the completion of a matching cut
+that matches an induced copy of the graph without the crossing ends,
+whose pairs matching.perfect_matching_through, searching in the
+graph's own ids, must reproduce.  induced_subgraph, which builds those
+copies, lives here too: the package itself never copies a graph.
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from matchcut.graphs import (
     BfsLevels,
     bfs_levels,
     connected_components,
-    induced_subgraph,
     is_connected,
     make_cut,
 )
@@ -53,6 +57,41 @@ from matchcut.pmc import (
     TraceEntry,
     build_pmc_formula,
 )
+
+
+def induced_subgraph(g: Graph, subset) -> tuple[Graph, tuple[int, ...]]:
+    """Materialize g[subset] with dense ids.
+
+    Returns (subgraph, old_ids) where old_ids[new] is the original id;
+    ids are remapped in ascending order.
+    """
+    old_ids = tuple(sorted(set(subset)))
+    if old_ids and not (0 <= old_ids[0] and old_ids[-1] < g.n):
+        raise GraphError("subset vertex out of range")
+    new_of = {old: new for new, old in enumerate(old_ids)}
+    keep = set(old_ids)
+    edges = [
+        (new_of[u], new_of[v])
+        for u in old_ids
+        for v in g.adj[u]
+        if u < v and v in keep
+    ]
+    return build_graph(len(old_ids), edges), old_ids
+
+
+def perfect_matching_through_reference(g: Graph, cut: Cut) -> list[tuple[int, int]] | None:
+    """matching.perfect_matching_through on a copy: g without the
+    crossing ends is built as its own graph, matched, and its pairs are
+    mapped back to g's ids."""
+    if (sum(cut.side) - len(cut.crossing)) % 2:
+        return None
+    ends = {v for edge in cut.crossing for v in edge}
+    rest, old_ids = induced_subgraph(g, (v for v in range(g.n) if v not in ends))
+    inner = maximum_matching(rest)
+    if 2 * len(inner) != rest.n:
+        return None
+    pairs = [(old_ids[u], old_ids[v]) for u, v in inner]
+    return sorted(pairs + [(min(edge), max(edge)) for edge in cut.crossing])
 
 
 def cross_degrees(g: Graph, x: set[int]) -> list[int]:

@@ -340,6 +340,14 @@ class TestSolve:
         assert rc == 2
         assert "--problem pmc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["mc", "dpm"])
+    def test_emit_twosat_refused_before_the_graph_is_read(self, capsys, tmp_path, problem):
+        missing = str(tmp_path / "missing.graph")
+        rc = main(["solve", missing, "--problem", problem, "--emit-2cnf", "unused"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "--emit-2cnf applies to --problem pmc only\n"
+
 
 class TestCheck:
     def test_pt_free(self, capsys, graph_file, two_squares):
@@ -513,10 +521,13 @@ class TestCrosscheck:
         assert "DISAGREE" in out and "problem=mc" in out
 
     def test_max_n_below_min_n(self, capsys):
-        rc = main(["crosscheck", "--seed", "0", "--count", "5", "--max-n", "3"])
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == "" and captured.err.startswith("error:")
+        for max_n in ("3", "0"):
+            rc = main(["crosscheck", "--seed", "0", "--count", "5", "--max-n", max_n])
+            captured = capsys.readouterr()
+            assert rc == 2
+            assert captured.out == ""
+            message = f"--max-n {max_n} is below the smallest instance size, 4"
+            assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("max_n", ["40", "1000000000"])
     def test_max_n_above_oracle_bound(self, capsys, max_n):

@@ -22,7 +22,6 @@ from matchcut.graphs import (
     connected_components,
     cycle_graph,
     disjoint_union,
-    induced_subgraph,
     is_connected,
     make_cut,
     path_graph,
@@ -124,7 +123,7 @@ class TestComponentsAndLevels:
 
     def test_induced_subgraph_mapping(self):
         g = cycle_graph(5)
-        sub, old = induced_subgraph(g, [1, 2, 4])
+        sub, old = bruteforce.induced_subgraph(g, [1, 2, 4])
         assert old == (1, 2, 4)
         assert sub.n == 3 and list(sub.edges()) == [(0, 1)]
 

@@ -6,9 +6,14 @@ from hypothesis import given, strategies as st
 import bruteforce
 from matchcut import build_graph, is_matching
 from matchcut.generators import sample_instances
-from matchcut.graphs import complete_graph, cycle_graph, path_graph
+from matchcut.graphs import complete_graph, cycle_graph, disjoint_union, path_graph
 import matchcut.matching
-from matchcut.matching import first_completion, has_perfect_matching, maximum_matching
+from matchcut.matching import (
+    first_completion,
+    has_perfect_matching,
+    maximum_matching,
+    perfect_matching_through,
+)
 from matchcut.oracle import enumerate_matching_cuts
 from conftest import petersen_graph, random_graph
 
@@ -68,6 +73,31 @@ class TestFirstCompletion:
         cuts = enumerate_matching_cuts(two_triangles)
         assert len(cuts) == 1
         assert first_completion(two_triangles, iter(cuts)) is None
+
+
+class TestPerfectMatchingThrough:
+    def test_same_pairs_as_copy_reference(self):
+        # every matching cut of random graphs, generator draws and unions
+        # of both: searched in g's own ids, each completion must pair
+        # what the completion of an induced copy pairs
+        rng = random.Random(31)
+        graphs = [
+            random_graph(rng, rng.randint(2, 11), rng.uniform(0.15, 0.7)) for _ in range(150)
+        ]
+        graphs += sample_instances(5, 40, 12)
+        graphs += [disjoint_union(a, b) for a, b in zip(graphs[::3], graphs[1::3])]
+        kinds = set()
+        count = 0
+        for g in graphs:
+            for cut in enumerate_matching_cuts(g):
+                got = perfect_matching_through(g, cut)
+                assert got == bruteforce.perfect_matching_through_reference(g, cut), (g, cut)
+                count += 1
+                kinds.add("uncrossed" if not cut.crossing else "crossed")
+                kinds.add("odd" if (sum(cut.side) - len(cut.crossing)) % 2 else "even")
+                kinds.add("completed" if got is not None else "none")
+        assert count >= 2000
+        assert kinds == {"uncrossed", "crossed", "odd", "even", "completed", "none"}
 
 
 class TestOutputContract:

@@ -1,10 +1,10 @@
-"""High-water marks of the parse, --emit-2cnf and disconnected-split
-paths, read with tracemalloc: what the interpreter allocates,
-deterministic for one interpreter.  Each bound sits between the
+"""High-water marks of the parse, --emit-2cnf, disconnected-split and
+dpm completion paths, read with tracemalloc: what the interpreter
+allocates, deterministic for one interpreter.  Each bound sits between the
 streaming code's ratio and that of code that holds its data twice (a
 list of sets beside their frozensets, a clause tuple per relation, the
-whole file text) or builds what it does not read (a set per
-component)."""
+whole file text, a copy of the graph) or builds what it does not read
+(a set per component)."""
 
 import gc
 import tracemalloc
@@ -14,7 +14,7 @@ import pytest
 from conftest import ladder
 from matchcut.cli import _emit_twosat
 from matchcut.files import format_graph, parse_graph
-from matchcut.graphs import build_graph
+from matchcut.graphs import build_graph, disjoint_union
 from matchcut.solver import solve
 
 
@@ -68,3 +68,24 @@ def test_disconnected_split_peak(problem):
     result, _, peak = traced(lambda: solve(g, problem))
     assert (result.cut is not None) == (problem == "mc")
     assert peak <= 40 * g.n
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        # 2,000 vertices: the blossom runs of the seed cuts' completions
+        # (1.25x the graph's bytes here; 2.11x with g minus the crossing
+        # ends built as a graph for each)
+        (lambda: ladder(1000), 1.6),
+        # 4,000 vertices, completed along vertex 0's component with no
+        # crossing edge (0.59x here; 1.44x with the whole graph copied)
+        (lambda: disjoint_union(ladder(1000), ladder(1000)), 1.0),
+    ],
+    ids=["ladder", "two-ladders"],
+)
+def test_dpm_completion_peak(make, bound):
+    # each cut is completed in g's own ids: no graph is copied
+    g, kept, _ = traced(make)
+    result, _, peak = traced(lambda: solve(g, "dpm", "fourchordal"))
+    assert result.matching is not None
+    assert peak <= bound * kept

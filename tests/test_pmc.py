@@ -13,7 +13,6 @@ from matchcut.graphs import (
     connected_components,
     cycle_graph,
     disjoint_union,
-    induced_subgraph,
     is_connected,
     path_graph,
 )
@@ -144,6 +143,19 @@ class TestBuildFormula:
         # the sweep pairs 4-3 and 2-1, leaving the root with no partner
         enc = build_pmc_formula(path_graph(5), 0)
         assert enc.formula is None and enc.blocked == 0
+
+    def test_shallow_components_block_unless_k2(self):
+        # the sweep itself answers a component of height at most one as
+        # the closed form does: blocked on all but K2, whose ends it pairs
+        stars = [build_graph(k + 1, [(0, v) for v in range(1, k + 1)]) for k in range(2, 6)]
+        cliques = [complete_graph(k) for k in range(3, 7)]
+        pendants = complete_graph(8).edges() + [(0, v) for v in range(8, 40)]
+        for g in [path_graph(2), *stars, *cliques, build_graph(40, pendants)]:
+            assert g.degree(0) == g.n - 1
+            for reverse in (False, True):
+                enc = build_pmc_formula(g, 0, reverse_scan=reverse)
+                assert (enc.relations is None) == (g.n != 2), g
+        assert build_pmc_formula(path_graph(2), 0).relations == ((1, 0, True),)
 
     def test_formula_equal_on_every_read(self, two_squares):
         # a plain property: each read builds the same 2-CNF of the relations
@@ -279,7 +291,7 @@ class TestSolveParity:
     def formulas(g, roots):
         """The unblocked sweep encodings of g's components."""
         for comp in connected_components(g):
-            sub, _ = induced_subgraph(g, comp)
+            sub, _ = bruteforce.induced_subgraph(g, comp)
             for root in roots(sub):
                 for reverse in (False, True):
                     enc = build_pmc_formula(sub, root, reverse_scan=reverse)

@@ -16,7 +16,7 @@ from matchcut import (
     solve,
 )
 from matchcut.generators import sample_instances
-from matchcut.graphs import disjoint_union, make_cut
+from matchcut.graphs import disjoint_union, is_connected, make_cut
 from matchcut.matching import maximum_matching
 from matchcut.oracle import find_dpm, has_dpm
 
@@ -82,6 +82,28 @@ def test_fourchordal_dpm_on_unions_is_the_maximum_matching():
         assert result.matching == (tuple(pairs) if perfect else None), g
         verdicts.add(perfect)
     assert verdicts == {True, False}
+
+
+def test_no_solve_path_builds_a_graph(monkeypatch, domino):
+    # every problem under every algorithm answers on g itself: with
+    # build_graph refusing, each answer is the one given beforehand,
+    # dpm YES on connected and on disconnected graphs included
+    graphs = random_small_graphs() + unions_of_sample_instances()
+    graphs += [domino, disjoint_union(domino, build_graph(2, [(0, 1)]))]
+    algos = ("auto", "fourchordal", "oracle")
+    runs = [(g, p, a) for g in graphs for p in ("mc", "pmc", "dpm") for a in algos]
+    answers = [solve(g, p, a) for g, p, a in runs]
+
+    def refuse(n, edges):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("matchcut.graphs.build_graph", refuse)
+    dpm_yes = set()
+    for (g, problem, algo), want in zip(runs, answers):
+        assert solve(g, problem, algo) == want, (g, problem, algo)
+        if problem == "dpm" and want.cut is not None:
+            dpm_yes.add((algo, is_connected(g)))
+    assert dpm_yes == {(a, c) for a in algos for c in (True, False)}
 
 
 def test_find_dpm_certificate():
