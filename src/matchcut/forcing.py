@@ -6,8 +6,9 @@ cross-matched vertices; X and Y hold everything forced to a side.  On
 graphs without chordless cycles longer than four, every free component
 of a stable state attaches to exactly one side, which yields polynomial
 solvers for matching cuts and for perfect matchings containing one.
-Each stable seed's cut is checked as a matching cut before it is used;
-the dpm solver hands the cuts to matching.first_completion.
+The free components one search from Y reaches join Y, the rest X; each
+cut is checked as a matching cut before the mc solver returns it or the
+dpm solver hands it to matching.first_completion.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
-from .graphs import Cut, Graph, GraphError, check_matching_cut, connected_components, is_connected
+from .graphs import Cut, Graph, GraphError, check_matching_cut, is_connected
 from .matching import first_completion
 
 
@@ -123,44 +124,29 @@ def propagate(g: Graph, a: int, b: int) -> ForcingState | Refutation:
     )
 
 
-def split_free_vertices(
-    g: Graph, state: ForcingState
-) -> tuple[frozenset[int] | None, frozenset[int] | None, frozenset[int] | None]:
-    """Assign each free component to the side it attaches to.
-
-    Returns (f_x, f_y, None) when every free component has neighbors on
-    only one forced side, and (None, None, component) for the first
-    component seeing both sides.  Components seeing both sides cannot
-    occur when the graph has no chordless cycle longer than four.
-
-    Every free component of a connected graph has a forced neighbor; one
-    without shows that g is disconnected (GraphError), so all of them
-    are looked at before a mixed one is reported.
+def _x_side(g: Graph, state: ForcingState) -> frozenset[int] | None:
+    """X with the free vertices that one search from Y through free
+    vertices leaves unreached: on a connected graph, the free components
+    that see only X.  None when a reached vertex sees X, as its component
+    then sees both sides, which needs a chordless cycle longer than four.
     """
-    f_x: set[int] = set()
-    f_y: set[int] = set()
-    mixed = None
-    for comp in connected_components(g, state.free):
-        touches_x = any(u in state.x for v in comp for u in g.adj[v])
-        touches_y = any(u in state.y for v in comp for u in g.adj[v])
-        if not (touches_x or touches_y):
-            raise GraphError("free-side split requires a connected graph")
-        if touches_x and touches_y:
-            if mixed is None:
-                mixed = comp
-        elif touches_y:
-            f_y |= comp
-        else:
-            f_x |= comp
-    if mixed is not None:
-        return None, None, mixed
-    return frozenset(f_x), frozenset(f_y), None
+    adj, x, free = g.adj, state.x, state.free
+    found = list(state.y)
+    reached: set[int] = set()
+    for v in found:
+        for u in adj[v]:
+            if u in free and u not in reached:
+                if not x.isdisjoint(adj[u]):
+                    return None
+                reached.add(u)
+                found.append(u)
+    return x | free.difference(reached)
 
 
 def _stable_seeds(g: Graph) -> Iterator[Cut]:
-    """Yield the matching cut state.x | f_x of each seed edge, in
-    g.edges() order, whose propagation is not refuted, whose free
-    components each attach to one side, and whose cut passes the
+    """Yield the matching cut of each seed edge of the connected graph
+    g, in g.edges() order, whose propagation is not refuted, whose free
+    components each see one side (_x_side), and whose cut passes the
     matching-cut check.  A seed edge on a triangle is skipped (R1
     would refute it): the triangle's third vertex lies on one side, so
     the edge's end on the other side would have two neighbors across.
@@ -171,9 +157,9 @@ def _stable_seeds(g: Graph) -> Iterator[Cut]:
         state = propagate(g, a, b)
         if isinstance(state, Refutation):
             continue
-        f_x, _, mixed = split_free_vertices(g, state)
-        if mixed is None:
-            cut, _ = check_matching_cut(g, state.x | f_x)
+        x = _x_side(g, state)
+        if x is not None:
+            cut, _ = check_matching_cut(g, x)
             if cut is not None:
                 yield cut
 

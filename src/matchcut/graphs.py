@@ -6,7 +6,7 @@ plain list of (u, v) pairs with u < v; helpers below validate the shape.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -143,25 +143,12 @@ def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[
     """Components of g, or of g[subset], ordered by smallest member.
 
     Each component's list grows while it is read, breadth first.  Seen
-    vertices are marked in a list on the whole graph, and are taken out
-    of the pool of unseen subset vertices otherwise.
+    subset vertices are taken out of the pool of unseen ones.
     """
+    if subset is None:
+        return list(iter_components(g))
     adj = g.adj
     comps: list[frozenset[int]] = []
-    if subset is None:
-        marked = [False] * g.n
-        for start in range(g.n):
-            if marked[start]:
-                continue
-            marked[start] = True
-            found = [start]
-            for v in found:
-                for u in adj[v]:
-                    if not marked[u]:
-                        marked[u] = True
-                        found.append(u)
-            comps.append(frozenset(found))
-        return comps
     pool = set(subset)
     for start in sorted(pool):
         if start not in pool:
@@ -175,6 +162,24 @@ def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[
                     found.append(u)
         comps.append(frozenset(found))
     return comps
+
+
+def iter_components(g: Graph) -> Iterator[frozenset[int]]:
+    """The components of g in connected_components order, each walked
+    only when it is asked for; seen vertices are marked in a list on g."""
+    adj = g.adj
+    marked = [False] * g.n
+    for start in range(g.n):
+        if marked[start]:
+            continue
+        marked[start] = True
+        found = [start]
+        for v in found:
+            for u in adj[v]:
+                if not marked[u]:
+                    marked[u] = True
+                    found.append(u)
+        yield frozenset(found)
 
 
 def is_connected(g: Graph) -> bool:

@@ -81,9 +81,9 @@ def _pick_algo(g: graphs.Graph, limits: graphs.OracleLimits | None) -> str:
 def _certified(g: graphs.Graph, result: Result) -> Result:
     """result, once a YES is checked on g: its cut must be g's matching
     cut (perfect for pmc) on the cut's X side, and a dpm matching a
-    disconnected perfect matching of g holding every crossing edge of
-    the cut.  A certificate that fails is a fault of the solver that
-    made it, so it is not returned: RuntimeError.
+    perfect matching of g holding every crossing edge of the cut.  A
+    certificate that fails is a fault of the solver that made it, so it
+    is not returned: RuntimeError.
     """
     cut = result.cut
     if cut is None:
@@ -96,7 +96,9 @@ def _certified(g: graphs.Graph, result: Result) -> Result:
         pairs = result.matching or ()
         matched = {(min(e), max(e)) for e in pairs}
         try:
-            ok = graphs.is_disconnected_perfect_matching(g, pairs) and all(
+            # removing a perfect matching that holds each crossing edge of
+            # the matching cut above disconnects g, so g is not walked
+            ok = graphs.is_perfect_matching(g, pairs) and all(
                 (min(e), max(e)) in matched for e in cut.crossing
             )
         except graphs.GraphError:
@@ -130,10 +132,12 @@ def solve(
     if problem not in PROBLEMS or algo not in ALGOS:
         raise ValueError(f"unknown problem {problem!r} or algorithm {algo!r}")
     if problem == "pmc":
-        comps = graphs.connected_components(g)
-        if any(len(c) % 2 for c in comps):
-            # a component of odd order cannot be perfectly matched across
-            return Result(problem, None, None, reason="odd component")
+        comps = []
+        for comp in graphs.iter_components(g):
+            if len(comp) % 2:
+                # a component of odd order cannot be perfectly matched across
+                return Result(problem, None, None, reason="odd component")
+            comps.append(comp)
     elif g.n and len(first := graphs.part_without(g, ())) < g.n:
         # vertex 0's component, walked alone, splits a disconnected graph
         split = graphs.make_cut(g, first)

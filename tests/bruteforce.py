@@ -3,12 +3,16 @@
 Everything here recomputes answers from first principles, sharing no
 search logic with the package under test: bipartition scans instead of
 pruned backtracking, subset scans instead of bitmask DFS, and explicit
-enumeration instead of augmenting paths.  Nine references are kept as
+enumeration instead of augmenting paths.  Ten references are kept as
 specifications instead: propagate_reference, the plain sorted-rescan
 form of the forcing loop that the incremental forcing.propagate must
-match; random_connected_4chordal_reference, the generator that checks
-every square splice with the exhaustive oracle cycle search, whose
-output the one-search splice check must reproduce;
+match; split_free_vertices, the free-side split that lists every free
+component of a stable seed and the sides each one touches, whose X
+sides and skipped seeds the one search from Y in forcing._stable_seeds
+must reproduce on connected graphs;
+random_connected_4chordal_reference, the generator that checks every
+square splice with the exhaustive oracle cycle search, whose output
+the one-search splice check must reproduce;
 find_dpm_reference, the dpm search that lists perfect matchings until
 one disconnects, whose answer oracle.find_dpm must reproduce after
 deciding by matching cuts; sweep_components_reference, the pmc
@@ -40,7 +44,7 @@ from collections import deque
 from itertools import combinations, product
 
 from matchcut import Cut, Graph, GraphError, build_graph, oracle
-from matchcut.forcing import ForcingState, Refutation, propagate, split_free_vertices
+from matchcut.forcing import ForcingState, Refutation, propagate
 from matchcut.graphs import (
     BfsLevels,
     bfs_levels,
@@ -621,6 +625,40 @@ def propagate_reference(g: Graph, a: int, b: int) -> ForcingState | Refutation:
                 y=frozenset(v for v in range(g.n) if side[v] == 1),
                 free=frozenset(free),
             )
+
+
+def split_free_vertices(
+    g: Graph, state: ForcingState
+) -> tuple[frozenset[int] | None, frozenset[int] | None, frozenset[int] | None]:
+    """Assign each free component to the side it attaches to.
+
+    Returns (f_x, f_y, None) when every free component has neighbors on
+    only one forced side, and (None, None, component) for the first
+    component seeing both sides.  Components seeing both sides cannot
+    occur when the graph has no chordless cycle longer than four.
+
+    Every free component of a connected graph has a forced neighbor; one
+    without shows that g is disconnected (GraphError), so all of them
+    are looked at before a mixed one is reported.
+    """
+    f_x: set[int] = set()
+    f_y: set[int] = set()
+    mixed = None
+    for comp in connected_components(g, state.free):
+        touches_x = any(u in state.x for v in comp for u in g.adj[v])
+        touches_y = any(u in state.y for v in comp for u in g.adj[v])
+        if not (touches_x or touches_y):
+            raise GraphError("free-side split requires a connected graph")
+        if touches_x and touches_y:
+            if mixed is None:
+                mixed = comp
+        elif touches_y:
+            f_y |= comp
+        else:
+            f_x |= comp
+    if mixed is not None:
+        return None, None, mixed
+    return frozenset(f_x), frozenset(f_y), None
 
 
 def solve_dpm_reference(g: Graph) -> tuple[list[tuple[int, int]], Cut] | None:

@@ -20,19 +20,15 @@ from matchcut import (
 from matchcut.forcing import (
     ForcingState,
     Refutation,
+    _stable_seeds,
+    _x_side,
     solve_dpm_4chordal,
     solve_mc_4chordal,
-    split_free_vertices,
 )
 from matchcut.generators import sample_instances
-from matchcut.graphs import (
-    complete_graph,
-    connected_components,
-    cycle_graph,
-    disjoint_union,
-    path_graph,
-)
+from matchcut.graphs import complete_graph, cycle_graph, is_connected, path_graph
 from matchcut.pmc import solve_pmc_4chordal
+from matchcut.solver import solve
 
 
 def path_power(n: int, k: int) -> Graph:
@@ -49,6 +45,28 @@ def random_ktree(n: int, k: int, rng: random.Random) -> Graph:
         edges += [(u, v) for u in base]
         cliques += [tuple(sorted(set(base) - {u} | {v})) for u in base]
     return build_graph(n, edges)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertex r * cols + c at row r, column c."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return build_graph(rows * cols, edges)
+
+
+def reference_seed_stream(g, tally):
+    """_stable_seeds' cuts built with bruteforce.split_free_vertices;
+    tally counts the stable seeds whose free split is mixed or clean."""
+    for a, b in g.edges():
+        state = propagate(g, a, b)
+        if isinstance(state, Refutation):
+            continue
+        f_x, _, mixed = bruteforce.split_free_vertices(g, state)
+        tally["clean" if mixed is None else "mixed"] += 1
+        if mixed is None:
+            cut, _ = check_matching_cut(g, state.x | f_x)
+            if cut is not None:
+                yield cut
 
 
 def both_orientations(g):
@@ -152,28 +170,13 @@ class TestPropagate:
 
 
 class TestSplitFree:
-    def test_requires_connected(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        state = propagate(g, 0, 1)
-        assert isinstance(state, ForcingState)
-        with pytest.raises(GraphError):
-            split_free_vertices(g, state)
-
-    def test_disconnected_with_mixed_component_first(self):
-        # C5 plus a disjoint K2, seeded on the C5: the mixed free
-        # component {3} comes before the untouched {5, 6}
-        g = disjoint_union(cycle_graph(5), path_graph(2))
-        state = propagate(g, 0, 1)
-        assert isinstance(state, ForcingState)
-        assert connected_components(g, state.free) == [frozenset({3}), frozenset({5, 6})]
-        with pytest.raises(GraphError):
-            split_free_vertices(g, state)
-
     def test_mixed_component_reported(self):
+        # free vertex 3 of C5 seeded on 0-1 sees X = {0, 4} and Y = {1, 2}
         g = cycle_graph(5)
         state = propagate(g, 0, 1)
-        fx, fy, mixed = split_free_vertices(g, state)
-        assert fx is None and fy is None and mixed == frozenset({3})
+        assert state.free == frozenset({3})
+        assert _x_side(g, state) is None
+        assert list(_stable_seeds(g)) == []
 
     def test_clean_split(self):
         # two squares hanging off the seed edge
@@ -182,9 +185,50 @@ class TestSplitFree:
         )
         state = propagate(g, 0, 1)
         assert isinstance(state, ForcingState)
-        fx, fy, mixed = split_free_vertices(g, state)
-        assert mixed is None
-        assert fx == frozenset({5, 6}) and fy == frozenset()
+        assert state.free == frozenset({5, 6})
+        assert _x_side(g, state) == state.x | {5, 6}
+
+    def test_stream_equals_component_split_reference(self):
+        # on connected graphs the one search from Y yields every cut the
+        # component listing yields, and skips the same seeds
+        rng = random.Random(20261019)
+        graphs = [cycle_graph(n) for n in range(3, 16)]
+        graphs += [grid(r, c) for r in range(1, 6) for c in range(r, 7) if r * c > 1]
+        graphs += [ladder(k, (0,)) for k in range(2, 8)]
+        graphs += [tree_prism(t, rng) for t in range(2, 10)]
+        while len(graphs) < 1100:
+            g = random_graph(rng, rng.randint(2, 14), rng.uniform(0.15, 0.5))
+            if is_connected(g):
+                graphs.append(g)
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        tally = {"clean": 0, "mixed": 0}
+        cuts = 0
+        for g in graphs:
+            want = list(reference_seed_stream(g, tally))
+            assert list(_stable_seeds(g)) == want, g
+            cuts += len(want)
+        assert len(graphs) >= 2000
+        assert tally["clean"] >= 500 and tally["mixed"] >= 500 and cuts >= 1000, (tally, cuts)
+
+    def test_no_component_listing(self, monkeypatch):
+        # seeds that survive propagation, clean and mixed, are split
+        # without listing a free component
+        graphs = [cycle_graph(4), cycle_graph(5), ladder(6), ladder(5, (0,)), grid(3, 4)]
+        graphs += [tree_prism(8, random.Random(3))]
+        runs = [(g, p) for g in graphs for p in ("mc", "dpm")]
+        answers = [solve(g, p, "fourchordal") for g, p in runs]
+        assert all(
+            any(isinstance(propagate(g, a, b), ForcingState) for a, b in g.edges())
+            for g in graphs
+        )
+
+        def refuse(*args):
+            raise AssertionError("components were listed")
+
+        monkeypatch.setattr("matchcut.graphs.connected_components", refuse)
+        monkeypatch.setattr("matchcut.forcing.connected_components", refuse, raising=False)
+        assert [solve(g, p, "fourchordal") for g, p in runs] == answers
+        assert any(a.cut is not None for a in answers)
 
 
 class TestSolveMc:
@@ -210,8 +254,8 @@ class TestSolveMc:
         # matching-cut check must turn every seed's cut into a skip
         monkeypatch.setattr(
             matchcut.forcing,
-            "split_free_vertices",
-            lambda g, state: (frozenset(range(g.n)) - {min(state.b)}, frozenset(), None),
+            "_x_side",
+            lambda g, state: frozenset(range(g.n)) - {min(state.b)},
         )
         assert solve_mc_4chordal(g) is None
 

@@ -60,10 +60,11 @@ def test_emit_twosat_peak(big_ladder, tmp_path):
     assert peak <= 8 * written
 
 
-@pytest.mark.parametrize("problem", ["mc", "dpm"])
+@pytest.mark.parametrize("problem", ["mc", "dpm", "pmc"])
 def test_disconnected_split_peak(problem):
-    # only vertex 0's component is walked to split the graph: 16 bytes
-    # per vertex here (two lists), 265 with a frozenset per component
+    # only vertex 0's component is walked to split the graph, or to find
+    # it odd: 16 bytes per vertex here for mc and dpm (two lists) and 8
+    # for pmc (one), 265 with a frozenset per component
     g = build_graph(200_000, [])
     result, _, peak = traced(lambda: solve(g, problem))
     assert (result.cut is not None) == (problem == "mc")

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import bruteforce
-from conftest import random_graph
+from conftest import ladder, random_graph
 from matchcut import (
     Cut,
     Result,
@@ -15,6 +15,7 @@ from matchcut import (
     is_disconnected_perfect_matching,
     solve,
 )
+from matchcut import graphs
 from matchcut.generators import sample_instances
 from matchcut.graphs import disjoint_union, is_connected, make_cut
 from matchcut.matching import maximum_matching
@@ -179,6 +180,18 @@ def test_corrupted_component_split_matching_is_not_returned(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="internal error: the dpm certificate"):
         solve(g, "dpm")
+
+
+def test_dpm_certificate_walks_no_graph(monkeypatch):
+    # a connected dpm YES walks g twice, to split it and to guard the
+    # seed loop; its certificate is checked by the cut it holds
+    g = ladder(4)
+    real = graphs.part_without
+    walks = []
+    monkeypatch.setattr(graphs, "part_without", lambda g, m: walks.append(g.n) or real(g, m))
+    result = solve(g, "dpm", "fourchordal")
+    assert walks == [8, 8]
+    assert is_disconnected_perfect_matching(g, result.matching)
 
 
 @pytest.mark.parametrize(
