@@ -265,18 +265,25 @@ class Cut(NamedTuple):
         )
 
 
-def _walk_cut(g: Graph, x: set[int], low: int, high: int) -> tuple[Cut | None, int | None]:
-    """The cut with X = x, built in one ascending pass over the vertices,
-    or (None, v) for the first vertex v whose cross degree lies outside
-    low..high.  A cut is built only over g's vertices: GraphError when
-    x holds any other.
+def _walk_cut(
+    g: Graph, x_side: Iterable[int], low: int, high: int
+) -> tuple[Cut | None, int | None]:
+    """The cut with X = x_side, built in one ascending pass over the
+    vertices.  A vertex of x_side outside g raises GraphError; an empty
+    side gives (None, None); otherwise the walk gives (None, v) for the
+    first vertex v whose cross degree lies outside low..high.
 
     A vertex of X has its cross neighbors in adj[v] - x, a vertex of Y
     in adj[v] & x.  The X vertices come in ascending order, so the
     crossing list comes out sorted.
     """
-    adj = g.adj
+    x = set(x_side)
     side = tuple(map(x.__contains__, range(g.n)))
+    if sum(side) != len(x):
+        raise GraphError("cut side contains an unknown vertex")
+    if not x or len(x) == g.n:
+        return None, None
+    adj = g.adj
     crossing: list[tuple[int, int]] = []
     for v, in_x in enumerate(side):
         if in_x:
@@ -286,17 +293,14 @@ def _walk_cut(g: Graph, x: set[int], low: int, high: int) -> tuple[Cut | None, i
             crossing += [(v, u) for u in sorted(across)]
         elif not low <= len(adj[v] & x) <= high:
             return None, v
-    if sum(side) != len(x):
-        raise GraphError("cut side contains an unknown vertex")
     return Cut(side, tuple(crossing)), None
 
 
 def make_cut(g: Graph, x_side: Iterable[int]) -> Cut:
     """Build the cut with X = x_side; both parts must be non-empty."""
-    x = set(x_side)
-    if not x or len(x) == g.n:
+    cut, _ = _walk_cut(g, x_side, 0, g.n)
+    if cut is None:
         raise GraphError("both sides of a cut must be non-empty")
-    cut, _ = _walk_cut(g, x, 0, g.n)
     return cut
 
 
@@ -308,10 +312,7 @@ def check_matching_cut(g: Graph, x_side: Iterable[int]) -> tuple[Cut | None, int
     is the smallest vertex with two cross neighbors, or None when the
     failure is an empty side.
     """
-    x = set(x_side)
-    if not x or len(x) == g.n:
-        return None, None
-    return _walk_cut(g, x, 0, 1)
+    return _walk_cut(g, x_side, 0, 1)
 
 
 def is_matching_cut(g: Graph, x_side: Iterable[int]) -> bool:
@@ -326,10 +327,7 @@ def check_perfect_matching_cut(g: Graph, x_side: Iterable[int]) -> tuple[Cut | N
     return convention as check_matching_cut; the witness is the smallest
     vertex whose cross degree differs from one.
     """
-    x = set(x_side)
-    if not x or len(x) == g.n:
-        return None, None
-    return _walk_cut(g, x, 1, 1)
+    return _walk_cut(g, x_side, 1, 1)
 
 
 def is_perfect_matching_cut(g: Graph, x_side: Iterable[int]) -> bool:

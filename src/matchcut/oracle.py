@@ -322,9 +322,9 @@ def contains_induced(
     """True when g has an induced subgraph isomorphic to pattern.
 
     Backtracks over pattern vertices component by component (largest
-    component first, breadth-first inside each).  Runs of structurally
-    identical path components are deduplicated by requiring their images
-    to appear in ascending order.
+    component first), each ordered layer by layer from its lowest vertex.
+    Runs of structurally identical path components are deduplicated by
+    requiring their images to appear in ascending order.
     """
     deadline = _guard(g, limits)
     if pattern.n == 0:
@@ -332,7 +332,7 @@ def contains_induced(
     if pattern.n > g.n:
         return False
 
-    from .graphs import connected_components
+    from .graphs import component_levels, connected_components
 
     comps = sorted(
         connected_components(pattern), key=lambda c: (-len(c), min(c))
@@ -344,20 +344,13 @@ def contains_induced(
             return True
         return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
 
+    level_of = [-1] * pattern.n
     order: list[int] = []
     ranges: list[tuple[int, int]] = []
     for comp in comps:
         first = len(order)
-        start = min(comp)
-        seen = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for u in sorted(pattern.adj[v]):
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
+        for layer in component_levels(pattern, min(comp), level_of).levels:
+            order += layer
         ranges.append((first, len(order) - 1))
 
     # where a path component duplicates its predecessor, force component

@@ -77,18 +77,12 @@ def classify_leaf(
                 return "c2", (u1, u2, common[0])
         return "none", ()
     open_below = [u for u in levels.levels[i - 1] if u not in determined]
-    comps = connected_components(g, open_below)
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for u in comp:
-            comp_of[u] = idx
-    groups: dict[int, list[int]] = {}
-    for u in below:
-        groups.setdefault(comp_of[u], []).append(u)
+    # c lies in the open layer below, so c & adj[v] is c's share of below
+    groups = [hit for c in connected_components(g, open_below) if (hit := c & g.adj[v])]
     if len(groups) == 2:
-        sizes = sorted(groups.values(), key=len)
-        if len(sizes[0]) == 1:
-            return "c3", (sizes[0][0],)
+        single = min(groups, key=len)
+        if len(single) == 1:
+            return "c3", tuple(single)
     return "none", ()
 
 

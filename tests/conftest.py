@@ -73,6 +73,18 @@ def tree_prism(t: int, rng: random.Random) -> Graph:
     return build_graph(2 * t, edges + [(2 * v, 2 * v + 1) for v in range(t)])
 
 
+def fan(k: int, m: int) -> Graph:
+    """Root 0; layer 1 is a clique K = 1..k, singletons s_j = k+1+j and
+    one pendant k+m+1; layer 2 has v_j = k+m+2+j, joined to s_j and to
+    the consecutive clique vertices K[j mod k] and K[(j+1) mod k]."""
+    edges = [(0, v) for v in range(1, k + m + 2)]
+    edges += [(a, b) for a in range(1, k + 1) for b in range(a + 1, k + 1)]
+    for j in range(m):
+        v = k + m + 2 + j
+        edges += [(k + 1 + j, v), (1 + j % k, v), (1 + (j + 1) % k, v)]
+    return build_graph(k + 2 * m + 2, edges)
+
+
 def relabelled(g: Graph, rng: random.Random) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)

@@ -230,11 +230,14 @@ class TestCuts:
         }
 
     def test_unknown_vertex_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(GraphError):
-            make_cut(g, {0, 7})
-        with pytest.raises(GraphError):
-            check_matching_cut(g, {0, 7})
+        # membership is checked before the walk and the empty-side test:
+        # on the triangle, vertex 0 is the first bad cross degree of
+        # {0, 7}, and {1, 2, 99} has as many elements as the graph
+        triangle = complete_graph(3)
+        for g, x in ((path_graph(3), {0, 7}), (triangle, {0, 7}), (triangle, {1, 2, 99})):
+            for build in (make_cut, check_matching_cut, check_perfect_matching_cut):
+                with pytest.raises(GraphError):
+                    build(g, x)
 
     @given(st.integers(0, 10_000), st.integers(4, 8), st.floats(0.2, 0.8))
     def test_matching_cut_check_matches_definition(self, seed, n, p):

@@ -26,7 +26,7 @@ from matchcut.oracle import (
     perfect_matchings,
 )
 from matchcut.reduction import Formula13
-from conftest import petersen_graph, random_graph
+from conftest import petersen_graph, random_graph, relabelled
 
 WIDE = OracleLimits(max_vertices=30, budget_seconds=300)
 
@@ -229,6 +229,35 @@ class TestContainsInduced:
         # networkx subgraph isomorphism is node-induced, same notion
         want = any(True for _ in GraphMatcher(h, q).subgraph_isomorphisms_iter())
         assert contains_induced(host, pat, WIDE) == want
+
+    def test_larger_patterns_against_networkx(self):
+        # patterns of 5-7 vertices, ordered layer by layer from each
+        # component's lowest vertex: the tree 0-1, 0-2, 1-4, 2-3 comes out
+        # 0, 1, 2, 3, 4, and relabelled equal path components put the
+        # ascending-image check on orders other than their numbering
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        def nx_graph(g):
+            out = nx.Graph()
+            out.add_nodes_from(range(g.n))
+            out.add_edges_from(g.edges())
+            return out
+
+        rng = random.Random(43)
+        p2, p3 = path_graph(2), path_graph(3)
+        patterns = [build_graph(5, [(0, 1), (0, 2), (1, 4), (2, 3)])]
+        patterns += [relabelled(disjoint_union(p3, p3), rng) for _ in range(4)]
+        patterns += [relabelled(disjoint_union(p2, p2, p2), rng) for _ in range(4)]
+        patterns += [random_graph(rng, rng.randint(5, 7), rng.uniform(0.2, 0.6)) for _ in range(12)]
+        answers = set()
+        for pat in patterns:
+            for _ in range(15):
+                host = random_graph(rng, rng.randint(5, 10), rng.uniform(0.2, 0.7))
+                want = any(True for _ in GraphMatcher(nx_graph(host), nx_graph(pat)).subgraph_isomorphisms_iter())
+                assert contains_induced(host, pat, WIDE) == want, (host.edges(), pat.edges())
+                answers.add(want)
+        assert answers == {True, False}
 
 
 class TestClassifyAndFormulas:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from conftest import ladder, random_graph, relabelled, tree_prism
+from conftest import fan, ladder, random_graph, relabelled, tree_prism
 from matchcut import build_graph, is_perfect_matching_cut
 from matchcut.generators import sample_instances
 from matchcut.graphs import (
@@ -75,6 +75,11 @@ class TestClassifyLeaf:
             ],
         )
         assert classify_leaf(g, bfs_levels(g, 0), set(), 5) == ("none", ())
+
+    def test_three_groups_below(self):
+        # 1, 2 and 3 are pairwise non-adjacent: three single groups
+        g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+        assert classify_leaf(g, bfs_levels(g, 0), set(), 4) == ("none", ())
 
     def test_no_open_vertex_below(self):
         g = path_graph(2)
@@ -196,6 +201,14 @@ class TestSweepReference:
         graphs += [relabelled(g, rng) for g in list(graphs)]
         seen = self.outcomes(graphs, lambda g: (0, g.n // 2, g.n - 1))
         assert seen == {"c1", "c2", "swept"}
+
+    def test_fans(self):
+        # from the root each v_j meets K and s_j below, so c3 fires on a
+        # layer of many components
+        rng = random.Random(37)
+        graphs = [fan(k, m) for k in (3, 5, 8) for m in (2, 5, 9)]
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        assert "c3" in self.outcomes(graphs, lambda g: (0, g.n // 2, g.n - 1))
 
 
 class TestSolvePmc:
