@@ -14,11 +14,14 @@ loads only the modules its subcommand needs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
+from itertools import compress
+from operator import not_
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .files import ParseError, format_graph, parse_graph
 from .graphs import Graph, GraphError, OracleBudgetError, OracleLimits, OracleSizeError
@@ -70,17 +73,19 @@ def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) ->
         print("\n".join(text_lines))
 
 
-def _text(value: str | list) -> str:
-    """A report field as text: a word as it is, a list as its vertices
-    or u-v pairs separated by spaces."""
+def _text(value: str | Sequence) -> str:
+    """A report field as text: a word as it is, a sequence as its
+    vertices or u-v pairs separated by spaces."""
     if isinstance(value, str):
         return value
-    return " ".join("-".join(map(str, e)) if isinstance(e, list) else str(e) for e in value)
+    return " ".join(str(e) if isinstance(e, int) else "-".join(map(str, e)) for e in value)
 
 
 def _solve_output(result: Result) -> tuple[dict, Iterator[str]]:
     """The JSON payload and the text lines, both from one field dict
-    in text order; the lines are formatted only if they are read."""
+    in text order; the lines are formatted only if they are read.  The
+    crossing edges and the matching go in as the tuples they are, which
+    JSON writes as arrays."""
     fields: dict = {}
     if result.algo is not None:
         fields["algo"] = result.algo
@@ -88,13 +93,12 @@ def _solve_output(result: Result) -> tuple[dict, Iterator[str]]:
     if cut is None:
         fields["verdict"] = "NO"
     else:
-        x: list[int] = []
-        y: list[int] = []
-        for v, in_x in enumerate(cut.side):
-            (x if in_x else y).append(v)
-        fields |= {"verdict": "YES", "x": x, "y": y, "crossing": [list(e) for e in cut.crossing]}
+        vertices = range(len(cut.side))
+        x = list(compress(vertices, cut.side))
+        y = list(compress(vertices, map(not_, cut.side)))
+        fields |= {"verdict": "YES", "x": x, "y": y, "crossing": cut.crossing}
     if result.matching is not None:
-        fields["matching"] = [list(e) for e in result.matching]
+        fields["matching"] = result.matching
     if result.reason is not None:
         fields["reason"] = result.reason
     lines = (f"{key}: {_text(value)}" for key, value in fields.items())
@@ -129,6 +133,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         # even when the oracle gives up (exit 3)
         if args.emit_2cnf:
             _emit_twosat(g, args.emit_2cnf, result)
+    # the answer is encoded without the graph and the sweep behind it
+    del g
+    result = Result(result.problem, result.algo, result.cut, result.matching, result.reason)
     _emit(args, *_solve_output(result))
     return 0
 
@@ -206,7 +213,10 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             f"--max-n {args.max_n} exceeds the oracle bound of {limits.max_vertices}"
         )
     disagreements = []
-    # one instance at a time, so memory does not grow with --count
+    # one instance at a time, so memory does not grow with --count; each
+    # oracle search leaves a few reference cycles (its closures), so the
+    # collector runs here
+    gc.enable()
     for idx, g in enumerate(iter_instances(args.seed, args.count, args.max_n)):
         for problem in ("mc", "dpm", "pmc"):
             found = solve(g, problem, "fourchordal").cut is not None
@@ -311,6 +321,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a command makes few reference cycles, and none that must be freed
+    # before it ends, so the cyclic collector is paused: it would only
+    # rescan the parsed graph as the solvers allocate
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ParseError, GraphError, OSError, UnicodeDecodeError) as exc:
@@ -322,6 +337,8 @@ def main(argv: list[str] | None = None) -> int:
         # exceeds a bound as well
         print(f"oracle limit: {exc}", file=sys.stderr)
         return 3
+    finally:
+        (gc.enable if collecting else gc.disable)()
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ distinct positive literals per clause.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Sequence, TextIO
+from array import array
+from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
-from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
+from .graphs import MAX_VERTICES, Graph, GraphError, graph_from_ends
 
 if TYPE_CHECKING:
     from .pmc import Relation
@@ -28,44 +29,64 @@ class ParseError(ValueError):
 MAX_VARIABLES = MAX_VERTICES
 
 
-def _content_lines(text: str) -> list[str]:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    return lines
-
-
 def parse_graph(text: str) -> Graph:
-    lines = _content_lines(text)
-    if not lines:
-        raise ParseError("missing graph header line")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(f"header must be 'n m', got {lines[0]!r}")
+    n, ends = _graph_ends(text)
     try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ParseError(f"non-numeric header {lines[0]!r}") from exc
-    if n > MAX_VERTICES:
-        raise ParseError(f"header declares {n} vertices, the limit is {MAX_VERTICES}")
-    body = lines[1:]
-    if len(body) != m:
-        raise ParseError(f"header promises {m} edges, found {len(body)}")
-    edges = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"edge line must be 'u v', got {line!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise ParseError(f"non-numeric edge line {line!r}") from exc
-    try:
-        return build_graph(n, edges)
+        return graph_from_ends(n, ends)
     except GraphError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def _graph_ends(text: str) -> tuple[int, array | list[int]]:
+    """The header's vertex count and the edge lines' endpoints, end to
+    end in one buffer.  A header fault is raised at once; an edge-line
+    fault only after every line is counted, as a wrong edge count is
+    reported first, and only the first such fault is kept."""
+    header = None
+    ends: array | list[int] = array("q")
+    count = 0
+    fault = None
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        if header is None:
+            header = line.split()
+            if len(header) != 2:
+                raise ParseError(f"header must be 'n m', got {line!r}")
+            try:
+                n, m = int(header[0]), int(header[1])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric header {line!r}") from exc
+            if n > MAX_VERTICES:
+                raise ParseError(f"header declares {n} vertices, the limit is {MAX_VERTICES}")
+            continue
+        count += 1
+        if fault is not None:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            fault = ParseError(f"edge line must be 'u v', got {line!r}")
+            continue
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            fault = ParseError(f"non-numeric edge line {line!r}")
+            continue
+        try:
+            ends.append(u)
+            ends.append(v)
+        except OverflowError:
+            # an endpoint beyond 64 bits, out of range for any graph:
+            # the rest go to a list, which the build reports in order
+            ends = ends.tolist()[: 2 * count - 2] + [u, v]
+    if header is None:
+        raise ParseError("missing graph header line")
+    if count != m:
+        raise ParseError(f"header promises {m} edges, found {count}")
+    if fault is not None:
+        raise fault
+    return n, ends
 
 
 def format_graph(g: Graph) -> str:
@@ -170,18 +191,38 @@ def format_twosat_dimacs(var_count: int, relations: Sequence[Relation], out: Tex
 def twosat_sidecar(var_count: int, shallow: list[int], blocked: list[int], out: TextIO) -> None:
     """Write the JSON sidecar mapping DIMACS variables to vertex ids,
     with the vertices of components the encoding leaves out: too
-    shallow to sweep, or the vertex that blocked a component's sweep."""
-    json.dump(
-        {
-            "variable_to_vertex": {str(v + 1): v for v in range(var_count)},
-            "unencoded_shallow_vertices": shallow,
-            "blocked_vertices": blocked,
-        },
-        out,
-        indent=2,
-        sort_keys=True,
-    )
-    out.write("\n")
+    shallow to sweep, or the vertex that blocked a component's sweep.
+
+    The bytes are those of json.dump(indent=2, sort_keys=True); the
+    variable map, the last key, is written a line at a time in its
+    sorted key order, which is decimal string order.
+    """
+    head = {"blocked_vertices": blocked, "unencoded_shallow_vertices": shallow}
+    # the two lists, without the closing brace
+    out.write(json.dumps(head, indent=2, sort_keys=True)[:-2])
+    out.write(',\n  "variable_to_vertex": ')
+    if not var_count:
+        out.write("{}\n}\n")
+        return
+    keys = _decimal_order(var_count)
+    next(keys)
+    out.write('{\n    "1": 0')
+    out.writelines(f',\n    "{k}": {k - 1}' for k in keys)
+    out.write("\n  }\n}\n")
+
+
+def _decimal_order(count: int) -> Iterator[int]:
+    """1..count in the order of their decimal strings: "1", "10",
+    "100", ..., "11", ..., "2", ..."""
+    k = 1
+    for _ in range(count):
+        yield k
+        if k * 10 <= count:
+            k *= 10
+        else:
+            while k % 10 == 9 or k == count:
+                k //= 10
+            k += 1
 
 
 def layout_sidecar(layout: GadgetLayout, out: TextIO) -> None:

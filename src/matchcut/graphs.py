@@ -83,9 +83,12 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-# build_graph allocates one adjacency set per vertex before it reads an
+# build_graph allocates two list slots per vertex before it reads an
 # edge, so graph headers and generated instances are capped first
 MAX_VERTICES = 10**6
+
+# the adjacency of every vertex without an edge
+_NO_NEIGHBOURS: frozenset[int] = frozenset()
 
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -94,23 +97,60 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Raises GraphError on a self-loop, a duplicate edge, or an endpoint
     outside 0..n-1.
     """
+    return graph_from_ends(n, [x for u, v in edges for x in (u, v)])
+
+
+def graph_from_ends(n: int, ends: Sequence[int]) -> Graph:
+    """build_graph on the edges' endpoints laid end to end: edge i is
+    ends[2i], ends[2i+1].
+
+    Only a vertex with an edge gets a set of its own; the others share
+    one empty frozenset.  Every adjacency set holds one int object per
+    vertex id.  A simple graph has 2m adjacency entries, so the edges
+    are added unchecked and walked again only when the count falls
+    short or an endpoint lies out of range, to report the first fault.
+    """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    adj: list = [set() for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
-        if v in adj[u]:
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        adj[u].add(v)
-        adj[v].add(u)
+    touched = set(ends)
+    if touched and (min(touched) < 0 or max(touched) >= n):
+        raise _first_fault(n, ends)
+    # ids[v] is the int object every adjacency set holds for v, or None
+    # when v has no edge
+    ids: list = [None] * n
+    for v in touched:
+        ids[v] = v
+    del touched
+    adj: list = [_NO_NEIGHBOURS if v is None else set() for v in ids]
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        adj[u].add(ids[v])
+        adj[v].add(ids[u])
+    if sum(map(len, adj)) != len(ends):
+        raise _first_fault(n, ends)
     # frozen in place, so each set is freed as its frozenset is made and
     # the adjacency is never held twice
-    for v in range(n):
-        adj[v] = frozenset(adj[v])
+    for v, nbrs in enumerate(adj):
+        if nbrs:
+            adj[v] = frozenset(nbrs)
     return Graph(n, tuple(adj))
+
+
+def _first_fault(n: int, ends: Sequence[int]) -> GraphError:
+    """The error of the first edge, in input order, that is out of
+    range, a self-loop or a repeat of an earlier edge."""
+    seen: set[tuple[int, int]] = set()
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        if not (0 <= u < n and 0 <= v < n):
+            return GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            return GraphError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return GraphError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+    raise AssertionError("the edges hold no fault")
 
 
 def path_graph(t: int) -> Graph:
@@ -146,7 +186,7 @@ def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[
     subset vertices are taken out of the pool of unseen ones.
     """
     if subset is None:
-        return list(iter_components(g))
+        return [frozenset(found) for found in _walk_components(g)]
     adj = g.adj
     comps: list[frozenset[int]] = []
     pool = set(subset)
@@ -164,9 +204,16 @@ def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[
     return comps
 
 
-def iter_components(g: Graph) -> Iterator[frozenset[int]]:
-    """The components of g in connected_components order, each walked
-    only when it is asked for; seen vertices are marked in a list on g."""
+def component_roots(g: Graph) -> Iterator[tuple[int, int]]:
+    """(lowest vertex, order) of each component of g, in
+    connected_components order, each walked only when it is asked for."""
+    for found in _walk_components(g):
+        yield found[0], len(found)
+
+
+def _walk_components(g: Graph) -> Iterator[list[int]]:
+    """Each component's vertices, breadth first from its lowest vertex;
+    seen vertices are marked in one list on g."""
     adj = g.adj
     marked = [False] * g.n
     for start in range(g.n):
@@ -179,7 +226,7 @@ def iter_components(g: Graph) -> Iterator[frozenset[int]]:
                 if not marked[u]:
                     marked[u] = True
                     found.append(u)
-        yield frozenset(found)
+        yield found
 
 
 def is_connected(g: Graph) -> bool:

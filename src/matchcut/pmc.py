@@ -24,6 +24,7 @@ from .graphs import (
     bfs_levels,
     check_perfect_matching_cut,
     component_levels,
+    component_roots,
     connected_components,
 )
 
@@ -36,12 +37,13 @@ Relation = tuple[int, int, bool]
 
 
 class TraceEntry(NamedTuple):
-    """One determination step: vertex, rule kind, partners, clause ids."""
+    """One determination step: vertex, rule kind, partners, and the
+    range of the step's clause ids, which are contiguous."""
 
     vertex: int
     rule: str
     partners: tuple[int, ...]
-    clause_ids: tuple[int, ...]
+    clause_ids: range
 
 
 def classify_leaf(
@@ -161,8 +163,7 @@ def build_pmc_formula(
             for anchor in anchors:
                 rest = sorted(adj[anchor] - determined)
                 relations += [(anchor, x, False) for x in rest]
-            # one step's relations are contiguous
-            trace.append(TraceEntry(v, rule, partners, tuple(range(2 * first, 2 * len(relations)))))
+            trace.append(TraceEntry(v, rule, partners, range(2 * first, 2 * len(relations))))
     if root not in determined:
         # nothing paired the root, so no perfect pairing across the cut
         # can exist; a 2-colouring here would leave the root with zero
@@ -185,10 +186,11 @@ def solve_parity(var_count: int, relations: Iterable[Relation]) -> tuple[bool, .
     smallest vertex's positive literal and pops that component first,
     which sets the vertex True.
     """
-    partners: list[list[tuple[int, bool]]] = [[] for _ in range(var_count)]
+    # each vertex's partners and differ flags, alternating in one list
+    partners: list[list] = [[] for _ in range(var_count)]
     for a, b, differ in relations:
-        partners[a].append((b, differ))
-        partners[b].append((a, differ))
+        partners[a] += (b, differ)
+        partners[b] += (a, differ)
     side: list[bool | None] = [None] * var_count
     for start in range(var_count):
         if side[start] is not None:
@@ -198,7 +200,8 @@ def solve_parity(var_count: int, relations: Iterable[Relation]) -> tuple[bool, .
         while stack:
             v = stack.pop()
             sv = side[v]
-            for u, differ in partners[v]:
+            pairs = iter(partners[v])
+            for u, differ in zip(pairs, pairs):
                 want = sv != differ
                 su = side[u]
                 if su is None:
@@ -227,12 +230,13 @@ class PmcSweep(NamedTuple):
 
 def sweep_components(
     g: Graph,
-    comps: list[frozenset[int]] | None = None,
+    comps: Iterable[tuple[int, int]] | None = None,
     root: int | None = None,
     reverse_scan: bool = False,
 ) -> PmcSweep:
-    """Sweep each component of g, or each of comps (components of g in
-    connected_components order), into one PmcSweep.
+    """Sweep each component of g, or each of comps, into one PmcSweep;
+    comps names components of g in connected_components order by their
+    (lowest vertex, order) pairs (graphs.component_roots).
 
     Every component is swept in place on g: one level_of list serves
     all their layerings, so a component costs only its own size.  root
@@ -241,10 +245,15 @@ def sweep_components(
     """
     sweep = PmcSweep([], [], [])
     level_of = [-1] * g.n
-    for comp in connected_components(g) if comps is None else comps:
-        start = root if root in comp else min(comp)
-        if g.degree(start) == len(comp) - 1:
-            sweep.shallow.append(tuple(sorted(comp)))
+    root_low = None
+    if root is not None and 0 <= root < g.n:
+        # root's component, named by its lowest vertex
+        root_low = min(layer[0] for layer in component_levels(g, root, [-1] * g.n).levels)
+    for low, order in component_roots(g) if comps is None else comps:
+        start = root if low == root_low else low
+        if g.degree(start) == order - 1:
+            # a shallow component is its root and the root's neighbours
+            sweep.shallow.append(tuple(sorted((start, *g.adj[start]))))
             continue
         levels = component_levels(g, start, level_of)
         encoding = build_pmc_formula(g, start, reverse_scan=reverse_scan, levels=levels)
@@ -257,14 +266,14 @@ def sweep_components(
 
 def solve_pmc_sweeps(
     g: Graph,
-    comps: list[frozenset[int]] | None = None,
+    comps: Iterable[tuple[int, int]] | None = None,
     *,
     root: int | None = None,
     reverse_scan: bool = False,
 ) -> tuple[Cut | None, PmcSweep]:
     """solve_pmc_4chordal, also returning the PmcSweep of every component
     that the verdict is read off; comps, when given, are g's components
-    in connected_components order.
+    as sweep_components takes them.
 
     A blocked sweep or a shallow component other than K2 answers NO;
     otherwise one parity pass reads the relations and one relation

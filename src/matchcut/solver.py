@@ -133,11 +133,11 @@ def solve(
         raise ValueError(f"unknown problem {problem!r} or algorithm {algo!r}")
     if problem == "pmc":
         comps = []
-        for comp in graphs.iter_components(g):
-            if len(comp) % 2:
+        for low, order in graphs.component_roots(g):
+            if order % 2:
                 # a component of odd order cannot be perfectly matched across
                 return Result(problem, None, None, reason="odd component")
-            comps.append(comp)
+            comps.append((low, order))
     elif g.n and len(first := graphs.part_without(g, ())) < g.n:
         # vertex 0's component, walked alone, splits a disconnected graph
         split = graphs.make_cut(g, first)
@@ -158,11 +158,15 @@ def solve(
 
             cut, sweep = pmc.solve_pmc_sweeps(g, comps)
             return Result(problem, algo, cut, sweep=sweep)
-        from . import forcing
+        from . import forcing, matching
 
+        # g is connected, as the walk from vertex 0 above found: the seed
+        # loop runs without the solvers' own connectivity walk.  It is
+        # not held here, so its last seed state is freed before the
+        # certificate check
         if problem == "mc":
-            return Result(problem, algo, forcing.solve_mc_4chordal(g))
-        found = forcing.solve_dpm_4chordal(g)
+            return Result(problem, algo, next(forcing._stable_seeds(g), None))
+        found = matching.first_completion(g, forcing._stable_seeds(g))
     else:
         from . import oracle
 

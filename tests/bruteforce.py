@@ -175,7 +175,7 @@ class DeterminedSet:
                 raise ValueError(f"vertex {v} determined twice")
             self._members.add(v)
 
-    def log(self, vertex: int, rule: str, partners: tuple[int, ...], clause_ids: tuple[int, ...]) -> None:
+    def log(self, vertex: int, rule: str, partners: tuple[int, ...], clause_ids: range) -> None:
         self.trace.append(TraceEntry(vertex, rule, partners, clause_ids))
 
 
@@ -257,7 +257,7 @@ def build_pmc_formula_reference(
                 rest = sorted(determined.undetermined(adj[anchor]))
                 relations += [(anchor, x, False) for x in rest]
             # one step's relations are contiguous
-            determined.log(v, rule, partners, tuple(range(2 * first, 2 * len(relations))))
+            determined.log(v, rule, partners, range(2 * first, 2 * len(relations)))
     if root not in determined:
         return PmcEncoding(g.n, None, determined.trace, root)
     return PmcEncoding(g.n, tuple(relations), determined.trace, None)

@@ -91,7 +91,7 @@ class TestFixedInstances:
         backward = build_pmc_formula(braced_hexagon, 2, reverse_scan=True)
         ok = ok and backward.formula is None and backward.blocked == 4
         ok = ok and backward.trace == [
-            TraceEntry(5, "c2", (1, 3, 2), tuple(range(12)))
+            TraceEntry(5, "c2", (1, 3, 2), range(12))
         ]
         ok = ok and solve_pmc_4chordal(braced_hexagon) is None
         ok = (

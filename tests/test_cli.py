@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -514,7 +515,8 @@ class TestCrosscheck:
         assert rc == 0 and capsys.readouterr().out == first
 
     def test_disagreement_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr("matchcut.forcing.solve_mc_4chordal", lambda g: None)
+        # solve() runs the seed loop itself on a connected graph
+        monkeypatch.setattr("matchcut.forcing._stable_seeds", lambda g: iter(()))
         rc = main(self.ARGS)
         out = capsys.readouterr().out
         assert rc == 4
@@ -688,6 +690,49 @@ class TestExitCodes:
             ["solve", path, "--problem", "mc", "--algo", "oracle", "--max-oracle-n", "31"],
         )
         assert rc == 0 and payload["verdict"] == "YES"
+
+
+class TestCollector:
+    """main pauses the cyclic collector while a command runs and leaves
+    it as it found it, whatever the exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "G", "--problem", "pmc"], 0),
+            (["solve", "BAD", "--problem", "pmc"], 2),
+            (["solve", "PATH", "--problem", "mc", "--algo", "oracle"], 3),
+            (["crosscheck", "--count", "2", "--max-n", "8"], 0),
+        ],
+        ids=["answer", "parse-error", "oracle-bound", "crosscheck"],
+    )
+    def test_collector_state_restored(
+        self, capsys, monkeypatch, write, graph_file, two_squares, enabled, argv, code
+    ):
+        swap = {
+            "G": graph_file("g", two_squares),
+            "BAD": write("bad", "3 1\n0 x\n"),
+            "PATH": graph_file("path", path_graph(31)),
+        }
+        paused = []
+        real_parse = matchcut.cli.parse_graph
+
+        def parse(text):
+            paused.append(not gc.isenabled())
+            return real_parse(text)
+
+        monkeypatch.setattr(matchcut.cli, "parse_graph", parse)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            rc = main([swap.get(a, a) for a in argv])
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+        assert rc == code
+        assert all(paused)
 
 
 def test_console_script_smoke(tmp_path, two_squares):

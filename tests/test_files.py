@@ -20,6 +20,45 @@ from matchcut.pmc import relation_clauses
 from matchcut.reduction import Formula13, build_reduction
 
 
+# each malformed graph file and the message it is refused with
+MALFORMED_GRAPHS = {
+    "": "missing graph header line",
+    "# only a comment\n": "missing graph header line",
+    "3\n": "header must be 'n m', got '3'",
+    "a b\n": "non-numeric header 'a b'",
+    "3 2\n0 1\n": "header promises 2 edges, found 1",
+    "3 1\n0 1\n1 2\n": "header promises 1 edges, found 2",
+    "3 1\n0 1 2\n": "edge line must be 'u v', got '0 1 2'",
+    "3 1\n0 x\n": "non-numeric edge line '0 x'",
+    "3 1\n0 3\n": "edge (0, 3) out of range for n=3",
+    "3 1\n1 1\n": "self-loop at vertex 1",
+    "2 2\n0 1\n1 0\n": "duplicate edge (1, 0)",
+    # past the vertex-count cap, refused before any allocation
+    "1000001 0\n": "header declares 1000001 vertices, the limit is 1000000",
+}
+
+# files with more than one fault, and the one reported
+FIRST_FAULTS = {
+    "3 3\n0 1\n0 1\n1 x\n": "non-numeric edge line '1 x'",
+    "3 3\n0 1\n1 0\n0 1 2\n": "edge line must be 'u v', got '0 1 2'",
+    "3 2\n0 1 2\n0 x\n": "edge line must be 'u v', got '0 1 2'",
+    "3 2\n0 x\n0 1 2 3\n": "non-numeric edge line '0 x'",
+    "3 3\n0 1 2\n0 1\n": "header promises 3 edges, found 2",
+    "3 2\n1 1\n0 9\n": "self-loop at vertex 1",
+    "3 2\n0 9\n1 1\n": "edge (0, 9) out of range for n=3",
+    "3 2\n0 -1\n0 1\n": "edge (0, -1) out of range for n=3",
+    # endpoints beyond 64 bits
+    "3 2\n0 99999999999999999999999\n1 1\n": "edge (0, 99999999999999999999999) out of range for n=3",
+    "3 2\n1 1\n0 99999999999999999999999\n": "self-loop at vertex 1",
+    "3 2\n0 1\n9223372036854775808 -9223372036854775809\n": (
+        "edge (9223372036854775808, -9223372036854775809) out of range for n=3"
+    ),
+    "-1 0\n": "vertex count must be nonnegative, got -1",
+    "3 -1\n": "header promises -1 edges, found 0",
+    "3 1 2\n": "header must be 'n m', got '3 1 2'",
+}
+
+
 class TestGraphFormat:
     def test_format(self):
         assert format_graph(path_graph(3)) == "3 2\n0 1\n1 2\n"
@@ -36,27 +75,32 @@ class TestGraphFormat:
         back = parse_graph(format_graph(g))
         assert back.n == g.n and back.edges() == g.edges()
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "# only a comment\n",
-            "3\n",
-            "a b\n",
-            "3 2\n0 1\n",
-            "3 1\n0 1\n1 2\n",
-            "3 1\n0 1 2\n",
-            "3 1\n0 x\n",
-            "3 1\n0 3\n",
-            "3 1\n1 1\n",
-            "2 2\n0 1\n1 0\n",
-            # past the vertex-count cap, refused before any allocation
-            "1000001 0\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(MALFORMED_GRAPHS))
     def test_rejects_malformed(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as info:
             parse_graph(text)
+        assert str(info.value) == MALFORMED_GRAPHS[text]
+
+    @pytest.mark.parametrize("text, message", list(FIRST_FAULTS.items()))
+    def test_first_fault_wins(self, text, message):
+        # an edge count that is off comes first, then the first malformed
+        # line, then the first edge that is out of range, a self-loop or
+        # a repeat, in file order
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+    def test_edgeless_vertices_share_one_set(self):
+        g = parse_graph("5 1\n3 1\n")
+        assert g.edges() == [(1, 3)]
+        assert len({id(g.adj[v]) for v in (0, 2, 4)}) == 1
+
+    def test_one_int_object_per_vertex(self):
+        # every adjacency set holds the same object for a vertex
+        g = parse_graph(format_graph(path_graph(600)))
+        for v in range(1, 599):
+            held = {id(u) for w in g.adj[v] for u in g.adj[w] if u == v}
+            assert len(held) == 1
 
 
 class TestDimacs:
@@ -162,6 +206,18 @@ class TestTwoSatSidecars:
             "unencoded_shallow_vertices": [],
             "blocked_vertices": [1],
         }
+
+    @pytest.mark.parametrize("var_count", [0, 1, 9, 10, 11, 99, 100, 101, 10**4])
+    def test_variable_map_bytes_as_json_writes_them(self, var_count):
+        shallow, blocked = [4, 5, 7], [2, 3]
+        want = io.StringIO()
+        payload = {
+            "variable_to_vertex": {str(v + 1): v for v in range(var_count)},
+            "unencoded_shallow_vertices": shallow,
+            "blocked_vertices": blocked,
+        }
+        json.dump(payload, want, indent=2, sort_keys=True)
+        assert written(twosat_sidecar, var_count, shallow, blocked) == want.getvalue() + "\n"
 
     def test_variable_map_bytes(self):
         assert written(twosat_sidecar, 0, [], []) == (

@@ -1,18 +1,19 @@
-"""High-water marks of the parse, --emit-2cnf, disconnected-split and
-dpm completion paths, read with tracemalloc: what the interpreter
-allocates, deterministic for one interpreter.  Each bound sits between the
-streaming code's ratio and that of code that holds its data twice (a
-list of sets beside their frozensets, a clause tuple per relation, the
-whole file text, a copy of the graph) or builds what it does not read
-(a set per component)."""
+"""High-water marks of the parse, a CLI pmc solve, --emit-2cnf,
+disconnected-split and dpm completion paths, read with tracemalloc: what
+the interpreter allocates, deterministic for one interpreter.  Each bound
+sits between the streaming code's ratio and that of code that holds its
+data twice (a list of sets beside their frozensets, a clause tuple per
+relation, the whole file text, a copy of the graph) or builds what it
+does not read (a set per component)."""
 
 import gc
+import json
 import tracemalloc
 
 import pytest
 
 from conftest import ladder
-from matchcut.cli import _emit_twosat
+from matchcut.cli import _emit_twosat, main
 from matchcut.files import format_graph, parse_graph
 from matchcut.graphs import build_graph, disjoint_union
 from matchcut.solver import solve
@@ -39,12 +40,26 @@ def traced(call):
 
 
 def test_parse_graph_peak(big_ladder):
-    # the adjacency sets are frozen one at a time, each freed as its
-    # frozenset is made (1.45x here; 2.06x with every set kept alive)
+    # the endpoints are read into one array, and the adjacency sets are
+    # frozen one at a time, each freed as its frozenset is made (1.16x
+    # here; 1.45x with a tuple per edge, 2.06x with every set kept alive)
     text = format_graph(big_ladder)
     g, kept, peak = traced(lambda: parse_graph(text))
     assert g == big_ladder
-    assert peak <= 1.6 * kept
+    assert peak <= 1.25 * kept
+
+
+def test_cli_solve_pmc_peak(big_ladder, tmp_path, capsys):
+    # parse, sweep and answer, each phase holding only what the next one
+    # reads: 607 bytes per vertex here; 774 with a tuple per edge and an
+    # int object per adjacency entry, list copies of the answer's pairs,
+    # and the graph and the sweep alive while the answer is encoded
+    path = tmp_path / "ladder.graph"
+    path.write_text(format_graph(big_ladder))
+    argv = ["solve", str(path), "--problem", "pmc", "--algo", "fourchordal", "--format", "json"]
+    code, _, peak = traced(lambda: main(argv))
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"] == "YES"
+    assert peak <= 690 * big_ladder.n
 
 
 def test_emit_twosat_peak(big_ladder, tmp_path):

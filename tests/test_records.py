@@ -58,7 +58,7 @@ def test_assignment_raises(cls, values, other):
 
 
 def test_pmc_encoding_with_its_trace_list():
-    values = (2, ((0, 1, True),), [TraceEntry(1, "c1", (0,), (0, 1))], None)
+    values = (2, ((0, 1, True),), [TraceEntry(1, "c1", (0,), range(2))], None)
     enc = PmcEncoding(*values)
     assert enc == PmcEncoding(*values) != PmcEncoding(2, None, [], 1)
     with pytest.raises(TypeError):

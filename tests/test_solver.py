@@ -160,7 +160,8 @@ DOMINO_CROSSING = ((0, 1), (3, 2), (4, 5))
 )
 @pytest.mark.parametrize(
     "algo, solver",
-    [("fourchordal", "matchcut.forcing.solve_dpm_4chordal"), ("oracle", "matchcut.oracle.find_dpm")],
+    # solve() hands the seed cuts of a connected graph to first_completion
+    [("fourchordal", "matchcut.matching.first_completion"), ("oracle", "matchcut.oracle.find_dpm")],
 )
 def test_corrupted_dpm_certificate_is_not_returned(
     monkeypatch, domino, pairs, crossing, algo, solver
@@ -182,16 +183,31 @@ def test_corrupted_component_split_matching_is_not_returned(monkeypatch):
         solve(g, "dpm")
 
 
-def test_dpm_certificate_walks_no_graph(monkeypatch):
-    # a connected dpm YES walks g twice, to split it and to guard the
-    # seed loop; its certificate is checked by the cut it holds
-    g = ladder(4)
+def count_walks(monkeypatch) -> list[int]:
+    """The order of each graph graphs.part_without walks from now on."""
     real = graphs.part_without
-    walks = []
+    walks: list[int] = []
     monkeypatch.setattr(graphs, "part_without", lambda g, m: walks.append(g.n) or real(g, m))
+    return walks
+
+
+def test_dpm_certificate_walks_no_graph(monkeypatch):
+    # a connected dpm YES walks g once, to find it connected: the seed
+    # loop runs without a guard walk, and the certificate is checked by
+    # the cut it holds
+    g = ladder(4)
+    walks = count_walks(monkeypatch)
     result = solve(g, "dpm", "fourchordal")
-    assert walks == [8, 8]
+    assert walks == [8]
     assert is_disconnected_perfect_matching(g, result.matching)
+
+
+def test_mc_walks_once(monkeypatch):
+    # as for dpm: the walk that finds g connected is the only one
+    g = ladder(4)
+    walks = count_walks(monkeypatch)
+    assert solve(g, "mc", "fourchordal").cut is not None
+    assert walks == [8]
 
 
 @pytest.mark.parametrize(
