@@ -160,14 +160,6 @@ def formula_from_dimacs(text: str) -> Formula13:
     return Formula13(var_count, tuple(triples))
 
 
-def format_formula_dimacs(formula: Formula13) -> str:
-    lines = [f"p cnf {formula.var_count} {len(formula.clauses)}"]
-    lines.extend(
-        " ".join(str(var + 1) for var in clause) + " 0" for clause in formula.clauses
-    )
-    return "\n".join(lines) + "\n"
-
-
 def format_twosat_dimacs(var_count: int, relations: Sequence[Relation], out: TextIO) -> None:
     """Write the 2-CNF of relations to out in DIMACS form: clause for
     clause that of pmc.relation_clauses, so a relation (a, b, differ)

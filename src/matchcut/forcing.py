@@ -7,8 +7,9 @@ graphs without chordless cycles longer than four, every free component
 of a stable state attaches to exactly one side, which yields polynomial
 solvers for matching cuts and for perfect matchings containing one.
 The free components one search from Y reaches join Y, the rest X; each
-cut is checked as a matching cut before the mc solver returns it or the
-dpm solver hands it to matching.first_completion.
+cut is checked as a matching cut before _stable_seeds yields it.
+solver.solve returns the first such cut for mc, and for dpm hands them
+to matching.first_completion.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from collections import defaultdict
 from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
-from .graphs import Cut, Graph, GraphError, check_matching_cut, is_connected
-from .matching import first_completion
+from .graphs import Cut, Graph, GraphError, check_matching_cut
 
 
 class ForcingState(NamedTuple):
@@ -162,30 +162,3 @@ def _stable_seeds(g: Graph) -> Iterator[Cut]:
             cut, _ = check_matching_cut(g, x)
             if cut is not None:
                 yield cut
-
-
-def solve_mc_4chordal(g: Graph) -> Cut | None:
-    """Find a matching cut, or None when no seed edge admits one.
-
-    Complete on connected graphs without chordless cycles longer than
-    four; any cut returned is a valid matching cut regardless.
-    """
-    if not is_connected(g):
-        raise GraphError("matching-cut search requires a connected graph")
-    return next(_stable_seeds(g), None)
-
-
-def solve_dpm_4chordal(g: Graph) -> tuple[list[tuple[int, int]], Cut] | None:
-    """Find a perfect matching whose removal disconnects the graph.
-
-    Returns (matching, cut) where the cut's crossing edges all belong to
-    the matching, or None.  Complete on connected graphs without
-    chordless cycles longer than four.
-
-    The stable seeds' cuts go to first_completion, so a graph without a
-    perfect matching answers None before any seed is tried: one O(n^3)
-    matching run in place of a propagation per seed edge.
-    """
-    if not is_connected(g):
-        raise GraphError("disconnected-perfect-matching search requires a connected graph")
-    return first_completion(g, _stable_seeds(g))

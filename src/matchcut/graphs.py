@@ -158,17 +158,6 @@ def path_graph(t: int) -> Graph:
     return build_graph(t, [(i, i + 1) for i in range(t - 1)])
 
 
-def cycle_graph(k: int) -> Graph:
-    """Cycle on k >= 3 vertices."""
-    if k < 3:
-        raise GraphError("a cycle needs at least 3 vertices")
-    return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
-
-
-def complete_graph(n: int) -> Graph:
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
 def disjoint_union(*graphs: Graph) -> Graph:
     """Disjoint union with vertex ids shifted left to right."""
     n = 0
@@ -227,10 +216,6 @@ def _walk_components(g: Graph) -> Iterator[list[int]]:
                     marked[u] = True
                     found.append(u)
         yield found
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n == 0 or len(part_without(g, ())) == g.n
 
 
 class BfsLevels(NamedTuple):

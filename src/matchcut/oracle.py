@@ -159,10 +159,6 @@ def _enumerate_pruned(g: Graph, perfect: bool, deadline: _Deadline) -> Iterator[
         yield from search()
 
 
-def has_mc(g: Graph, limits: OracleLimits | None = None) -> bool:
-    return bool(enumerate_matching_cuts(g, "matching_only", limits, stop_after=1))
-
-
 def has_pmc(g: Graph, limits: OracleLimits | None = None) -> bool:
     return bool(enumerate_matching_cuts(g, "perfect_only", limits, stop_after=1))
 

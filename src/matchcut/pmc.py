@@ -228,35 +228,24 @@ class PmcSweep(NamedTuple):
     blocked: list[int]
 
 
-def sweep_components(
-    g: Graph,
-    comps: Iterable[tuple[int, int]] | None = None,
-    root: int | None = None,
-    reverse_scan: bool = False,
-) -> PmcSweep:
-    """Sweep each component of g, or each of comps, into one PmcSweep;
-    comps names components of g in connected_components order by their
-    (lowest vertex, order) pairs (graphs.component_roots).
+def sweep_components(g: Graph, comps: Iterable[tuple[int, int]] | None = None) -> PmcSweep:
+    """Sweep each component of g, or each of comps, from its lowest
+    vertex into one PmcSweep; comps names components of g in
+    connected_components order by their (lowest vertex, order) pairs
+    (graphs.component_roots).
 
     Every component is swept in place on g: one level_of list serves
-    all their layerings, so a component costs only its own size.  root
-    picks the root of its own component; every other component is
-    rooted at its lowest vertex.
+    all their layerings, so a component costs only its own size.
     """
     sweep = PmcSweep([], [], [])
     level_of = [-1] * g.n
-    root_low = None
-    if root is not None and 0 <= root < g.n:
-        # root's component, named by its lowest vertex
-        root_low = min(layer[0] for layer in component_levels(g, root, [-1] * g.n).levels)
     for low, order in component_roots(g) if comps is None else comps:
-        start = root if low == root_low else low
-        if g.degree(start) == order - 1:
+        if g.degree(low) == order - 1:
             # a shallow component is its root and the root's neighbours
-            sweep.shallow.append(tuple(sorted((start, *g.adj[start]))))
+            sweep.shallow.append(tuple(sorted((low, *g.adj[low]))))
             continue
-        levels = component_levels(g, start, level_of)
-        encoding = build_pmc_formula(g, start, reverse_scan=reverse_scan, levels=levels)
+        levels = component_levels(g, low, level_of)
+        encoding = build_pmc_formula(g, low, levels=levels)
         if encoding.relations is None:
             sweep.blocked.append(encoding.blocked)
         else:
@@ -265,22 +254,27 @@ def sweep_components(
 
 
 def solve_pmc_sweeps(
-    g: Graph,
-    comps: Iterable[tuple[int, int]] | None = None,
-    *,
-    root: int | None = None,
-    reverse_scan: bool = False,
+    g: Graph, comps: Iterable[tuple[int, int]] | None = None
 ) -> tuple[Cut | None, PmcSweep]:
-    """solve_pmc_4chordal, also returning the PmcSweep of every component
-    that the verdict is read off; comps, when given, are g's components
-    as sweep_components takes them.
+    """A perfect matching cut of g, or None when none exists, with the
+    PmcSweep of every component that the verdict is read off; comps,
+    when given, are g's components as sweep_components takes them.
 
-    A blocked sweep or a shallow component other than K2 answers NO;
-    otherwise one parity pass reads the relations and one relation
-    across each K2.  Where the K2 relations sit does not change the
-    model: each relation component's smallest vertex is True.
+    Every component must admit a perfect matching cut.  A component of
+    breadth-first height at most one has a universal root, and then
+    only K2 has a perfect matching cut: every other neighbor of the root
+    shares its side, which leaves the root's partner with no partner of
+    its own.  So a blocked sweep or a shallow component other than K2
+    answers NO; otherwise one parity pass reads the relations and one
+    relation across each K2.  Where the K2 relations sit does not change
+    the model: each relation component's smallest vertex is True.
+    Complete on graphs without chordless cycles longer than four; the
+    cut returned has passed check_perfect_matching_cut regardless.
+    Nothing here is exhaustive: each component costs at most one
+    layering and one sweep, and the graph one parity pass and one
+    certificate check.
     """
-    sweep = sweep_components(g, comps, root, reverse_scan)
+    sweep = sweep_components(g, comps)
     if sweep.blocked or any(len(comp) != 2 for comp in sweep.shallow):
         return None, sweep
     k2 = ((u, v, True) for u, v in sweep.shallow)
@@ -291,30 +285,3 @@ def solve_pmc_sweeps(
     # fail; never return an invalid cut
     cut, _ = check_perfect_matching_cut(g, compress(range(g.n), model))
     return cut, sweep
-
-
-def solve_pmc_4chordal(
-    g: Graph,
-    *,
-    root: int | None = None,
-    reverse_scan: bool = False,
-) -> Cut | None:
-    """Find a perfect matching cut, or None when none exists.
-
-    Every component must admit a perfect matching cut.  A component of
-    breadth-first height at most one has a universal root, and then
-    only K2 has a perfect matching cut: every other neighbor of the root
-    shares its side, which leaves the root's partner with no partner of
-    its own.  Such a component is answered in closed form, X = its lower
-    vertex.  The sweep would answer it the same way; the closed form
-    only costs less, which tells on graphs of many small components.
-    root picks the layering root for its component (lowest vertex
-    elsewhere); together with reverse_scan it varies the sweep order,
-    which must never change the verdict.  Complete on graphs without
-    chordless cycles longer than four; the cut returned has passed
-    check_perfect_matching_cut regardless.  Nothing here is exhaustive:
-    each component costs at most one layering and one sweep, and the
-    graph one parity pass and one certificate check.
-    """
-    cut, _ = solve_pmc_sweeps(g, root=root, reverse_scan=reverse_scan)
-    return cut

@@ -75,11 +75,6 @@ _GADGET_EDGES = (
 )
 
 
-def clause_gadget() -> Graph:
-    """The 14-vertex block used for a single clause."""
-    return build_graph(_BLOCK, _GADGET_EDGES)
-
-
 def _slot_cliques(formula: Formula13) -> dict[int, frozenset[int]]:
     """Per variable, the slot vertices of its occurrences.  Sets are
     built only for the variables that occur; the others share one empty

@@ -158,14 +158,15 @@ def solve(
 
             cut, sweep = pmc.solve_pmc_sweeps(g, comps)
             return Result(problem, algo, cut, sweep=sweep)
-        from . import forcing, matching
+        from . import forcing
 
-        # g is connected, as the walk from vertex 0 above found: the seed
-        # loop runs without the solvers' own connectivity walk.  It is
-        # not held here, so its last seed state is freed before the
-        # certificate check
+        # g is connected, as the walk from vertex 0 above found.  The seed
+        # loop is not held here, so its last seed state is freed before
+        # the certificate check
         if problem == "mc":
             return Result(problem, algo, next(forcing._stable_seeds(g), None))
+        from . import matching
+
         found = matching.first_completion(g, forcing._stable_seeds(g))
     else:
         from . import oracle

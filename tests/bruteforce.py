@@ -34,7 +34,8 @@ perfect_matching_through_reference, the completion of a matching cut
 that matches an induced copy of the graph without the crossing ends,
 whose pairs matching.perfect_matching_through, searching in the
 graph's own ids, must reproduce.  induced_subgraph, which builds those
-copies, lives here too: the package itself never copies a graph.
+copies, lives here too: the package itself never copies a graph; so
+does is_connected, which no command runs.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from matchcut.graphs import (
     BfsLevels,
     bfs_levels,
     connected_components,
-    is_connected,
     make_cut,
+    part_without,
 )
 from matchcut.matching import has_perfect_matching, maximum_matching
 from matchcut.oracle import DEFAULT_LIMITS, OracleLimits
@@ -81,6 +82,10 @@ def induced_subgraph(g: Graph, subset) -> tuple[Graph, tuple[int, ...]]:
         if u < v and v in keep
     ]
     return build_graph(len(old_ids), edges), old_ids
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n == 0 or len(part_without(g, ())) == g.n
 
 
 def perfect_matching_through_reference(g: Graph, cut: Cut) -> list[tuple[int, int]] | None:
@@ -123,24 +128,22 @@ def cut_reference(g: Graph, x_side, low: int, high: int) -> tuple[Cut | None, in
     return Cut(tuple(v in x for v in range(g.n)), tuple(sorted(crossing))), None
 
 
-def sweep_components_reference(
-    g: Graph, comps=None, root: int | None = None, reverse_scan: bool = False
-) -> PmcSweep:
+def sweep_components_reference(g: Graph, comps=None) -> PmcSweep:
     """The pmc component sweep made on copies: a component that is not
-    all of g is swept on its induced subgraph, with ids renumbered in
-    ascending order, and its relations and blocked vertex are mapped
-    back to g's ids before they join the merged record."""
+    all of g is swept from its lowest vertex on its induced subgraph,
+    with ids renumbered in ascending order, and its relations and
+    blocked vertex are mapped back to g's ids before they join the
+    merged record."""
     out = PmcSweep([], [], [])
     for comp in connected_components(g) if comps is None else comps:
         if len(comp) == g.n:
             sub, old_ids = g, range(g.n)
         else:
             sub, old_ids = induced_subgraph(g, comp)
-        local_root = old_ids.index(root) if root in comp else 0
-        if sub.degree(local_root) == sub.n - 1:
+        if sub.degree(0) == sub.n - 1:
             out.shallow.append(tuple(old_ids))
             continue
-        encoding = build_pmc_formula(sub, local_root, reverse_scan=reverse_scan)
+        encoding = build_pmc_formula(sub, 0)
         if encoding.relations is None:
             out.blocked.append(old_ids[encoding.blocked])
         else:

@@ -1,9 +1,13 @@
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from matchcut import Graph, GraphError, build_graph
+from matchcut.oracle import OracleLimits, enumerate_matching_cuts
+from matchcut.pmc import build_pmc_formula, solve_parity
+from matchcut.reduction import _BLOCK, _GADGET_EDGES, Formula13
 
 settings.register_profile(
     "suite",
@@ -52,6 +56,46 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+def cycle_graph(k: int) -> Graph:
+    """Cycle on k >= 3 vertices."""
+    if k < 3:
+        raise GraphError("a cycle needs at least 3 vertices")
+    return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+def complete_graph(n: int) -> Graph:
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def clause_gadget() -> Graph:
+    """The 14-vertex block used for a single clause."""
+    return build_graph(_BLOCK, _GADGET_EDGES)
+
+
+def has_mc(g: Graph, limits: OracleLimits | None = None) -> bool:
+    return bool(enumerate_matching_cuts(g, "matching_only", limits, stop_after=1))
+
+
+def sweep_side(g: Graph, root: int, reverse_scan: bool = False) -> frozenset[int] | None:
+    """The X side that one pmc sweep of the connected graph g from root,
+    in the given scan order, and one parity pass on its relations give;
+    None when the sweep leaves the root unpaired or the relations hold
+    an odd cycle."""
+    enc = build_pmc_formula(g, root, reverse_scan=reverse_scan)
+    if enc.relations is None:
+        return None
+    model = solve_parity(g.n, enc.relations)
+    return None if model is None else frozenset(compress(range(g.n), model))
+
+
+def format_formula_dimacs(formula: Formula13) -> str:
+    lines = [f"p cnf {formula.var_count} {len(formula.clauses)}"]
+    lines.extend(
+        " ".join(str(var + 1) for var in clause) + " 0" for clause in formula.clauses
+    )
+    return "\n".join(lines) + "\n"
 
 
 def ladder(k: int, pendants: tuple[int, ...] = ()) -> Graph:

@@ -14,14 +14,15 @@ import itertools
 import random
 
 import bruteforce
+from conftest import has_mc, sweep_side
 from matchcut import (
     OracleLimits,
     build_graph,
     is_disconnected_perfect_matching,
     is_perfect_matching,
     is_perfect_matching_cut,
+    solve,
 )
-from matchcut.forcing import solve_dpm_4chordal, solve_mc_4chordal
 from matchcut.generators import sample_instances
 from matchcut.graphs import disjoint_union, path_graph
 from matchcut.matching import has_perfect_matching, maximum_matching
@@ -30,12 +31,11 @@ from matchcut.oracle import (
     enumerate_matching_cuts,
     enumerate_one_in_three,
     has_dpm,
-    has_mc,
     has_pmc,
     longest_induced_cycle,
     longest_induced_path,
 )
-from matchcut.pmc import TraceEntry, build_pmc_formula, solve_pmc_4chordal
+from matchcut.pmc import TraceEntry, build_pmc_formula
 from matchcut.reduction import Formula13, build_reduction, assignment_to_pmc, cut_to_assignment
 from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat, verify_assignment
 
@@ -55,7 +55,7 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 
 class TestFixedInstances:
     def test_01_pmc_certificate_on_twin_squares(self, two_squares):
-        cut = solve_pmc_4chordal(two_squares)
+        cut = solve(two_squares, "pmc", "fourchordal").cut
         ok = (
             cut is not None
             and set(cut.x) in ({0, 1, 4}, {2, 3, 5})
@@ -93,11 +93,8 @@ class TestFixedInstances:
         ok = ok and backward.trace == [
             TraceEntry(5, "c2", (1, 3, 2), range(12))
         ]
-        ok = ok and solve_pmc_4chordal(braced_hexagon) is None
-        ok = (
-            ok
-            and solve_pmc_4chordal(braced_hexagon, root=2, reverse_scan=True) is None
-        )
+        ok = ok and solve(braced_hexagon, "pmc", "fourchordal").cut is None
+        ok = ok and sweep_side(braced_hexagon, 2, reverse_scan=True) is None
         assert report(
             "02 braced-hexagon refusal",
             ok,
@@ -107,12 +104,12 @@ class TestFixedInstances:
     def test_03_prism_and_domino_separate_the_problems(self, two_triangles, domino):
         prism_ok = (
             has_mc(two_triangles) is True
-            and solve_mc_4chordal(two_triangles) is not None
+            and solve(two_triangles, "mc", "fourchordal").cut is not None
             and has_perfect_matching(two_triangles)
             and has_dpm(two_triangles) is False
-            and solve_dpm_4chordal(two_triangles) is None
+            and solve(two_triangles, "dpm", "fourchordal").cut is None
             and has_pmc(two_triangles) is False
-            and solve_pmc_4chordal(two_triangles) is None
+            and solve(two_triangles, "pmc", "fourchordal").cut is None
         )
         pmcs = enumerate_matching_cuts(domino, "perfect_only", WIDE)
         domino_ok = len(pmcs) == 1 and sorted(pmcs[0].x) == [0, 3, 4]
@@ -261,12 +258,9 @@ class TestRandomizedAgreement:
         graphs = sample_instances(20230501, 200, 16)
         bad = 0
         for g in graphs:
-            if (solve_mc_4chordal(g) is not None) != has_mc(g, WIDE):
-                bad += 1
-            if (solve_dpm_4chordal(g) is not None) != has_dpm(g, WIDE):
-                bad += 1
-            if (solve_pmc_4chordal(g) is not None) != has_pmc(g, WIDE):
-                bad += 1
+            for problem, oracle_has in (("mc", has_mc), ("dpm", has_dpm), ("pmc", has_pmc)):
+                if (solve(g, problem, "fourchordal").cut is not None) != oracle_has(g, WIDE):
+                    bad += 1
         assert report(
             "09 solver-oracle sweep",
             bad == 0,
@@ -278,7 +272,7 @@ class TestRandomizedAgreement:
         unstable = 0
         for g in graphs:
             verdicts = {
-                solve_pmc_4chordal(g, root=root, reverse_scan=rev) is not None
+                sweep_side(g, root, reverse_scan=rev) is not None
                 for root in range(g.n)
                 for rev in (False, True)
             }

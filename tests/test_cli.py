@@ -11,9 +11,10 @@ import pytest
 import matchcut
 from matchcut import build_graph, format_graph, parse_graph
 from matchcut.cli import main
-from matchcut.files import format_formula_dimacs, layout_sidecar
-from matchcut.graphs import complete_graph, cycle_graph, disjoint_union, path_graph
+from matchcut.files import layout_sidecar
+from matchcut.graphs import disjoint_union, path_graph
 from matchcut.reduction import Formula13, build_reduction
+from conftest import complete_graph, cycle_graph, format_formula_dimacs
 
 
 @pytest.fixture

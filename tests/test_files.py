@@ -5,10 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_graph
+from conftest import format_formula_dimacs, random_graph
 from matchcut import ParseError, format_graph, parse_graph
 from matchcut.files import (
-    format_formula_dimacs,
     format_twosat_dimacs,
     formula_from_dimacs,
     layout_sidecar,

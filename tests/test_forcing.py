@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 import matchcut.forcing
-from conftest import ladder, random_graph, relabelled, tree_prism
+from conftest import complete_graph, cycle_graph, ladder, random_graph, relabelled, tree_prism
 from matchcut import (
     Graph,
     GraphError,
@@ -17,18 +17,21 @@ from matchcut import (
     is_perfect_matching,
     propagate,
 )
-from matchcut.forcing import (
-    ForcingState,
-    Refutation,
-    _stable_seeds,
-    _x_side,
-    solve_dpm_4chordal,
-    solve_mc_4chordal,
-)
+from matchcut.forcing import ForcingState, Refutation, _stable_seeds, _x_side
 from matchcut.generators import sample_instances
-from matchcut.graphs import complete_graph, cycle_graph, is_connected, path_graph
-from matchcut.pmc import solve_pmc_4chordal
+from matchcut.graphs import path_graph
 from matchcut.solver import solve
+
+
+def fourchordal_mc(g: Graph):
+    """The 4-chordal mc solver's cut, or None."""
+    return solve(g, "mc", "fourchordal").cut
+
+
+def fourchordal_dpm(g: Graph):
+    """The 4-chordal dpm solver's (matching, cut), or None."""
+    r = solve(g, "dpm", "fourchordal")
+    return None if r.cut is None else (list(r.matching), r.cut)
 
 
 def path_power(n: int, k: int) -> Graph:
@@ -198,7 +201,7 @@ class TestSplitFree:
         graphs += [tree_prism(t, rng) for t in range(2, 10)]
         while len(graphs) < 1100:
             g = random_graph(rng, rng.randint(2, 14), rng.uniform(0.15, 0.5))
-            if is_connected(g):
+            if bruteforce.is_connected(g):
                 graphs.append(g)
         graphs += [relabelled(g, rng) for g in list(graphs)]
         tally = {"clean": 0, "mixed": 0}
@@ -233,23 +236,23 @@ class TestSplitFree:
 
 class TestSolveMc:
     def test_triangle_pair_cut(self, two_triangles):
-        cut = solve_mc_4chordal(two_triangles)
+        cut = fourchordal_mc(two_triangles)
         assert cut is not None
         assert set(cut.x) == {0, 1, 4}
         assert is_matching_cut(two_triangles, set(cut.x))
 
     def test_no_cases(self):
-        assert solve_mc_4chordal(complete_graph(4)) is None
-        assert solve_mc_4chordal(complete_graph(3)) is None
-        assert solve_mc_4chordal(path_graph(1)) is None
+        assert fourchordal_mc(complete_graph(4)) is None
+        assert fourchordal_mc(complete_graph(3)) is None
+        assert fourchordal_mc(path_graph(1)) is None
 
     def test_yes_cases(self):
-        assert solve_mc_4chordal(path_graph(2)) is not None
-        assert solve_mc_4chordal(cycle_graph(4)) is not None
+        assert fourchordal_mc(path_graph(2)) is not None
+        assert fourchordal_mc(cycle_graph(4)) is not None
 
     def test_invalid_cut_is_not_returned(self, monkeypatch):
         g = cycle_graph(4)
-        assert solve_mc_4chordal(g) is not None
+        assert fourchordal_mc(g) is not None
         # Y = {min B} gives that vertex two cross neighbors; the
         # matching-cut check must turn every seed's cut into a skip
         monkeypatch.setattr(
@@ -257,7 +260,7 @@ class TestSolveMc:
             "_x_side",
             lambda g, state: frozenset(range(g.n)) - {min(state.b)},
         )
-        assert solve_mc_4chordal(g) is None
+        assert fourchordal_mc(g) is None
 
     def test_triangle_edges_are_not_propagated(self, monkeypatch):
         # every edge of a k-tree (k >= 2) lies on a triangle, so no cut
@@ -273,16 +276,16 @@ class TestSolveMc:
             matchcut.forcing, "propagate", lambda g, a, b: calls.append((a, b)) or real(g, a, b)
         )
         for g in graphs:
-            assert solve_mc_4chordal(g) is None
-            assert solve_dpm_4chordal(g) is None
+            assert fourchordal_mc(g) is None
+            assert fourchordal_dpm(g) is None
         assert calls == []
         # the count is live: the seeds of a square are propagated
-        assert solve_mc_4chordal(cycle_graph(4)) is not None and calls
+        assert fourchordal_mc(cycle_graph(4)) is not None and calls
 
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):
         g = sample_instances(seed, 1, 11)[0]
-        cut = solve_mc_4chordal(g)
+        cut = fourchordal_mc(g)
         if cut is not None:
             assert is_matching_cut(g, set(cut.x))
         assert (cut is not None) == bruteforce.has_mc(g)
@@ -290,17 +293,17 @@ class TestSolveMc:
 
 class TestSolveDpm:
     def test_domino(self, domino):
-        matching, cut = solve_dpm_4chordal(domino)
+        matching, cut = fourchordal_dpm(domino)
         assert is_perfect_matching(domino, matching)
         assert is_matching_cut(domino, set(cut.x))
         assert set(map(frozenset, cut.crossing)) <= set(map(frozenset, matching))
         assert is_disconnected_perfect_matching(domino, matching)
 
     def test_no_cases(self, two_triangles):
-        assert solve_dpm_4chordal(two_triangles) is None
-        assert solve_dpm_4chordal(cycle_graph(4)) is not None
-        assert solve_dpm_4chordal(path_graph(3)) is None
-        assert solve_dpm_4chordal(complete_graph(4)) is None
+        assert fourchordal_dpm(two_triangles) is None
+        assert fourchordal_dpm(cycle_graph(4)) is not None
+        assert fourchordal_dpm(path_graph(3)) is None
+        assert fourchordal_dpm(complete_graph(4)) is None
 
     @pytest.mark.parametrize(
         "g",
@@ -312,10 +315,10 @@ class TestSolveDpm:
             raise AssertionError("a seed was propagated")
 
         monkeypatch.setattr(matchcut.forcing, "propagate", no_seeds)
-        assert solve_dpm_4chordal(g) is None
+        assert fourchordal_dpm(g) is None
         # the patch is live: a ladder with a perfect matching reaches it
         with pytest.raises(AssertionError, match="seed was propagated"):
-            solve_dpm_4chordal(ladder(4))
+            fourchordal_dpm(ladder(4))
 
     def test_certificates_equal_reference(self):
         # completing each seed's cut leaves every certificate as pairing
@@ -328,14 +331,14 @@ class TestSolveDpm:
         yes = 0
         for g in graphs:
             want = bruteforce.solve_dpm_reference(g)
-            assert solve_dpm_4chordal(g) == want, g
+            assert fourchordal_dpm(g) == want, g
             yes += want is not None
         assert yes >= 100
 
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):
         g = sample_instances(seed, 1, 10)[0]
-        got = solve_dpm_4chordal(g)
+        got = fourchordal_dpm(g)
         if got is not None:
             matching, cut = got
             assert is_disconnected_perfect_matching(g, matching)
@@ -353,16 +356,16 @@ BEYOND_ORACLE = (
 
 def verdicts(g: Graph) -> tuple[bool, bool, bool]:
     """pmc, dpm and mc verdicts, each YES certificate checked."""
-    pmc = solve_pmc_4chordal(g)
+    pmc = solve(g, "pmc", "fourchordal").cut
     if pmc is not None:
         assert check_perfect_matching_cut(g, pmc.x)[0] == pmc
-    dpm = solve_dpm_4chordal(g)
+    dpm = fourchordal_dpm(g)
     if dpm is not None:
         matching, cut = dpm
         assert is_disconnected_perfect_matching(g, matching)
         assert set(map(frozenset, cut.crossing)) <= set(map(frozenset, matching))
         assert check_matching_cut(g, cut.x)[0] == cut
-    mc = solve_mc_4chordal(g)
+    mc = fourchordal_mc(g)
     if mc is not None:
         assert check_matching_cut(g, mc.x)[0] == mc
     return pmc is not None, dpm is not None, mc is not None

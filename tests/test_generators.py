@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 import bruteforce
 from matchcut import GraphError, generators, random_connected_4chordal
 from matchcut.generators import sample_instances
-from matchcut.graphs import is_connected
 
 
 class TestRandomConnected4Chordal:
@@ -28,14 +27,14 @@ class TestRandomConnected4Chordal:
     def test_connected_and_short_cycled(self, seed):
         rng = random.Random(seed)
         g = random_connected_4chordal(rng, rng.randint(1, 12))
-        assert is_connected(g)
+        assert bruteforce.is_connected(g)
         cycle = bruteforce.longest_induced_cycle(g)
         assert cycle is None or cycle <= 4
 
     def test_large_instances_build_despite_oracle_default(self):
         # the internal splice verification must scale with the instance
         g = random_connected_4chordal(random.Random(7), 40)
-        assert g.n == 40 and is_connected(g)
+        assert g.n == 40 and bruteforce.is_connected(g)
 
     def test_matches_reference(self, monkeypatch):
         # the one-search splice check keeps every graph the exhaustive
@@ -72,7 +71,7 @@ class TestSampleInstances:
         batch = sample_instances(5, 30, 14, min_n=4)
         assert len(batch) == 30
         assert all(4 <= g.n <= 14 for g in batch)
-        assert all(is_connected(g) for g in batch)
+        assert all(bruteforce.is_connected(g) for g in batch)
 
     def test_batches_match_reference(self):
         for seed in range(6):

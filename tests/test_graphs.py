@@ -17,16 +17,13 @@ from matchcut import (
 )
 from matchcut.graphs import (
     bfs_levels,
-    complete_graph,
     component_levels,
     connected_components,
-    cycle_graph,
     disjoint_union,
-    is_connected,
     make_cut,
     path_graph,
 )
-from conftest import random_graph
+from conftest import complete_graph, cycle_graph, random_graph
 
 
 class TestBuildGraph:
@@ -79,8 +76,8 @@ class TestComponentsAndLevels:
         assert sorted(sorted(c) for c in comps) == [[0, 1], [3]]
 
     def test_is_connected(self):
-        assert is_connected(path_graph(4))
-        assert not is_connected(build_graph(3, [(0, 1)]))
+        assert bruteforce.is_connected(path_graph(4))
+        assert not bruteforce.is_connected(build_graph(3, [(0, 1)]))
 
     def test_bfs_levels(self):
         g = path_graph(4)

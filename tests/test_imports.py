@@ -2,9 +2,10 @@
 
 A fresh interpreter imports only the modules a command runs: the
 exhaustive oracle, the gadget builder, the pmc solver, 2-SAT and the
-generator stay unloaded on the mc/dpm path, and the mc/dpm solver,
-blossom matching and the oracle on the pmc path, so start-up does not
-pay for them.  No command loads dataclasses or inspect.
+generator stay unloaded on the mc/dpm path, blossom matching on the mc
+path too, and the mc/dpm solver, blossom matching and the oracle on the
+pmc path, so start-up does not pay for them.  No command loads
+dataclasses or inspect.
 """
 
 import json
@@ -64,16 +65,28 @@ def test_cli_import_loads_no_solver_it_does_not_run():
     }
 
 
-@pytest.mark.parametrize("problem", ["mc", "dpm"])
-def test_fourchordal_mc_dpm_loads_no_other_solver(tmp_path, problem):
+def test_fourchordal_mc_loads_no_other_solver(tmp_path):
     path = tmp_path / "ladder.graph"
     path.write_text("6 7\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n")
-    argv = ["solve", str(path), "--problem", problem, "--algo", "fourchordal"]
+    argv = ["solve", str(path), "--problem", "mc", "--algo", "fourchordal"]
     loaded = loaded_after(
         "from matchcut.cli import main\n"
         f"assert main({argv!r}) == 0"
     )
     assert {"matchcut.forcing", "matchcut.solver"} <= loaded
+    # the first seed's cut answers mc: no perfect matching is looked for
+    assert loaded.isdisjoint(UNUSED_ON_MC_DPM + ("matchcut.matching",)), sorted(loaded)
+
+
+def test_fourchordal_dpm_loads_no_other_solver(tmp_path):
+    path = tmp_path / "ladder.graph"
+    path.write_text("6 7\n0 1\n1 2\n3 4\n4 5\n0 3\n1 4\n2 5\n")
+    argv = ["solve", str(path), "--problem", "dpm", "--algo", "fourchordal"]
+    loaded = loaded_after(
+        "from matchcut.cli import main\n"
+        f"assert main({argv!r}) == 0"
+    )
+    assert {"matchcut.forcing", "matchcut.matching", "matchcut.solver"} <= loaded
     assert loaded.isdisjoint(UNUSED_ON_MC_DPM), sorted(loaded)
 
 

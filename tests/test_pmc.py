@@ -4,17 +4,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from conftest import fan, ladder, random_graph, relabelled, tree_prism
-from matchcut import build_graph, is_perfect_matching_cut
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    fan,
+    ladder,
+    random_graph,
+    relabelled,
+    sweep_side,
+    tree_prism,
+)
+from matchcut import build_graph, is_perfect_matching_cut, solve
 from matchcut.generators import sample_instances
 from matchcut.graphs import (
     bfs_levels,
-    complete_graph,
+    component_levels,
     component_roots,
     connected_components,
-    cycle_graph,
     disjoint_union,
-    is_connected,
     path_graph,
 )
 from matchcut.pmc import (
@@ -23,7 +30,6 @@ from matchcut.pmc import (
     classify_leaf,
     relation_clauses,
     solve_parity,
-    solve_pmc_4chordal,
     solve_pmc_sweeps,
     sweep_components,
 )
@@ -191,7 +197,7 @@ class TestSweepReference:
 
     def test_generated_graphs(self):
         rng = random.Random(19)
-        graphs = [g for seed in range(100) for g in sample_instances(seed, 3, 30) if is_connected(g)]
+        graphs = [g for seed in range(100) for g in sample_instances(seed, 3, 30) if bruteforce.is_connected(g)]
         graphs += [relabelled(g, rng) for g in list(graphs)]
         seen = self.outcomes(graphs, lambda g: range(4))
         assert seen == {"c1", "c2", "c3", "swept", "blocked"}
@@ -214,42 +220,42 @@ class TestSweepReference:
 
 class TestSolvePmc:
     def test_two_squares(self, two_squares):
-        cut = solve_pmc_4chordal(two_squares)
+        cut = solve(two_squares, "pmc", "fourchordal").cut
         assert cut is not None and set(cut.x) in ({0, 1, 4}, {2, 3, 5})
 
     def test_domino(self, domino):
-        cut = solve_pmc_4chordal(domino)
+        cut = solve(domino, "pmc", "fourchordal").cut
         assert cut is not None and set(cut.x) in ({0, 3, 4}, {1, 2, 5})
 
     def test_no_answers(self, two_triangles, braced_hexagon):
-        assert solve_pmc_4chordal(two_triangles) is None
-        assert solve_pmc_4chordal(braced_hexagon) is None
-        assert solve_pmc_4chordal(path_graph(5)) is None
-        assert solve_pmc_4chordal(path_graph(1)) is None
-        assert solve_pmc_4chordal(build_graph(0, [])) is None
+        assert solve(two_triangles, "pmc", "fourchordal").cut is None
+        assert solve(braced_hexagon, "pmc", "fourchordal").cut is None
+        assert solve(path_graph(5), "pmc", "fourchordal").cut is None
+        assert solve(path_graph(1), "pmc", "fourchordal").cut is None
+        assert solve(build_graph(0, []), "pmc", "fourchordal").cut is None
 
     def test_shallow_fallback(self):
-        cut = solve_pmc_4chordal(path_graph(2))
+        cut = solve(path_graph(2), "pmc", "fourchordal").cut
         assert cut is not None and set(cut.x) == {0}
-        assert solve_pmc_4chordal(complete_graph(3)) is None
-        assert solve_pmc_4chordal(complete_graph(4)) is None
-        assert solve_pmc_4chordal(build_graph(4, [(0, 1), (0, 2), (0, 3)])) is None
+        assert solve(complete_graph(3), "pmc", "fourchordal").cut is None
+        assert solve(complete_graph(4), "pmc", "fourchordal").cut is None
+        assert solve(build_graph(4, [(0, 1), (0, 2), (0, 3)]), "pmc", "fourchordal").cut is None
 
     def test_cycles(self):
-        assert solve_pmc_4chordal(cycle_graph(4)) is not None
-        assert solve_pmc_4chordal(cycle_graph(5)) is None
+        assert solve(cycle_graph(4), "pmc", "fourchordal").cut is not None
+        assert solve(cycle_graph(5), "pmc", "fourchordal").cut is None
 
     def test_components_must_all_split(self, two_squares, domino):
         from matchcut.graphs import disjoint_union
 
         both = disjoint_union(two_squares, domino)
-        cut = solve_pmc_4chordal(both)
+        cut = solve(both, "pmc", "fourchordal").cut
         assert cut is not None
         assert is_perfect_matching_cut(both, set(cut.x))
         assert {v for v in cut.x if v < 6} in ({0, 1, 4}, {2, 3, 5})
         assert {v - 6 for v in cut.x if v >= 6} in ({0, 3, 4}, {1, 2, 5})
         with_triangle = disjoint_union(two_squares, complete_graph(3))
-        assert solve_pmc_4chordal(with_triangle) is None
+        assert solve(with_triangle, "pmc", "fourchordal").cut is None
 
     @pytest.mark.parametrize("first", ["blocked", "shallow"])
     def test_no_sweeps_every_component(self, first, braced_hexagon, two_squares, domino):
@@ -275,17 +281,17 @@ class TestSolvePmc:
     def test_order_invariance_on_fixtures(
         self, root, reverse, two_squares, braced_hexagon, domino, two_triangles
     ):
-        yes = solve_pmc_4chordal(two_squares, root=root, reverse_scan=reverse)
-        assert yes is not None and set(yes.x) in ({0, 1, 4}, {2, 3, 5})
-        also = solve_pmc_4chordal(domino, root=root, reverse_scan=reverse)
-        assert also is not None and set(also.x) in ({0, 3, 4}, {1, 2, 5})
-        assert solve_pmc_4chordal(braced_hexagon, root=root, reverse_scan=reverse) is None
-        assert solve_pmc_4chordal(two_triangles, root=root, reverse_scan=reverse) is None
+        yes = sweep_side(two_squares, root, reverse_scan=reverse)
+        assert yes in ({0, 1, 4}, {2, 3, 5})
+        also = sweep_side(domino, root, reverse_scan=reverse)
+        assert also in ({0, 3, 4}, {1, 2, 5})
+        assert sweep_side(braced_hexagon, root, reverse_scan=reverse) is None
+        assert sweep_side(two_triangles, root, reverse_scan=reverse) is None
 
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):
         g = sample_instances(seed, 1, 11)[0]
-        cut = solve_pmc_4chordal(g)
+        cut = solve(g, "pmc", "fourchordal").cut
         if cut is not None:
             assert is_perfect_matching_cut(g, set(cut.x))
         assert (cut is not None) == bruteforce.has_pmc(g)
@@ -295,9 +301,33 @@ class TestSolvePmc:
         # no short-cycle promise here; a returned cut must still verify
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.7))
-        cut = solve_pmc_4chordal(g)
+        cut = solve(g, "pmc", "fourchordal").cut
         if cut is not None:
             assert is_perfect_matching_cut(g, set(cut.x))
+
+
+class TestSolveReadsTheKernel:
+    """On a connected graph, solve()'s pmc answer is the kernel's sweep
+    from vertex 0 with its parity pass.  So the checks that vary the
+    kernel's root and scan order (test_order_invariance_on_fixtures,
+    acceptance 02 and 10) read the verdict that solve() gives."""
+
+    def test_generated_graphs_and_fans(self):
+        rng = random.Random(41)
+        graphs = [g for seed in range(100) for g in sample_instances(seed, 3, 30)]
+        graphs = [g for g in graphs if bruteforce.is_connected(g)]
+        graphs += [fan(k, m) for k in (3, 5, 8) for m in (2, 5, 9)]
+        # ladders and prisms are YES instances, so the X sides are compared
+        graphs += [ladder(k) for k in (2, 3, 6, 25)] + [tree_prism(t, rng) for t in (3, 8, 20)]
+        graphs += [relabelled(g, rng) for g in list(graphs)]
+        verdicts = set()
+        for g in graphs:
+            cut = solve(g, "pmc", "fourchordal").cut
+            side = sweep_side(g, 0)
+            assert (cut is not None) == (side is not None), g
+            assert cut is None or cut.x == side, g
+            verdicts.add(cut is not None)
+        assert verdicts == {True, False}
 
 
 class TestSolveParity:
@@ -347,40 +377,55 @@ class TestSolveParity:
     def test_wrong_model_is_not_returned(self, monkeypatch, two_squares):
         import matchcut.pmc
 
-        assert solve_pmc_4chordal(two_squares) is not None
+        assert solve(two_squares, "pmc", "fourchordal").cut is not None
         # X = {0} gives vertex 0 two cross neighbors; the certificate
         # check must turn the YES into None
         monkeypatch.setattr(
             matchcut.pmc, "solve_parity", lambda n, relations: tuple(v == 0 for v in range(n))
         )
-        assert solve_pmc_4chordal(two_squares) is None
+        assert solve(two_squares, "pmc", "fourchordal").cut is None
 
 
 class TestSweepInPlace:
     """sweep_components sweeps every component on g itself; it must
-    return the merged sweep of the copy-based reference, ids included."""
+    return the merged sweep of the copy-based reference, ids included.
+    So must the kernel, layered in place from any root in either scan
+    order."""
 
     @staticmethod
     def kinds(g, roots) -> set[str]:
         """Compare both sweeps of g, and of the components after its
-        first (a comps list other than all of them), for each root and
-        scan order; return which outcomes occurred."""
+        first (a comps list other than all of them), and the kernel's
+        sweep of each root's component, in place and on a copy, for
+        each root in roots and scan order; return which outcomes of
+        the component sweeps occurred."""
         later = list(component_roots(g))[1:]
         later_sets = connected_components(g)[1:]
         seen = set()
+        for part, sets in ((None, None), (later, later_sets)):
+            got = sweep_components(g, part)
+            assert got == bruteforce.sweep_components_reference(g, sets)
+            # a component swept to the root leaves a relation
+            kinds = zip(("swept", "shallow", "blocked"), got)
+            seen.update(kind for kind, found in kinds if found)
         for root in roots:
+            comp = next(c for c in connected_components(g) if root in c)
+            sub, old_ids = bruteforce.induced_subgraph(g, comp)
             for reverse in (False, True):
-                for part, sets in ((None, None), (later, later_sets)):
-                    got = sweep_components(g, part, root, reverse)
-                    assert got == bruteforce.sweep_components_reference(g, sets, root, reverse)
-                    # a component swept to the root leaves a relation
-                    kinds = zip(("swept", "shallow", "blocked"), got)
-                    seen.update(kind for kind, found in kinds if found)
+                levels = component_levels(g, root, [-1] * g.n)
+                got = build_pmc_formula(g, root, reverse_scan=reverse, levels=levels)
+                want = build_pmc_formula(sub, old_ids.index(root), reverse_scan=reverse)
+                if want.relations is None:
+                    assert got.relations is None and got.blocked == old_ids[want.blocked]
+                else:
+                    assert got.relations == tuple(
+                        (old_ids[a], old_ids[b], d) for a, b, d in want.relations
+                    )
         return seen
 
     @staticmethod
     def roots(g):
-        return (None, 0, g.n // 2, g.n - 1)
+        return (0, g.n // 2, g.n - 1)
 
     def test_unions_of_generated_graphs(self):
         rng = random.Random(5)

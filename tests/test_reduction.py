@@ -5,18 +5,23 @@ import pytest
 
 import bruteforce
 from matchcut import GraphError, OracleLimits, is_perfect_matching_cut
-from matchcut.graphs import complete_graph
 from matchcut.oracle import enumerate_matching_cuts, enumerate_one_in_three, has_pmc
 from matchcut.reduction import (
     Formula13,
     assignment_to_pmc,
     build_reduction,
-    clause_gadget,
     cut_to_assignment,
     is_one_in_three,
     verify_reduction,
 )
-from conftest import build_g_h_v, cube_graph, heggernes_telle_graph, petersen_graph
+from conftest import (
+    build_g_h_v,
+    clause_gadget,
+    complete_graph,
+    cube_graph,
+    heggernes_telle_graph,
+    petersen_graph,
+)
 
 F1 = Formula13(3, ((0, 1, 2),))
 F2 = Formula13(4, ((0, 1, 2), (3, 2, 1)))

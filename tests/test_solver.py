@@ -17,7 +17,7 @@ from matchcut import (
 )
 from matchcut import graphs
 from matchcut.generators import sample_instances
-from matchcut.graphs import disjoint_union, is_connected, make_cut
+from matchcut.graphs import disjoint_union, make_cut
 from matchcut.matching import maximum_matching
 from matchcut.oracle import find_dpm, has_dpm
 
@@ -73,8 +73,9 @@ def test_fourchordal_on_unions_agrees_with_bruteforce(problem):
 
 
 def test_fourchordal_dpm_on_unions_is_the_maximum_matching():
-    # the component split is completed on a copy of g without ends to
-    # remove, which the blossom run pairs as it pairs g itself
+    # the component split has no crossing edge, so its completion is one
+    # blossom run on g's own neighbor lists, which pairs g as
+    # maximum_matching does
     verdicts = set()
     for g in unions_of_sample_instances():
         pairs = maximum_matching(g)
@@ -103,7 +104,7 @@ def test_no_solve_path_builds_a_graph(monkeypatch, domino):
     for (g, problem, algo), want in zip(runs, answers):
         assert solve(g, problem, algo) == want, (g, problem, algo)
         if problem == "dpm" and want.cut is not None:
-            dpm_yes.add((algo, is_connected(g)))
+            dpm_yes.add((algo, bruteforce.is_connected(g)))
     assert dpm_yes == {(a, c) for a in algos for c in (True, False)}
 
 
