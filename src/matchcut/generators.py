@@ -21,7 +21,7 @@ from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
 # the per-vertex probability of attempting a chordless-square splice
 SQUARE_CHANCE = 0.25
 
-# the smallest instance size iter_instances and sample_instances draw
+# the smallest instance size iter_instances draws
 MIN_INSTANCE_N = 4
 
 
@@ -104,7 +104,8 @@ def iter_instances(
     *,
     min_n: int = MIN_INSTANCE_N,
 ) -> Iterator[Graph]:
-    """The instances of sample_instances, drawn one at a time."""
+    """A reproducible stream of random instances derived from one seed,
+    drawn one at a time."""
     if min_n > max_n:
         raise GraphError(f"instance sizes need min_n <= max_n, got {min_n} > {max_n}")
     if max_n > MAX_VERTICES:
@@ -115,14 +116,3 @@ def iter_instances(
         n = child.randint(min_n, max_n)
         density = child.uniform(0.25, 0.6)
         yield random_connected_4chordal(child, n, clique_growth=density)
-
-
-def sample_instances(
-    seed: int,
-    count: int,
-    max_n: int,
-    *,
-    min_n: int = MIN_INSTANCE_N,
-) -> list[Graph]:
-    """A reproducible batch of random instances derived from one seed."""
-    return list(iter_instances(seed, count, max_n, min_n=min_n))

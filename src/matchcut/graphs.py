@@ -153,32 +153,15 @@ def _first_fault(n: int, ends: Sequence[int]) -> GraphError:
     raise AssertionError("the edges hold no fault")
 
 
-def path_graph(t: int) -> Graph:
-    """Path on t vertices, 0-1-...-(t-1)."""
-    return build_graph(t, [(i, i + 1) for i in range(t - 1)])
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    """Disjoint union with vertex ids shifted left to right."""
-    n = 0
-    edges: list[tuple[int, int]] = []
-    for g in graphs:
-        edges.extend((u + n, v + n) for u, v in g.edges())
-        n += g.n
-    return build_graph(n, edges)
-
-
 def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Components of g, or of g[subset], ordered by smallest member.
 
     Each component's list grows while it is read, breadth first.  Seen
-    subset vertices are taken out of the pool of unseen ones.
+    vertices are taken out of the pool of unseen ones.
     """
-    if subset is None:
-        return [frozenset(found) for found in _walk_components(g)]
     adj = g.adj
     comps: list[frozenset[int]] = []
-    pool = set(subset)
+    pool = set(range(g.n) if subset is None else subset)
     for start in sorted(pool):
         if start not in pool:
             continue
@@ -195,13 +178,7 @@ def connected_components(g: Graph, subset: Iterable[int] | None = None) -> list[
 
 def component_roots(g: Graph) -> Iterator[tuple[int, int]]:
     """(lowest vertex, order) of each component of g, in
-    connected_components order, each walked only when it is asked for."""
-    for found in _walk_components(g):
-        yield found[0], len(found)
-
-
-def _walk_components(g: Graph) -> Iterator[list[int]]:
-    """Each component's vertices, breadth first from its lowest vertex;
+    connected_components order, each walked only when it is asked for;
     seen vertices are marked in one list on g."""
     adj = g.adj
     marked = [False] * g.n
@@ -215,7 +192,7 @@ def _walk_components(g: Graph) -> Iterator[list[int]]:
                 if not marked[u]:
                     marked[u] = True
                     found.append(u)
-        yield found
+        yield start, len(found)
 
 
 class BfsLevels(NamedTuple):

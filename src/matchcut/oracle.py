@@ -1,11 +1,8 @@
 """Exhaustive ground-truth procedures: cut enumeration, perfect matchings,
-induced path/cycle search, induced-subgraph containment, and 1-in-3
-assignment enumeration.
+induced path/cycle search and induced-subgraph containment.
 
-Every graph search is guarded by an instance-size bound and a
-wall-clock budget (OracleLimits).  enumerate_one_in_three keeps the
-budget but bounds the formula by its own limit of 25 variables in place
-of the vertex bound.  All procedures are deterministic.
+Every search is guarded by an instance-size bound and a wall-clock
+budget (OracleLimits).  All procedures are deterministic.
 """
 
 from __future__ import annotations
@@ -157,10 +154,6 @@ def _enumerate_pruned(g: Graph, perfect: bool, deadline: _Deadline) -> Iterator[
 
     if assign_forced(0, 0, []):
         yield from search()
-
-
-def has_pmc(g: Graph, limits: OracleLimits | None = None) -> bool:
-    return bool(enumerate_matching_cuts(g, "perfect_only", limits, stop_after=1))
 
 
 def perfect_matchings(
@@ -390,60 +383,3 @@ def contains_induced(
         return False
 
     return place(0, 0)
-
-
-def enumerate_one_in_three(formula, limits: OracleLimits | None = None) -> list[tuple[bool, ...]]:
-    """All assignments where each clause has exactly one true variable.
-
-    Output is lexicographic with False ordered before True.  The formula
-    only needs var_count and clauses attributes (ordered triples of
-    distinct variable ids).
-    """
-    limits = limits or DEFAULT_LIMITS
-    if formula.var_count > 25:
-        raise OracleSizeError(
-            f"{formula.var_count} variables exceeds the 1-in-3 enumeration bound of 25"
-        )
-    deadline = _Deadline(limits.budget_seconds)
-    nv = formula.var_count
-    clauses = list(formula.clauses)
-    clauses_of: list[list[int]] = [[] for _ in range(nv)]
-    for ci, clause in enumerate(clauses):
-        for var in clause:
-            clauses_of[var].append(ci)
-    true_count = [0] * len(clauses)
-    seen_count = [0] * len(clauses)
-    value = [False] * nv
-    out: list[tuple[bool, ...]] = []
-
-    def viable(ci: int) -> bool:
-        if true_count[ci] > 1:
-            return False
-        if seen_count[ci] == 3 and true_count[ci] != 1:
-            return False
-        return True
-
-    def choose(v: int) -> None:
-        deadline.check()
-        if v == nv:
-            out.append(tuple(value))
-            return
-        for val in (False, True):
-            value[v] = val
-            ok = True
-            for ci in clauses_of[v]:
-                seen_count[ci] += 1
-                if val:
-                    true_count[ci] += 1
-                if not viable(ci):
-                    ok = False
-            if ok:
-                choose(v + 1)
-            for ci in clauses_of[v]:
-                seen_count[ci] -= 1
-                if val:
-                    true_count[ci] -= 1
-        value[v] = False
-
-    choose(0)
-    return out

@@ -39,16 +39,6 @@ class TwoSatInstance(_TwoSatFields):
         return super().__new__(cls, var_count, clauses)
 
 
-def verify_assignment(inst: TwoSatInstance, assignment: tuple[bool, ...]) -> bool:
-    """True when every clause has at least one satisfied literal."""
-    if len(assignment) != inst.var_count:
-        return False
-    return all(
-        any(assignment[var] == polarity for var, polarity in clause)
-        for clause in inst.clauses
-    )
-
-
 def _node(var: int, polarity: bool) -> int:
     # literal node ids: 2v for the positive literal, 2v+1 for the negative
     return 2 * var + (0 if polarity else 1)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from matchcut import Graph, GraphError, build_graph
+from matchcut.generators import MIN_INSTANCE_N, iter_instances
 from matchcut.oracle import OracleLimits, enumerate_matching_cuts
 from matchcut.pmc import build_pmc_formula, solve_parity
 from matchcut.reduction import _BLOCK, _GADGET_EDGES, Formula13
+from matchcut.twosat import TwoSatInstance
 
 settings.register_profile(
     "suite",
@@ -69,6 +71,21 @@ def complete_graph(n: int) -> Graph:
     return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def path_graph(t: int) -> Graph:
+    """Path on t vertices, 0-1-...-(t-1)."""
+    return build_graph(t, [(i, i + 1) for i in range(t - 1)])
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    """Disjoint union with vertex ids shifted left to right."""
+    n = 0
+    edges: list[tuple[int, int]] = []
+    for g in graphs:
+        edges.extend((u + n, v + n) for u, v in g.edges())
+        n += g.n
+    return build_graph(n, edges)
+
+
 def clause_gadget() -> Graph:
     """The 14-vertex block used for a single clause."""
     return build_graph(_BLOCK, _GADGET_EDGES)
@@ -76,6 +93,31 @@ def clause_gadget() -> Graph:
 
 def has_mc(g: Graph, limits: OracleLimits | None = None) -> bool:
     return bool(enumerate_matching_cuts(g, "matching_only", limits, stop_after=1))
+
+
+def has_pmc(g: Graph, limits: OracleLimits | None = None) -> bool:
+    return bool(enumerate_matching_cuts(g, "perfect_only", limits, stop_after=1))
+
+
+def sample_instances(
+    seed: int,
+    count: int,
+    max_n: int,
+    *,
+    min_n: int = MIN_INSTANCE_N,
+) -> list[Graph]:
+    """A reproducible batch of random instances derived from one seed."""
+    return list(iter_instances(seed, count, max_n, min_n=min_n))
+
+
+def verify_assignment(inst: TwoSatInstance, assignment: tuple[bool, ...]) -> bool:
+    """True when every clause has at least one satisfied literal."""
+    if len(assignment) != inst.var_count:
+        return False
+    return all(
+        any(assignment[var] == polarity for var, polarity in clause)
+        for clause in inst.clauses
+    )
 
 
 def sweep_side(g: Graph, root: int, reverse_scan: bool = False) -> frozenset[int] | None:

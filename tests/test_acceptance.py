@@ -14,7 +14,16 @@ import itertools
 import random
 
 import bruteforce
-from conftest import has_mc, sweep_side
+from conftest import (
+    disjoint_union,
+    has_mc,
+    has_pmc,
+    path_graph,
+    sample_instances,
+    sweep_side,
+    verify_assignment,
+)
+from gadget import assignment_to_pmc, cut_to_assignment, enumerate_one_in_three
 from matchcut import (
     OracleLimits,
     build_graph,
@@ -23,21 +32,17 @@ from matchcut import (
     is_perfect_matching_cut,
     solve,
 )
-from matchcut.generators import sample_instances
-from matchcut.graphs import disjoint_union, path_graph
 from matchcut.matching import has_perfect_matching, maximum_matching
 from matchcut.oracle import (
     contains_induced,
     enumerate_matching_cuts,
-    enumerate_one_in_three,
     has_dpm,
-    has_pmc,
     longest_induced_cycle,
     longest_induced_path,
 )
 from matchcut.pmc import TraceEntry, build_pmc_formula
-from matchcut.reduction import Formula13, build_reduction, assignment_to_pmc, cut_to_assignment
-from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat, verify_assignment
+from matchcut.reduction import Formula13, build_reduction
+from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat
 
 WIDE = OracleLimits(max_vertices=42, budget_seconds=600.0)
 

@@ -12,9 +12,14 @@ import matchcut
 from matchcut import build_graph, format_graph, parse_graph
 from matchcut.cli import main
 from matchcut.files import layout_sidecar
-from matchcut.graphs import disjoint_union, path_graph
 from matchcut.reduction import Formula13, build_reduction
-from conftest import complete_graph, cycle_graph, format_formula_dimacs
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    format_formula_dimacs,
+    path_graph,
+)
 
 
 @pytest.fixture
@@ -682,6 +687,37 @@ class TestExitCodes:
             capsys, ["solve", path, "--algo", "oracle", "--problem", "pmc", "--max-oracle-n", "5000"]
         )
         assert rc == 0 and payload["verdict"] == "YES"
+
+    @pytest.mark.parametrize("problem", ["mc", "pmc", "dpm"])
+    def test_auto_recognition_refused_by_size(self, capsys, graph_file, problem):
+        # recognition refuses the path, so auto hands it to the oracle,
+        # which refuses it too
+        path = graph_file("g", path_graph(32))
+        assert main(["solve", path, "--problem", problem]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "oracle limit: instance has 32 vertices, oracle bound is 30\n"
+
+    def test_auto_recognition_refused_by_budget(self, capsys, graph_file):
+        path = graph_file("g", cycle_graph(5))
+        assert main(["solve", path, "--problem", "mc", "--budget-seconds", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "oracle limit: oracle budget exhausted\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "G", "--problem", "mc", "--budget-seconds", "abc"], "invalid float value: 'abc'"),
+            (["crosscheck", "--count", "x"], "invalid int value: 'x'"),
+        ],
+    )
+    def test_non_numeric_option(self, capsys, graph_file, two_squares, argv, message):
+        argv = [graph_file("g", two_squares) if a == "G" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_raised_max_oracle_n(self, capsys, graph_file):
         big = build_graph(31, [(i, i + 1) for i in range(30)])

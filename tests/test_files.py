@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import format_formula_dimacs, random_graph
+from conftest import format_formula_dimacs, path_graph, random_graph
 from matchcut import ParseError, format_graph, parse_graph
 from matchcut.files import (
     format_twosat_dimacs,
@@ -14,7 +14,6 @@ from matchcut.files import (
     parse_dimacs,
     twosat_sidecar,
 )
-from matchcut.graphs import path_graph
 from matchcut.pmc import relation_clauses
 from matchcut.reduction import Formula13, build_reduction
 

@@ -5,7 +5,16 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 import matchcut.forcing
-from conftest import complete_graph, cycle_graph, ladder, random_graph, relabelled, tree_prism
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    ladder,
+    path_graph,
+    random_graph,
+    relabelled,
+    sample_instances,
+    tree_prism,
+)
 from matchcut import (
     Graph,
     GraphError,
@@ -18,8 +27,6 @@ from matchcut import (
     propagate,
 )
 from matchcut.forcing import ForcingState, Refutation, _stable_seeds, _x_side
-from matchcut.generators import sample_instances
-from matchcut.graphs import path_graph
 from matchcut.solver import solve
 
 

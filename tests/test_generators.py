@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 from matchcut import GraphError, generators, random_connected_4chordal
-from matchcut.generators import sample_instances
+from conftest import sample_instances
 
 
 class TestRandomConnected4Chordal:
@@ -61,6 +61,12 @@ class TestSampleInstances:
             next(generators.iter_instances(0, 0, MAX_VERTICES + 1))
         # the cap itself is allowed; a count of 0 draws nothing
         assert list(generators.iter_instances(0, 0, MAX_VERTICES)) == []
+
+    def test_sizes_below_min_n_refused_on_first_draw(self):
+        # a generator: the check runs when the first instance is drawn
+        draws = generators.iter_instances(0, 1, 3)
+        with pytest.raises(GraphError, match="min_n <= max_n"):
+            next(draws)
 
     def test_reproducible(self):
         a = sample_instances(20230501, 10, 16)

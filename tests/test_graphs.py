@@ -19,11 +19,9 @@ from matchcut.graphs import (
     bfs_levels,
     component_levels,
     connected_components,
-    disjoint_union,
     make_cut,
-    path_graph,
 )
-from conftest import complete_graph, cycle_graph, random_graph
+from conftest import complete_graph, cycle_graph, disjoint_union, path_graph, random_graph
 
 
 class TestBuildGraph:

@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 from matchcut import build_graph, is_matching
-from matchcut.generators import sample_instances
-from matchcut.graphs import disjoint_union, path_graph
 import matchcut.matching
 from matchcut.matching import (
     first_completion,
@@ -15,7 +13,15 @@ from matchcut.matching import (
     perfect_matching_through,
 )
 from matchcut.oracle import enumerate_matching_cuts
-from conftest import complete_graph, cycle_graph, petersen_graph, random_graph
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    petersen_graph,
+    random_graph,
+    sample_instances,
+)
 
 
 class TestKnownSizes:

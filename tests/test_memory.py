@@ -12,10 +12,10 @@ import tracemalloc
 
 import pytest
 
-from conftest import ladder
+from conftest import disjoint_union, ladder
 from matchcut.cli import _emit_twosat, main
 from matchcut.files import format_graph, parse_graph
-from matchcut.graphs import build_graph, disjoint_union
+from matchcut.graphs import build_graph
 from matchcut.solver import solve
 
 

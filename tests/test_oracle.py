@@ -12,20 +12,28 @@ from matchcut import (
     build_graph,
     is_perfect_matching_cut,
 )
-from matchcut.graphs import disjoint_union, path_graph
 from matchcut.oracle import (
     contains_induced,
     enumerate_matching_cuts,
-    enumerate_one_in_three,
     find_dpm,
     has_dpm,
-    has_pmc,
     longest_induced_cycle,
     longest_induced_path,
     perfect_matchings,
 )
 from matchcut.reduction import Formula13
-from conftest import complete_graph, cycle_graph, has_mc, petersen_graph, random_graph, relabelled
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    has_mc,
+    has_pmc,
+    path_graph,
+    petersen_graph,
+    random_graph,
+    relabelled,
+)
+from gadget import enumerate_one_in_three
 
 WIDE = OracleLimits(max_vertices=30, budget_seconds=300)
 

@@ -7,22 +7,22 @@ import bruteforce
 from conftest import (
     complete_graph,
     cycle_graph,
+    disjoint_union,
     fan,
     ladder,
+    path_graph,
     random_graph,
     relabelled,
+    sample_instances,
     sweep_side,
     tree_prism,
 )
 from matchcut import build_graph, is_perfect_matching_cut, solve
-from matchcut.generators import sample_instances
 from matchcut.graphs import (
     bfs_levels,
     component_levels,
     component_roots,
     connected_components,
-    disjoint_union,
-    path_graph,
 )
 from matchcut.pmc import (
     TraceEntry,
@@ -246,7 +246,7 @@ class TestSolvePmc:
         assert solve(cycle_graph(5), "pmc", "fourchordal").cut is None
 
     def test_components_must_all_split(self, two_squares, domino):
-        from matchcut.graphs import disjoint_union
+        from conftest import disjoint_union
 
         both = disjoint_union(two_squares, domino)
         cut = solve(both, "pmc", "fourchordal").cut

@@ -8,15 +8,10 @@ import pytest
 from matchcut.forcing import ForcingState, Refutation
 from matchcut.graphs import BfsLevels, Cut, OracleLimits, build_graph
 from matchcut.pmc import PmcEncoding, PmcSweep, TraceEntry
-from matchcut.reduction import (
-    CheckResult,
-    Formula13,
-    GadgetLayout,
-    ReductionReport,
-    build_reduction,
-)
+from matchcut.reduction import Formula13, GadgetLayout, build_reduction
 from matchcut.solver import Result
 from matchcut.twosat import TwoSatInstance
+from gadget import CheckResult, ReductionReport
 
 CUT = Cut((True, False), ((0, 1),))
 FORMULA = Formula13(3, ((0, 1, 2),))

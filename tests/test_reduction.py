@@ -5,22 +5,23 @@ import pytest
 
 import bruteforce
 from matchcut import GraphError, OracleLimits, is_perfect_matching_cut
-from matchcut.oracle import enumerate_matching_cuts, enumerate_one_in_three, has_pmc
-from matchcut.reduction import (
-    Formula13,
-    assignment_to_pmc,
-    build_reduction,
-    cut_to_assignment,
-    is_one_in_three,
-    verify_reduction,
-)
+from matchcut.oracle import enumerate_matching_cuts
+from matchcut.reduction import Formula13, build_reduction
 from conftest import (
     build_g_h_v,
     clause_gadget,
     complete_graph,
     cube_graph,
+    has_pmc,
     heggernes_telle_graph,
     petersen_graph,
+)
+from gadget import (
+    assignment_to_pmc,
+    cut_to_assignment,
+    enumerate_one_in_three,
+    is_one_in_three,
+    verify_reduction,
 )
 
 F1 = Formula13(3, ((0, 1, 2),))

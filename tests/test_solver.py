@@ -5,7 +5,7 @@ import random
 import pytest
 
 import bruteforce
-from conftest import ladder, random_graph
+from conftest import disjoint_union, ladder, random_graph, sample_instances
 from matchcut import (
     Cut,
     Result,
@@ -16,8 +16,7 @@ from matchcut import (
     solve,
 )
 from matchcut import graphs
-from matchcut.generators import sample_instances
-from matchcut.graphs import disjoint_union, make_cut
+from matchcut.graphs import make_cut
 from matchcut.matching import maximum_matching
 from matchcut.oracle import find_dpm, has_dpm
 

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat, verify_assignment
+from conftest import verify_assignment
+from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat
 
 
 def lit(v, p=True):
