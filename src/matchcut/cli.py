@@ -18,10 +18,10 @@ import gc
 import json
 import math
 import sys
-from itertools import compress
+from itertools import compress, islice
 from operator import not_
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .files import ParseError, format_graph, parse_graph
 from .graphs import Graph, GraphError, OracleBudgetError, OracleLimits, OracleSizeError
@@ -66,24 +66,35 @@ def _limits(args: argparse.Namespace) -> OracleLimits:
     )
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: Iterable[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, text: Iterable[str]) -> None:
+    """Print the payload as JSON, or the text, whose pieces hold their
+    own line ends."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        print("\n".join(text_lines))
+        sys.stdout.writelines(text)
 
 
-def _text(value: str | Sequence) -> str:
-    """A report field as text: a word as it is, a sequence as its
-    vertices or u-v pairs separated by spaces."""
-    if isinstance(value, str):
-        return value
-    return " ".join(str(e) if isinstance(e, int) else "-".join(map(str, e)) for e in value)
+def _text(fields: dict) -> Iterator[str]:
+    """The report fields as text, a line each: a word as it is, a
+    sequence as its vertices or u-v pairs separated by spaces.  A piece
+    holds at most 4,096 of them, so no string per vertex is kept."""
+    for key, value in fields.items():
+        if isinstance(value, str):
+            yield f"{key}: {value}\n"
+            continue
+        words = (str(e) if isinstance(e, int) else "-".join(map(str, e)) for e in value)
+        yield f"{key}: "
+        sep = ""
+        while chunk := " ".join(islice(words, 4096)):
+            yield sep + chunk
+            sep = " "
+        yield "\n"
 
 
 def _solve_output(result: Result) -> tuple[dict, Iterator[str]]:
-    """The JSON payload and the text lines, both from one field dict
-    in text order; the lines are formatted only if they are read.  The
+    """The JSON payload and the text, both from one field dict in text
+    order; the text is formatted only as it is read.  The
     crossing edges and the matching go in as the tuples they are, which
     JSON writes as arrays."""
     fields: dict = {}
@@ -101,8 +112,7 @@ def _solve_output(result: Result) -> tuple[dict, Iterator[str]]:
         fields["matching"] = result.matching
     if result.reason is not None:
         fields["reason"] = result.reason
-    lines = (f"{key}: {_text(value)}" for key, value in fields.items())
-    return {"problem": result.problem} | fields, lines
+    return {"problem": result.problem} | fields, _text(fields)
 
 
 def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
@@ -161,9 +171,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     verdict = "YES" if member else "NO"
     payload = {"check": check, key: bound, "verdict": verdict, measure.replace("-", "_"): value}
     lines = [
-        f"check: {check} {key.removeprefix('pattern_')}={bound}",
-        f"verdict: {verdict}",
-        f"{measure}: {'none' if value is None else value}",
+        f"check: {check} {key.removeprefix('pattern_')}={bound}\n",
+        f"verdict: {verdict}\n",
+        f"{measure}: {'none' if value is None else value}\n",
     ]
     _emit(args, payload, lines)
     return 0
@@ -192,8 +202,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         "n": layout.graph.n,
         "m": layout.graph.m,
     }
-    lines = [f"{key}: {value}" for key, value in sizes.items()]
-    lines.append(f"wrote: {graph_path} {sidecar_path}")
+    lines = [f"{key}: {value}\n" for key, value in sizes.items()]
+    lines.append(f"wrote: {graph_path} {sidecar_path}\n")
     _emit(args, sizes | {"graph": str(graph_path), "layout": str(sidecar_path)}, lines)
     return 0
 
@@ -213,10 +223,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             f"--max-n {args.max_n} exceeds the oracle bound of {limits.max_vertices}"
         )
     disagreements = []
-    # one instance at a time, so memory does not grow with --count; each
-    # oracle search leaves a few reference cycles (its closures), so the
-    # collector runs here
-    gc.enable()
+    # one instance at a time, so memory does not grow with --count
     for idx, g in enumerate(iter_instances(args.seed, args.count, args.max_n)):
         for problem in ("mc", "dpm", "pmc"):
             found = solve(g, problem, "fourchordal").cut is not None
@@ -238,15 +245,15 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         "disagreements": disagreements,
     }
     lines = [
-        f"crosscheck seed={args.seed} count={args.count} max-n={args.max_n}",
+        f"crosscheck seed={args.seed} count={args.count} max-n={args.max_n}\n",
     ]
     for d in disagreements:
         lines.append(
             f"DISAGREE instance={d['index']} problem={d['problem']} "
-            f"solver={d['solver']} oracle={d['oracle']}"
+            f"solver={d['solver']} oracle={d['oracle']}\n"
         )
-        lines.append(d["graph"].rstrip("\n"))
-    lines.append(f"disagreements: {len(disagreements)}")
+        lines.append(d["graph"])
+    lines.append(f"disagreements: {len(disagreements)}\n")
     _emit(args, payload, lines)
     return 4 if disagreements else 0
 
@@ -331,10 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OracleSizeError, OracleBudgetError, RecursionError) as exc:
-        # only the exhaustive oracle searches recurse, a level per
-        # vertex they place; one deeper than the interpreter allows
-        # exceeds a bound as well
+    except (OracleSizeError, OracleBudgetError) as exc:
         print(f"oracle limit: {exc}", file=sys.stderr)
         return 3
     finally:

@@ -90,39 +90,33 @@ def _enumerate_pruned(g: Graph, perfect: bool, deadline: _Deadline) -> Iterator[
             if su != -1 and su != s:
                 cross[u] += 1
                 cross[v] += 1
-        if cross[v] >= 2:
-            return False
-        if perfect and open_nbrs[v] == 0 and cross[v] == 0:
-            return False
-        for u in adj[v]:
-            su = side[u]
-            if su != -1:
-                if cross[u] >= 2:
-                    return False
-                if perfect and open_nbrs[u] == 0 and cross[u] == 0:
-                    return False
+        # each assigned vertex keeps at most one cross neighbor, and at
+        # least one in perfect mode once all its neighbors are assigned
+        for u in (v, *adj[v]):
+            if side[u] != -1 and (
+                cross[u] >= 2 or perfect and open_nbrs[u] == 0 and cross[u] == 0
+            ):
+                return False
         return True
 
     def assign_forced(v: int, s: int, trail: list[int]) -> bool:
         # propagate the single-cross rule: once an assigned vertex has a
-        # cross neighbor, its remaining neighbors must join its own side
+        # cross neighbor, its remaining neighbors must join its own side;
+        # in perfect mode, one with none sends its last open one across
         if not assign(v, s, trail):
             return False
         queue = [v] + [u for u in adj[v] if side[u] != -1]
         while queue:
             deadline.check()
             u = queue.pop()
-            su = side[u]
-            if cross[u] == 1 and open_nbrs[u] > 0:
-                for w in adj[u]:
-                    if side[w] == -1:
-                        if not assign(w, su, trail):
-                            return False
-                        queue.append(w)
-                        queue.extend(t for t in adj[w] if side[t] != -1)
+            if cross[u] == 1:
+                forced, to = [w for w in adj[u] if side[w] == -1], side[u]
             elif perfect and cross[u] == 0 and open_nbrs[u] == 1:
-                w = next(t for t in adj[u] if side[t] == -1)
-                if not assign(w, 1 - su, trail):
+                forced, to = [next(w for w in adj[u] if side[w] == -1)], 1 - side[u]
+            else:
+                continue
+            for w in forced:
+                if not assign(w, to, trail):
                     return False
                 queue.append(w)
                 queue.extend(t for t in adj[w] if side[t] != -1)
@@ -139,21 +133,26 @@ def _enumerate_pruned(g: Graph, perfect: bool, deadline: _Deadline) -> Iterator[
                 if side[u] != -1 and side[u] != s:
                     cross[u] -= 1
 
-    def search() -> Iterator[Cut]:
-        deadline.check()
-        v = next((u for u in range(n) if side[u] == -1), -1)
-        if v == -1:
-            if any(s == 1 for s in side):
-                yield make_cut(g, {u for u in range(n) if side[u] == 0})
-            return
-        for s in (0, 1):
+    # the branch under way at each level; vertex 0 takes side 0 only
+    taken: list[tuple[int, int, list[int]]] = []
+    v, s = 0, 0
+    while True:
+        if s < (2 if v else 1):
             trail: list[int] = []
             if assign_forced(v, s, trail):
-                yield from search()
-            undo(trail)
-
-    if assign_forced(0, 0, []):
-        yield from search()
+                taken.append((v, s, trail))
+                deadline.check()
+                v = next((u for u in range(n) if side[u] == -1), -1)
+                s = 0 if v != -1 else 2
+                if v == -1 and 1 in side:
+                    yield make_cut(g, {u for u in range(n) if side[u] == 0})
+                continue
+        elif taken:
+            v, s, trail = taken.pop()
+        else:
+            return
+        undo(trail)
+        s += 1
 
 
 def perfect_matchings(
@@ -168,29 +167,31 @@ def perfect_matchings(
     n = g.n
     if n % 2:
         return
-    adj = [sorted(g.adj[v]) for v in range(n)]
-    mate = [-1] * n
+    masks = g.adjacency_masks()
+    free = (1 << n) - 1
     chosen: list[tuple[int, int]] = []
-
-    def extend(v: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        # v is the lowest unmatched vertex, n once every vertex is matched
-        if v == n:
-            yield tuple(chosen)
-            return
-        for u in adj[v]:
-            if mate[u] == -1:
-                mate[v], mate[u] = u, v
-                chosen.append((v, u))
-                deadline.check()
-                w = v + 1
-                while w < n and mate[w] != -1:
-                    w += 1
-                yield from extend(w)
-                chosen.pop()
-                mate[v] = mate[u] = -1
-
+    # the lowest free vertex's partners up to the last one tried, as bits
+    spent = 0
     deadline.check()
-    yield from extend(0)
+    while True:
+        if free:
+            v = (free & -free).bit_length() - 1
+            cands = masks[v] & free & ~spent
+        else:
+            yield tuple(chosen)
+            cands = 0
+        if cands:
+            u = (cands & -cands).bit_length() - 1
+            free ^= 1 << v | 1 << u
+            chosen.append((v, u))
+            deadline.check()
+            spent = 0
+        elif chosen:
+            v, u = chosen.pop()
+            free |= 1 << v | 1 << u
+            spent = (2 << u) - 1
+        else:
+            return
 
 
 def find_dpm(
@@ -235,34 +236,35 @@ def longest_induced_path(g: Graph, limits: OracleLimits | None = None) -> int:
     """Vertex count of a longest induced path (0 for the empty graph)."""
     deadline = _guard(g, limits)
     n = g.n
-    if n == 0:
-        return 0
     masks = g.adjacency_masks()
     full = (1 << n) - 1
-    best = 1
-
-    def extend(tip: int, length: int, allowed: int) -> bool:
-        nonlocal best
-        if length > best:
-            best = length
-            if best == n:
-                return True
-        cands = masks[tip] & allowed
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            w = bit.bit_length() - 1
-            nxt = allowed & ~masks[tip] & ~bit
-            if length + 1 + nxt.bit_count() <= best:
-                continue
-            deadline.check()
-            if extend(w, length + 1, nxt):
-                return True
-        return False
-
+    best = 1 if n else 0
     for s in range(n):
-        if extend(s, 1, full & ~(1 << s)):
-            break
+        # tip, the vertices it may take and its untried extensions; the
+        # stack holds the same for each earlier vertex of the path
+        tip, allowed = s, full & ~(1 << s)
+        cands = masks[s] & allowed
+        stack: list[tuple[int, int, int]] = []
+        while True:
+            if cands:
+                bit = cands & -cands
+                cands ^= bit
+                nxt = allowed & ~masks[tip] & ~bit
+                length = len(stack) + 2
+                if length + nxt.bit_count() <= best:
+                    continue
+                deadline.check()
+                if length > best:
+                    best = length
+                    if best == n:
+                        return best
+                stack.append((tip, allowed, cands))
+                tip, allowed = bit.bit_length() - 1, nxt
+                cands = masks[tip] & allowed
+            elif stack:
+                tip, allowed, cands = stack.pop()
+            else:
+                break
     return best
 
 
@@ -272,36 +274,35 @@ def longest_induced_cycle(g: Graph, limits: OracleLimits | None = None) -> int |
     n = g.n
     masks = g.adjacency_masks()
     best = 0
-
-    def extend(s: int, tip: int, length: int, allowed: int, first: int) -> None:
-        nonlocal best
-        if length + allowed.bit_count() <= best:
-            return
-        cands = masks[tip] & allowed
-        closers = cands & masks[s]
-        while closers:
-            bit = closers & -closers
-            closers ^= bit
-            w = bit.bit_length() - 1
-            # w > first keeps one traversal direction per cycle
-            if w > first and length + 1 > best:
-                best = length + 1
-        ext = cands & ~masks[s]
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            w = bit.bit_length() - 1
-            deadline.check()
-            extend(s, w, length + 1, allowed & ~masks[tip] & ~bit, first)
-
     for s in range(n):
         higher = ((1 << n) - 1) & ~((1 << (s + 1)) - 1)
         starts = masks[s] & higher
         while starts:
             bit = starts & -starts
             starts ^= bit
-            v1 = bit.bit_length() - 1
-            extend(s, v1, 2, higher & ~bit, v1)
+            first = bit.bit_length() - 1
+            # grow induced paths s, first, ..., tip as longest_induced_path
+            # does, while a cycle closing one could beat best
+            tip, allowed = first, higher & ~bit
+            stack: list[tuple[int, int, int]] = []
+            while True:
+                length = len(stack) + 2
+                ext = 0
+                if length + allowed.bit_count() > best:
+                    cands = masks[tip] & allowed
+                    # a closer above first keeps one direction per cycle
+                    if (cands & masks[s]) >> (first + 1) and length + 1 > best:
+                        best = length + 1
+                    ext = cands & ~masks[s]
+                while not ext and stack:
+                    tip, allowed, ext = stack.pop()
+                if not ext:
+                    break
+                bit = ext & -ext
+                stack.append((tip, allowed, ext ^ bit))
+                deadline.check()
+                allowed &= ~masks[tip] & ~bit
+                tip = bit.bit_length() - 1
     return best if best else None
 
 
@@ -328,58 +329,53 @@ def contains_induced(
     )
 
     def is_path_comp(comp: frozenset[int]) -> bool:
-        degs = sorted(pattern.degree(v) for v in comp)
-        if len(comp) == 1:
-            return True
-        return degs[:2] == [1, 1] and all(d == 2 for d in degs[2:])
+        degs = [pattern.degree(v) for v in comp]
+        return max(degs) <= 2 and sum(degs) == 2 * len(comp) - 2
 
     level_of = [-1] * pattern.n
     order: list[int] = []
-    ranges: list[tuple[int, int]] = []
-    for comp in comps:
-        first = len(order)
+    # where a path component duplicates its predecessor, its least image
+    # must exceed the predecessor's (checked once its last vertex is placed)
+    sym_check: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
+    for i, comp in enumerate(comps):
         for layer in component_levels(pattern, min(comp), level_of).levels:
             order += layer
-        ranges.append((first, len(order) - 1))
-
-    # where a path component duplicates its predecessor, force component
-    # images into ascending order (checked once the component completes)
-    sym_check: dict[int, tuple[tuple[int, int], tuple[int, int]]] = {}
-    for i in range(1, len(comps)):
-        a, b = comps[i - 1], comps[i]
-        if len(a) == len(b) and is_path_comp(a) and is_path_comp(b):
-            sym_check[ranges[i][1]] = (ranges[i - 1], ranges[i])
+        prev = comps[i - 1]
+        if i and len(prev) == len(comp) and is_path_comp(prev) and is_path_comp(comp):
+            sym_check[order[-1]] = (prev, comp)
 
     gmasks = g.adjacency_masks()
     full = (1 << g.n) - 1
     images = [-1] * pattern.n
-
-    def place(k: int, used: int) -> bool:
+    # the untried candidates of each placed pattern vertex
+    cands: list[int] = []
+    while True:
         deadline.check()
+        k = len(cands)
         if k == pattern.n:
             return True
+        # unused host vertices adjacent exactly to the images of pv's
+        # placed pattern neighbors (an image is not its own neighbor)
         pv = order[k]
-        cand = full & ~used
+        cand = full
         for j in range(k):
             pu = order[j]
             if pu in pattern.adj[pv]:
                 cand &= gmasks[images[pu]]
             else:
-                cand &= ~gmasks[images[pu]]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            images[pv] = bit.bit_length() - 1
-            if k in sym_check:
-                (pa, pb), (ca, cb) = sym_check[k]
-                prev_min = min(images[order[i]] for i in range(pa, pb + 1))
-                this_min = min(images[order[i]] for i in range(ca, cb + 1))
-                if this_min < prev_min:
-                    images[pv] = -1
-                    continue
-            if place(k + 1, used | bit):
-                return True
-            images[pv] = -1
-        return False
-
-    return place(0, 0)
+                cand &= ~(gmasks[images[pu]] | 1 << images[pu])
+        while True:
+            if cand:
+                bit = cand & -cand
+                cand ^= bit
+                images[pv] = bit.bit_length() - 1
+                if pv in sym_check:
+                    prev, comp = sym_check[pv]
+                    if min(images[u] for u in comp) < min(images[u] for u in prev):
+                        continue
+                cands.append(cand)
+                break
+            if not cands:
+                return False
+            cand = cands.pop()
+            pv = order[len(cands)]

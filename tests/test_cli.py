@@ -9,7 +9,14 @@ import sys
 import pytest
 
 import matchcut
-from matchcut import build_graph, format_graph, parse_graph
+from matchcut import (
+    build_graph,
+    format_graph,
+    is_disconnected_perfect_matching,
+    is_matching_cut,
+    is_perfect_matching_cut,
+    parse_graph,
+)
 from matchcut.cli import main
 from matchcut.files import layout_sidecar
 from matchcut.reduction import Formula13, build_reduction
@@ -18,6 +25,7 @@ from conftest import (
     cycle_graph,
     disjoint_union,
     format_formula_dimacs,
+    ladder,
     path_graph,
 )
 
@@ -672,21 +680,30 @@ class TestExitCodes:
             ["solve", "G", "--algo", "oracle", "--problem", "dpm"],
             ["check", "G", "--pt-free", "5"],
             ["check", "G", "--k-chordal", "4"],
+            ["solve", "G", "--algo", "oracle", "--problem", "pmc"],
         ],
     )
     def test_search_deeper_than_recursion_limit(self, capsys, graph_file, argv):
-        # each of these searches recurses once per vertex of the path
-        path = graph_file("g", path_graph(1200))
-        argv = [path if a == "G" else a for a in argv]
-        assert main(argv + ["--max-oracle-n", "5000"]) == 3
-        assert capsys.readouterr().err.startswith("oracle limit:")
-
-    def test_pmc_oracle_on_long_path_answers(self, capsys, graph_file):
-        path = graph_file("g", path_graph(1200))
-        rc, payload = run_json(
-            capsys, ["solve", path, "--algo", "oracle", "--problem", "pmc", "--max-oracle-n", "5000"]
-        )
-        assert rc == 0 and payload["verdict"] == "YES"
+        # each search goes a step deeper per vertex it places: 1,200 steps
+        # here, past the interpreter's default recursion limit of 1,000
+        graphs = {"path": path_graph(1200)}
+        if argv[0] == "solve":
+            graphs["ladder"] = ladder(600)
+        for name, g in graphs.items():
+            path = graph_file(name, g)
+            rc, payload = run_json(
+                capsys, [path if a == "G" else a for a in argv] + ["--max-oracle-n", "5000"]
+            )
+            assert rc == 0, name
+            if argv[2] == "--pt-free":
+                assert payload["verdict"] == "NO" and payload["longest_induced_path"] == 1200
+            elif argv[2] == "--k-chordal":
+                assert payload["verdict"] == "YES" and payload["longest_induced_cycle"] is None
+            elif argv[-1] == "dpm":
+                assert is_disconnected_perfect_matching(g, map(tuple, payload["matching"])), name
+            else:
+                certified = is_matching_cut if argv[-1] == "mc" else is_perfect_matching_cut
+                assert payload["verdict"] == "YES" and certified(g, payload["x"]), name
 
     @pytest.mark.parametrize("problem", ["mc", "pmc", "dpm"])
     def test_auto_recognition_refused_by_size(self, capsys, graph_file, problem):

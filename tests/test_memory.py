@@ -1,11 +1,12 @@
 """High-water marks of the parse, a CLI pmc solve, --emit-2cnf,
-disconnected-split and dpm completion paths, read with tracemalloc: what
-the interpreter allocates, deterministic for one interpreter.  Each bound
-sits between the streaming code's ratio and that of code that holds its
-data twice (a list of sets beside their frozensets, a clause tuple per
-relation, the whole file text, a copy of the graph) or builds what it
-does not read (a set per component)."""
+disconnected-split, dpm completion and text output paths, read with
+tracemalloc: what the interpreter allocates, deterministic for one
+interpreter.  Each bound sits between the streaming code's ratio and
+that of code that holds its data twice (a list of sets beside their
+frozensets, a clause tuple per relation, the whole file text, a copy of
+the graph) or builds what it does not read (a set per component)."""
 
+import contextlib
 import gc
 import json
 import tracemalloc
@@ -105,3 +106,21 @@ def test_dpm_completion_peak(make, bound):
     result, _, peak = traced(lambda: solve(g, "dpm", "fourchordal"))
     assert result.matching is not None
     assert peak <= bound * kept
+
+
+def test_cli_text_output_peak(tmp_path):
+    # mc on 10^5 isolated vertices lists every vertex; the text is written
+    # in pieces of at most 4,096 vertices, so its peak stays below the
+    # JSON one (0.56x here; 1.27x with a string per vertex joined whole)
+    path = tmp_path / "isolated.graph"
+    path.write_text("100000 0\n")
+    peaks = {}
+    for fmt in ("json", "text"):
+        argv = ["solve", str(path), "--problem", "mc", "--format", fmt]
+        with open(tmp_path / fmt, "w") as out, contextlib.redirect_stdout(out):
+            code, _, peaks[fmt] = traced(lambda: main(argv))
+        assert code == 0
+    text = (tmp_path / "text").read_text()
+    assert text.startswith("verdict: YES\nx: 0\ny: 1 2 3 ")
+    assert text.endswith(" 99998 99999\ncrossing: \n")
+    assert peaks["text"] <= 1.1 * peaks["json"]

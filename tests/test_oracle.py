@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -21,7 +22,9 @@ from matchcut.oracle import (
     longest_induced_path,
     perfect_matchings,
 )
+from matchcut.generators import iter_instances
 from matchcut.reduction import Formula13
+from matchcut.solver import solve
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -265,6 +268,99 @@ class TestContainsInduced:
                 assert contains_induced(host, pat, WIDE) == want, (host.edges(), pat.edges())
                 answers.add(want)
         assert answers == {True, False}
+
+
+# the loop searches and the recursive references they replace
+RECURSIVE = {
+    "_enumerate_pruned": bruteforce.enumerate_pruned_recursive,
+    "perfect_matchings": bruteforce.perfect_matchings_recursive,
+    "longest_induced_path": bruteforce.longest_induced_path_recursive,
+    "longest_induced_cycle": bruteforce.longest_induced_cycle_recursive,
+    "contains_induced": bruteforce.contains_induced_recursive,
+}
+
+
+def oracle_outputs(g, patterns):
+    """Each oracle output on g, by name, as a function of no arguments."""
+    o = matchcut.oracle
+    calls = {
+        "matching_only": lambda: o.enumerate_matching_cuts(g, "matching_only", WIDE),
+        "perfect_only": lambda: o.enumerate_matching_cuts(g, "perfect_only", WIDE),
+        "perfect_matchings": lambda: list(o.perfect_matchings(g, WIDE)),
+        "find_dpm": lambda: o.find_dpm(g, WIDE),
+        "has_dpm": lambda: o.has_dpm(g, WIDE),
+        "longest_induced_path": lambda: o.longest_induced_path(g, WIDE),
+        "longest_induced_cycle": lambda: o.longest_induced_cycle(g, WIDE),
+    }
+    for i, pattern in enumerate(patterns):
+        calls[f"contains_induced {i}"] = lambda p=pattern: o.contains_induced(g, p, WIDE)
+    return calls
+
+
+class TestLoopsAgainstRecursion:
+    """The searches run as loops over explicit stacks; on a pinned corpus
+    every output and every deadline tick equals the recursive
+    reference's."""
+
+    def test_pinned_corpus(self, monkeypatch):
+        made = []
+
+        class CountingDeadline(matchcut.oracle._Deadline):
+            def __init__(self, seconds):
+                super().__init__(seconds)
+                made.append(self)
+
+        def run(calls):
+            out = {}
+            for name, call in calls.items():
+                made.clear()
+                out[name] = call(), sum(d.ticks for d in made)
+            return out
+
+        monkeypatch.setattr(matchcut.oracle, "_Deadline", CountingDeadline)
+        rng = random.Random(28)
+        # two equal path components: the pattern search's symmetry rule
+        two_p3 = disjoint_union(path_graph(3), path_graph(3))
+        found = set()
+        for i in range(400):
+            g = random_graph(rng, rng.randint(0, 13), rng.uniform(0.1, 0.9))
+            pattern = random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.8))
+            calls = oracle_outputs(g, [two_p3, pattern])
+            loops = run(calls)
+            with monkeypatch.context() as m:
+                for name, reference in RECURSIVE.items():
+                    m.setattr(matchcut.oracle, name, reference)
+                want = run(calls)
+            assert loops == want, (i, g.edges())
+            found.add(loops["contains_induced 0"][0])
+        assert found == {True, False}
+
+
+class TestNoReferenceCycles:
+    """No search leaves a reference cycle, so runs of many searches
+    need no cyclic collector."""
+
+    @pytest.fixture(autouse=True)
+    def paused(self):
+        was = gc.isenabled()
+        gc.disable()
+        gc.collect()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    def test_each_search(self):
+        g = random_graph(random.Random(5), 12, 0.35)
+        two_p2 = disjoint_union(path_graph(2), path_graph(2))
+        for name, call in oracle_outputs(g, [two_p2]).items():
+            call()
+            assert gc.collect() == 0, name
+
+    def test_crosscheck_instances(self):
+        for g in iter_instances(0, 6, 14):
+            for problem in ("mc", "dpm", "pmc"):
+                found = solve(g, problem, "fourchordal").cut is not None
+                assert found == (solve(g, problem, "oracle", WIDE).cut is not None)
+        assert gc.collect() == 0
 
 
 class TestClassifyAndFormulas:
