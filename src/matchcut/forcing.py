@@ -143,22 +143,28 @@ def _x_side(g: Graph, state: ForcingState) -> frozenset[int] | None:
     return x | free.difference(reached)
 
 
+def _seed_cut(g: Graph, a: int, b: int) -> Cut | None:
+    """The matching cut of seed edge (a, b): None when propagation
+    refutes it, a free component sees both sides (_x_side) or the cut
+    fails the matching-cut check.  A seed edge on a triangle is refuted
+    here without propagation (R1 would refute it): the triangle's third
+    vertex lies on one side, so the edge's end on the other side would
+    have two neighbors across."""
+    if not g.adj[a].isdisjoint(g.adj[b]):
+        return None
+    state = propagate(g, a, b)
+    if isinstance(state, Refutation):
+        return None
+    x = _x_side(g, state)
+    return None if x is None else check_matching_cut(g, x)[0]
+
+
 def _stable_seeds(g: Graph) -> Iterator[Cut]:
     """Yield the matching cut of each seed edge of the connected graph
-    g, in g.edges() order, whose propagation is not refuted, whose free
-    components each see one side (_x_side), and whose cut passes the
-    matching-cut check.  A seed edge on a triangle is skipped (R1
-    would refute it): the triangle's third vertex lies on one side, so
-    the edge's end on the other side would have two neighbors across.
-    """
-    for a, b in g.edges():
-        if not g.adj[a].isdisjoint(g.adj[b]):
-            continue
-        state = propagate(g, a, b)
-        if isinstance(state, Refutation):
-            continue
-        x = _x_side(g, state)
-        if x is not None:
-            cut, _ = check_matching_cut(g, x)
-            if cut is not None:
+    g that _seed_cut finds, in g.edges() order.  Each vertex's higher
+    neighbours are read as the loop reaches it, and each seed's state
+    is freed before its cut is yielded."""
+    for a, nbrs in enumerate(g.adj):
+        for b in sorted(nbrs):
+            if a < b and (cut := _seed_cut(g, a, b)) is not None:
                 yield cut

@@ -236,17 +236,6 @@ def component_levels(g: Graph, root: int, level_of: list[int]) -> BfsLevels:
     return BfsLevels(root, level_of, tuple(levels))
 
 
-def bfs_levels(g: Graph, root: int) -> BfsLevels:
-    """Layer the graph by distance from root; every vertex must be reachable."""
-    if not (0 <= root < g.n):
-        raise GraphError(f"root {root} out of range")
-    level_of = [-1] * g.n
-    levels = component_levels(g, root, level_of).levels
-    if sum(map(len, levels)) != g.n:
-        raise GraphError("graph is disconnected; every vertex must be reachable from the root")
-    return BfsLevels(root, tuple(level_of), levels)
-
-
 class Cut(NamedTuple):
     """A bipartition of the vertex set with its crossing edges.
 

@@ -8,8 +8,9 @@ constraint relates two vertices, which lie on different sides or on the
 same side, so the perfect matching cuts (side X) are exactly the
 2-colourings of these relations, and one parity pass decides them.
 Written as two complementary clauses each, the same relations form the
-2-CNF that --emit-2cnf writes; twosat.solve_2sat finds the same model
-on it as the parity pass.
+2-CNF that --emit-2cnf writes; the general 2-SAT solver that the tests
+keep as their reference (tests/twosat_reference.py) finds the same
+model on it as the parity pass.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .graphs import (
     BfsLevels,
     Cut,
     Graph,
-    bfs_levels,
     check_perfect_matching_cut,
     component_levels,
     component_roots,
@@ -113,15 +113,14 @@ def relation_clauses(relations: Sequence[Relation]) -> tuple[Clause, ...]:
     2i and 2i+1 state relation i."""
     clauses: list[Clause] = []
     for a, b, differ in relations:
-        # literals are (variable, polarity) pairs, as twosat.pos/neg build them
+        # literals are (variable, polarity) pairs, as twosat.pos/neg build
+        # them; the tests' reference 2-SAT solver finds solve_parity's model
         clauses.append(((a, True), (b, differ)))
         clauses.append(((a, False), (b, not differ)))
     return tuple(clauses)
 
 
-def build_pmc_formula(
-    g: Graph, root: int, *, reverse_scan: bool = False, levels: BfsLevels | None = None
-) -> PmcEncoding:
+def build_pmc_formula(g: Graph, levels: BfsLevels, *, reverse_scan: bool = False) -> PmcEncoding:
     """Sweep the layers from deepest to the root, emitting relations.
 
     Per determined pair: the pair straddles the cut; every neighbor of a
@@ -129,12 +128,10 @@ def build_pmc_formula(
     vertex's own side.  Each trace entry names the clause ids of its
     relations (see relation_clauses).  reverse_scan processes each
     layer's vertices in descending id order instead of ascending (the
-    verdict must not depend on it).  levels, when given, is root's
-    component layered from root (graphs.component_levels), and only
-    that component is swept; otherwise g must be connected.
+    verdict must not depend on it).  levels is one component of g
+    layered from its root (graphs.component_levels), and only that
+    component is swept.
     """
-    if levels is None:
-        levels = bfs_levels(g, root)
     adj = g.adj
     determined: set[int] = set()
     trace: list[TraceEntry] = []
@@ -164,11 +161,11 @@ def build_pmc_formula(
                 rest = sorted(adj[anchor] - determined)
                 relations += [(anchor, x, False) for x in rest]
             trace.append(TraceEntry(v, rule, partners, range(2 * first, 2 * len(relations))))
-    if root not in determined:
+    if levels.root not in determined:
         # nothing paired the root, so no perfect pairing across the cut
         # can exist; a 2-colouring here would leave the root with zero
         # cross neighbors
-        return PmcEncoding(g.n, None, trace, root)
+        return PmcEncoding(g.n, None, trace, levels.root)
     return PmcEncoding(g.n, tuple(relations), trace, None)
 
 
@@ -176,15 +173,15 @@ def solve_parity(var_count: int, relations: Iterable[Relation]) -> tuple[bool, .
     """2-colour the relations, or None when they hold an odd cycle.
 
     The smallest vertex of each component of the relations (an
-    unrelated vertex alone included) is True.  That is the model
-    twosat.solve_2sat finds on relation_clauses.  Each relation gives a
-    complementary clause pair, so the implication graph is symmetric
-    and its strongly connected components are its connected ones: per
-    component of the relations, the literals true together with its
-    smallest vertex, and their negations (one component when the
-    relations hold an odd cycle).  Tarjan's search starts at the
-    smallest vertex's positive literal and pops that component first,
-    which sets the vertex True.
+    unrelated vertex alone included) is True.  That is the model the
+    tests' reference 2-SAT solver (tests/twosat_reference.py) finds on
+    relation_clauses.  Each relation gives a complementary clause pair,
+    so the implication graph is symmetric and its strongly connected
+    components are its connected ones: per component of the relations,
+    the literals true together with its smallest vertex, and their
+    negations (one component when the relations hold an odd cycle).
+    Tarjan's search starts at the smallest vertex's positive literal
+    and pops that component first, which sets the vertex True.
     """
     # each vertex's partners and differ flags, alternating in one list
     partners: list[list] = [[] for _ in range(var_count)]
@@ -245,7 +242,7 @@ def sweep_components(g: Graph, comps: Iterable[tuple[int, int]] | None = None) -
             sweep.shallow.append(tuple(sorted((low, *g.adj[low]))))
             continue
         levels = component_levels(g, low, level_of)
-        encoding = build_pmc_formula(g, low, levels=levels)
+        encoding = build_pmc_formula(g, levels)
         if encoding.relations is None:
             sweep.blocked.append(encoding.blocked)
         else:

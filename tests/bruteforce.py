@@ -21,7 +21,8 @@ in-place pmc.sweep_components must reproduce, ids included;
 build_pmc_formula_reference, the pmc sweep that keeps its determined
 vertices in a DeterminedSet class and refuses to determine one twice,
 whose relations, blocked vertex and trace the plain-set sweep of
-pmc.build_pmc_formula must reproduce; cut_reference,
+pmc.build_pmc_formula must reproduce, with bfs_levels, which layers a
+connected graph for either sweep and refuses any other; cut_reference,
 the per-edge cut builder whose cuts and witnesses the one-pass
 certificate predicates must reproduce; solve_dpm_reference, the
 4-chordal dpm seed loop that pairs the matched core's A-B partners and
@@ -54,7 +55,6 @@ from matchcut import Cut, Graph, GraphError, build_graph, oracle
 from matchcut.forcing import ForcingState, Refutation, propagate
 from matchcut.graphs import (
     BfsLevels,
-    bfs_levels,
     component_levels,
     connected_components,
     make_cut,
@@ -150,7 +150,7 @@ def sweep_components_reference(g: Graph, comps=None) -> PmcSweep:
         if sub.degree(0) == sub.n - 1:
             out.shallow.append(tuple(old_ids))
             continue
-        encoding = build_pmc_formula(sub, 0)
+        encoding = build_pmc_formula(sub, bfs_levels(sub, 0))
         if encoding.relations is None:
             out.blocked.append(old_ids[encoding.blocked])
         else:
@@ -230,6 +230,17 @@ def classify_leaf_reference(
         if len(sizes[0]) == 1:
             return "c3", (sizes[0][0],)
     return "none", ()
+
+
+def bfs_levels(g: Graph, root: int) -> BfsLevels:
+    """Layer the graph by distance from root; every vertex must be reachable."""
+    if not (0 <= root < g.n):
+        raise GraphError(f"root {root} out of range")
+    level_of = [-1] * g.n
+    levels = component_levels(g, root, level_of).levels
+    if sum(map(len, levels)) != g.n:
+        raise GraphError("graph is disconnected; every vertex must be reachable from the root")
+    return BfsLevels(root, tuple(level_of), levels)
 
 
 def build_pmc_formula_reference(

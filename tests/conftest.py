@@ -4,6 +4,7 @@ from itertools import compress
 import pytest
 from hypothesis import HealthCheck, settings
 
+from bruteforce import bfs_levels
 from matchcut import Graph, GraphError, build_graph
 from matchcut.generators import MIN_INSTANCE_N, iter_instances
 from matchcut.oracle import OracleLimits, enumerate_matching_cuts
@@ -125,7 +126,7 @@ def sweep_side(g: Graph, root: int, reverse_scan: bool = False) -> frozenset[int
     in the given scan order, and one parity pass on its relations give;
     None when the sweep leaves the root unpaired or the relations hold
     an odd cycle."""
-    enc = build_pmc_formula(g, root, reverse_scan=reverse_scan)
+    enc = build_pmc_formula(g, bfs_levels(g, root), reverse_scan=reverse_scan)
     if enc.relations is None:
         return None
     model = solve_parity(g.n, enc.relations)

@@ -14,6 +14,7 @@ import itertools
 import random
 
 import bruteforce
+from bruteforce import bfs_levels
 from conftest import (
     disjoint_union,
     has_mc,
@@ -42,7 +43,8 @@ from matchcut.oracle import (
 )
 from matchcut.pmc import TraceEntry, build_pmc_formula
 from matchcut.reduction import Formula13, build_reduction
-from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat
+from matchcut.twosat import TwoSatInstance, neg, pos
+from twosat_reference import solve_2sat
 
 WIDE = OracleLimits(max_vertices=42, budget_seconds=600.0)
 
@@ -67,7 +69,7 @@ class TestFixedInstances:
             and set(cut.crossing) == {(0, 2), (1, 3), (4, 5)}
             and is_perfect_matching_cut(two_squares, cut.x)
         )
-        encoding = build_pmc_formula(two_squares, 0)
+        encoding = build_pmc_formula(two_squares, bfs_levels(two_squares, 0))
         expected = (
             (pos(5), pos(1)),
             (neg(5), neg(1)),
@@ -89,11 +91,11 @@ class TestFixedInstances:
         )
 
     def test_02_braced_hexagon_rejected_under_both_scans(self, braced_hexagon):
-        forward = build_pmc_formula(braced_hexagon, 2)
+        forward = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2))
         ok = forward.formula is not None
         ok = ok and len(forward.formula.clauses) == 16
         ok = ok and solve_2sat(forward.formula) is None
-        backward = build_pmc_formula(braced_hexagon, 2, reverse_scan=True)
+        backward = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2), reverse_scan=True)
         ok = ok and backward.formula is None and backward.blocked == 4
         ok = ok and backward.trace == [
             TraceEntry(5, "c2", (1, 3, 2), range(12))

@@ -302,9 +302,9 @@ class TestSolve:
         sweep = matchcut.pmc.build_pmc_formula
         calls = []
 
-        def counting_sweep(g, root, **kwargs):
-            calls.append((g.n, root))
-            return sweep(g, root, **kwargs)
+        def counting_sweep(g, levels, **kwargs):
+            calls.append((g.n, levels.root))
+            return sweep(g, levels, **kwargs)
 
         monkeypatch.setattr(matchcut.pmc, "build_pmc_formula", counting_sweep)
         head = path_graph(3) if first == "path3" else request.getfixturevalue(first)
@@ -334,9 +334,9 @@ class TestSolve:
         sweep = matchcut.pmc.build_pmc_formula
         calls = []
 
-        def counting_sweep(g, root, **kwargs):
-            calls.append(root)
-            return sweep(g, root, **kwargs)
+        def counting_sweep(g, levels, **kwargs):
+            calls.append(levels.root)
+            return sweep(g, levels, **kwargs)
 
         monkeypatch.setattr(matchcut.pmc, "build_pmc_formula", counting_sweep)
         star = build_graph(4, [(0, 1), (0, 2), (0, 3)])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
+from bruteforce import bfs_levels
 from matchcut import (
     GraphError,
     build_graph,
@@ -16,7 +17,6 @@ from matchcut import (
     is_perfect_matching_cut,
 )
 from matchcut.graphs import (
-    bfs_levels,
     component_levels,
     connected_components,
     make_cut,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
+from bruteforce import bfs_levels
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -19,7 +20,6 @@ from conftest import (
 )
 from matchcut import build_graph, is_perfect_matching_cut, solve
 from matchcut.graphs import (
-    bfs_levels,
     component_levels,
     component_roots,
     connected_components,
@@ -33,7 +33,8 @@ from matchcut.pmc import (
     solve_pmc_sweeps,
     sweep_components,
 )
-from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat
+from matchcut.twosat import TwoSatInstance, neg, pos
+from twosat_reference import solve_2sat
 
 
 class TestClassifyLeaf:
@@ -96,7 +97,7 @@ class TestClassifyLeaf:
 
 class TestBuildFormula:
     def test_two_squares_clause_sequence(self, two_squares):
-        enc = build_pmc_formula(two_squares, 0)
+        enc = build_pmc_formula(two_squares, bfs_levels(two_squares, 0))
         assert enc.blocked is None
         assert enc.formula is not None
         assert enc.formula.clauses == (
@@ -120,7 +121,7 @@ class TestBuildFormula:
         assert {v for v in range(6) if model[v]} in ({0, 1, 4}, {2, 3, 5})
 
     def test_braced_hexagon_unsat_formula(self, braced_hexagon):
-        enc = build_pmc_formula(braced_hexagon, 2)
+        enc = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2))
         assert enc.blocked is None
         assert enc.formula is not None
         assert enc.formula.clauses == (
@@ -145,7 +146,7 @@ class TestBuildFormula:
         assert solve_2sat(enc.formula) is None
 
     def test_braced_hexagon_reverse_blocks(self, braced_hexagon):
-        enc = build_pmc_formula(braced_hexagon, 2, reverse_scan=True)
+        enc = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2), reverse_scan=True)
         assert enc.formula is None and enc.blocked == 4
         assert enc.trace == [
             TraceEntry(5, "c2", (1, 3, 2), range(12))
@@ -153,7 +154,8 @@ class TestBuildFormula:
 
     def test_unpaired_root_blocks(self):
         # the sweep pairs 4-3 and 2-1, leaving the root with no partner
-        enc = build_pmc_formula(path_graph(5), 0)
+        g = path_graph(5)
+        enc = build_pmc_formula(g, bfs_levels(g, 0))
         assert enc.formula is None and enc.blocked == 0
 
     def test_shallow_components_block_unless_k2(self):
@@ -165,15 +167,34 @@ class TestBuildFormula:
         for g in [path_graph(2), *stars, *cliques, build_graph(40, pendants)]:
             assert g.degree(0) == g.n - 1
             for reverse in (False, True):
-                enc = build_pmc_formula(g, 0, reverse_scan=reverse)
+                enc = build_pmc_formula(g, bfs_levels(g, 0), reverse_scan=reverse)
                 assert (enc.relations is None) == (g.n != 2), g
-        assert build_pmc_formula(path_graph(2), 0).relations == ((1, 0, True),)
+        k2 = path_graph(2)
+        assert build_pmc_formula(k2, bfs_levels(k2, 0)).relations == ((1, 0, True),)
 
     def test_formula_equal_on_every_read(self, two_squares):
         # a plain property: each read builds the same 2-CNF of the relations
-        enc = build_pmc_formula(two_squares, 0)
+        enc = build_pmc_formula(two_squares, bfs_levels(two_squares, 0))
         expected = TwoSatInstance(6, relation_clauses(enc.relations))
         assert enc.formula == enc.formula == expected
+
+
+    def test_formula_is_none_or_the_relation_clauses(self, two_squares, braced_hexagon):
+        # what a traced bench run reads off each sweep: .formula is None
+        # on a blocked sweep, else the relations' clauses as a 2-CNF
+        g = disjoint_union(two_squares, braced_hexagon, path_graph(5), ladder(6), fan(3, 2))
+        level_of = [-1] * g.n
+        blocked = set()
+        for low, _ in component_roots(g):
+            enc = build_pmc_formula(g, component_levels(g, low, level_of))
+            blocked.add(enc.relations is None)
+            if enc.relations is None:
+                assert enc.formula is None
+            else:
+                assert isinstance(enc.formula, TwoSatInstance) and enc.formula.var_count == g.n
+                assert enc.formula.clauses == relation_clauses(enc.relations)
+                assert len(enc.formula.clauses) == 2 * len(enc.relations)
+        assert blocked == {True, False}
 
 
 class TestSweepReference:
@@ -189,7 +210,7 @@ class TestSweepReference:
         for g in graphs:
             for root in roots(g):
                 for reverse in (False, True):
-                    got = build_pmc_formula(g, root, reverse_scan=reverse)
+                    got = build_pmc_formula(g, bfs_levels(g, root), reverse_scan=reverse)
                     assert got == bruteforce.build_pmc_formula_reference(g, root, reverse_scan=reverse)
                     seen.add("blocked" if got.relations is None else "swept")
                     seen.update(entry.rule for entry in got.trace)
@@ -338,7 +359,7 @@ class TestSolveParity:
             sub, _ = bruteforce.induced_subgraph(g, comp)
             for root in roots(sub):
                 for reverse in (False, True):
-                    enc = build_pmc_formula(sub, root, reverse_scan=reverse)
+                    enc = build_pmc_formula(sub, bfs_levels(sub, root), reverse_scan=reverse)
                     if enc.relations is not None:
                         yield enc
 
@@ -413,8 +434,8 @@ class TestSweepInPlace:
             sub, old_ids = bruteforce.induced_subgraph(g, comp)
             for reverse in (False, True):
                 levels = component_levels(g, root, [-1] * g.n)
-                got = build_pmc_formula(g, root, reverse_scan=reverse, levels=levels)
-                want = build_pmc_formula(sub, old_ids.index(root), reverse_scan=reverse)
+                got = build_pmc_formula(g, levels, reverse_scan=reverse)
+                want = build_pmc_formula(sub, bfs_levels(sub, old_ids.index(root)), reverse_scan=reverse)
                 if want.relations is None:
                     assert got.relations is None and got.blocked == old_ids[want.blocked]
                 else:

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 from conftest import verify_assignment
-from matchcut.twosat import TwoSatInstance, neg, pos, solve_2sat
+from matchcut.twosat import TwoSatInstance, neg, pos
+from twosat_reference import solve_2sat
 
 
 def lit(v, p=True):
