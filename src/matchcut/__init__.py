@@ -23,8 +23,7 @@ _EXPORTS = {
     "graphs": (
         "Cut Graph GraphError OracleBudgetError OracleError OracleLimits "
         "OracleSizeError build_graph check_matching_cut check_perfect_matching_cut "
-        "is_disconnected_perfect_matching is_matching is_matching_cut "
-        "is_perfect_matching is_perfect_matching_cut"
+        "is_disconnected_perfect_matching is_matching is_perfect_matching"
     ),
     "solver": "Result solve",
 }

@@ -196,9 +196,10 @@ def component_roots(g: Graph) -> Iterator[tuple[int, int]]:
 
 
 class BfsLevels(NamedTuple):
-    """Breadth-first distance layers from a root vertex, each in
-    ascending order; level_of[v] is v's layer for v in the root's
-    component, and means nothing elsewhere."""
+    """Breadth-first distance layers from a root vertex, each in the
+    order a pmc sweep scans it (ascending as component_levels lists
+    them); level_of[v] is v's layer for v in the root's component, and
+    means nothing elsewhere."""
 
     root: int
     level_of: Sequence[int]
@@ -255,13 +256,6 @@ class Cut(NamedTuple):
     def y(self) -> frozenset[int]:
         return frozenset(v for v, s in enumerate(self.side) if not s)
 
-    def flipped(self) -> "Cut":
-        """The same partition with the part labels exchanged."""
-        return Cut(
-            tuple(not s for s in self.side),
-            tuple(sorted((v, u) for u, v in self.crossing)),
-        )
-
 
 def _walk_cut(
     g: Graph, x_side: Iterable[int], low: int, high: int
@@ -313,11 +307,6 @@ def check_matching_cut(g: Graph, x_side: Iterable[int]) -> tuple[Cut | None, int
     return _walk_cut(g, x_side, 0, 1)
 
 
-def is_matching_cut(g: Graph, x_side: Iterable[int]) -> bool:
-    cut, _ = check_matching_cut(g, x_side)
-    return cut is not None
-
-
 def check_perfect_matching_cut(g: Graph, x_side: Iterable[int]) -> tuple[Cut | None, int | None]:
     """Test whether the bipartition is a perfect matching cut.
 
@@ -326,11 +315,6 @@ def check_perfect_matching_cut(g: Graph, x_side: Iterable[int]) -> tuple[Cut | N
     vertex whose cross degree differs from one.
     """
     return _walk_cut(g, x_side, 1, 1)
-
-
-def is_perfect_matching_cut(g: Graph, x_side: Iterable[int]) -> bool:
-    cut, _ = check_perfect_matching_cut(g, x_side)
-    return cut is not None
 
 
 def is_matching(edges: Iterable[tuple[int, int]]) -> bool:

@@ -113,24 +113,23 @@ def relation_clauses(relations: Sequence[Relation]) -> tuple[Clause, ...]:
     2i and 2i+1 state relation i."""
     clauses: list[Clause] = []
     for a, b, differ in relations:
-        # literals are (variable, polarity) pairs, as twosat.pos/neg build
-        # them; the tests' reference 2-SAT solver finds solve_parity's model
+        # literals are (variable, polarity) pairs (twosat.Lit); the tests'
+        # reference 2-SAT solver finds solve_parity's model
         clauses.append(((a, True), (b, differ)))
         clauses.append(((a, False), (b, not differ)))
     return tuple(clauses)
 
 
-def build_pmc_formula(g: Graph, levels: BfsLevels, *, reverse_scan: bool = False) -> PmcEncoding:
+def build_pmc_formula(g: Graph, levels: BfsLevels) -> PmcEncoding:
     """Sweep the layers from deepest to the root, emitting relations.
 
     Per determined pair: the pair straddles the cut; every neighbor of a
     freshly determined vertex that is still undetermined sits on that
     vertex's own side.  Each trace entry names the clause ids of its
-    relations (see relation_clauses).  reverse_scan processes each
-    layer's vertices in descending id order instead of ascending (the
-    verdict must not depend on it).  levels is one component of g
+    relations (see relation_clauses).  levels is one component of g
     layered from its root (graphs.component_levels), and only that
-    component is swept.
+    component is swept, each layer in the order levels lists it; the
+    verdict depends on neither the root nor that order.
     """
     adj = g.adj
     determined: set[int] = set()
@@ -138,8 +137,7 @@ def build_pmc_formula(g: Graph, levels: BfsLevels, *, reverse_scan: bool = False
     relations: list[Relation] = []
 
     for i in range(levels.h, 0, -1):
-        layer = levels.levels[i]
-        for v in reversed(layer) if reverse_scan else layer:
+        for v in levels.levels[i]:
             if v in determined:
                 continue
             rule, partners = classify_leaf(g, levels, determined, v)

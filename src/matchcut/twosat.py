@@ -1,8 +1,9 @@
 """2-CNF instances: the record that pmc.PmcEncoding.formula builds.
 
-A literal is a (variable, polarity) pair; pos(v) and neg(v) build them.
-Unit clauses are encoded by repeating the literal.  The package decides
-its 2-CNFs with pmc.solve_parity; no general 2-SAT solver runs here.
+A literal is a (variable, polarity) pair: (v, True) is v and (v, False)
+its negation.  Unit clauses are encoded by repeating the literal.  The
+package decides its 2-CNFs with pmc.solve_parity; no general 2-SAT
+solver runs here.
 """
 
 from __future__ import annotations
@@ -11,14 +12,6 @@ from typing import NamedTuple
 
 Lit = tuple[int, bool]
 Clause = tuple[Lit, Lit]
-
-
-def pos(v: int) -> Lit:
-    return (v, True)
-
-
-def neg(v: int) -> Lit:
-    return (v, False)
 
 
 class _TwoSatFields(NamedTuple):

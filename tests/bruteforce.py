@@ -232,14 +232,18 @@ def classify_leaf_reference(
     return "none", ()
 
 
-def bfs_levels(g: Graph, root: int) -> BfsLevels:
-    """Layer the graph by distance from root; every vertex must be reachable."""
+def bfs_levels(g: Graph, root: int, *, descending: bool = False) -> BfsLevels:
+    """Layer the graph by distance from root; every vertex must be
+    reachable.  Each layer is listed ascending, or descending when asked,
+    and a pmc sweep scans it in that order."""
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
     level_of = [-1] * g.n
     levels = component_levels(g, root, level_of).levels
     if sum(map(len, levels)) != g.n:
         raise GraphError("graph is disconnected; every vertex must be reachable from the root")
+    if descending:
+        levels = tuple(layer[::-1] for layer in levels)
     return BfsLevels(root, tuple(level_of), levels)
 
 

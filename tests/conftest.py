@@ -121,12 +121,12 @@ def verify_assignment(inst: TwoSatInstance, assignment: tuple[bool, ...]) -> boo
     )
 
 
-def sweep_side(g: Graph, root: int, reverse_scan: bool = False) -> frozenset[int] | None:
+def sweep_side(g: Graph, root: int, descending: bool = False) -> frozenset[int] | None:
     """The X side that one pmc sweep of the connected graph g from root,
-    in the given scan order, and one parity pass on its relations give;
-    None when the sweep leaves the root unpaired or the relations hold
-    an odd cycle."""
-    enc = build_pmc_formula(g, bfs_levels(g, root), reverse_scan=reverse_scan)
+    scanning each layer descending when asked, and one parity pass on
+    its relations give; None when the sweep leaves the root unpaired or
+    the relations hold an odd cycle."""
+    enc = build_pmc_formula(g, bfs_levels(g, root, descending=descending))
     if enc.relations is None:
         return None
     model = solve_parity(g.n, enc.relations)

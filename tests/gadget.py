@@ -19,8 +19,8 @@ from matchcut.graphs import (
     OracleBudgetError,
     OracleLimits,
     OracleSizeError,
-    is_matching_cut,
-    is_perfect_matching_cut,
+    check_matching_cut,
+    check_perfect_matching_cut,
     make_cut,
 )
 from matchcut.oracle import (
@@ -75,7 +75,7 @@ def cut_to_assignment(layout: GadgetLayout, cut: Cut) -> tuple[bool, ...]:
     guarantee of the construction).
     """
     g = layout.graph
-    if not is_matching_cut(g, cut.x):
+    if check_matching_cut(g, cut.x)[0] is None:
         raise GraphError("not a matching cut of the instance graph")
     x, y = set(cut.x), set(cut.y)
     if layout.f_clique <= y:
@@ -252,7 +252,7 @@ def verify_reduction(
 
     def cuts_check() -> tuple[bool, str]:
         cuts = enumerate_matching_cuts(g, "matching_only", limits)
-        bad = [c for c in cuts if not is_perfect_matching_cut(g, c.x)]
+        bad = [c for c in cuts if check_perfect_matching_cut(g, c.x)[0] is None]
         return not bad, f"{len(cuts)} matching cuts, {len(bad)} imperfect"
 
     bounded("matching-cuts-all-perfect", cuts_check)

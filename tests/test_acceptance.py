@@ -28,9 +28,9 @@ from gadget import assignment_to_pmc, cut_to_assignment, enumerate_one_in_three
 from matchcut import (
     OracleLimits,
     build_graph,
+    check_perfect_matching_cut,
     is_disconnected_perfect_matching,
     is_perfect_matching,
-    is_perfect_matching_cut,
     solve,
 )
 from matchcut.matching import has_perfect_matching, maximum_matching
@@ -43,7 +43,7 @@ from matchcut.oracle import (
 )
 from matchcut.pmc import TraceEntry, build_pmc_formula
 from matchcut.reduction import Formula13, build_reduction
-from matchcut.twosat import TwoSatInstance, neg, pos
+from matchcut.twosat import TwoSatInstance
 from twosat_reference import solve_2sat
 
 WIDE = OracleLimits(max_vertices=42, budget_seconds=600.0)
@@ -67,20 +67,20 @@ class TestFixedInstances:
             cut is not None
             and set(cut.x) in ({0, 1, 4}, {2, 3, 5})
             and set(cut.crossing) == {(0, 2), (1, 3), (4, 5)}
-            and is_perfect_matching_cut(two_squares, cut.x)
+            and check_perfect_matching_cut(two_squares, cut.x)[0] is not None
         )
         encoding = build_pmc_formula(two_squares, bfs_levels(two_squares, 0))
         expected = (
-            (pos(5), pos(1)),
-            (neg(5), neg(1)),
-            (pos(3), pos(4)),
-            (neg(3), neg(4)),
-            (pos(1), neg(0)),
-            (neg(1), pos(0)),
-            (pos(3), neg(2)),
-            (neg(3), pos(2)),
-            (pos(2), pos(0)),
-            (neg(2), neg(0)),
+            ((5, True), (1, True)),
+            ((5, False), (1, False)),
+            ((3, True), (4, True)),
+            ((3, False), (4, False)),
+            ((1, True), (0, False)),
+            ((1, False), (0, True)),
+            ((3, True), (2, False)),
+            ((3, False), (2, True)),
+            ((2, True), (0, True)),
+            ((2, False), (0, False)),
         )
         ok = ok and encoding.formula is not None
         ok = ok and encoding.formula.clauses == expected
@@ -95,13 +95,13 @@ class TestFixedInstances:
         ok = forward.formula is not None
         ok = ok and len(forward.formula.clauses) == 16
         ok = ok and solve_2sat(forward.formula) is None
-        backward = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2), reverse_scan=True)
+        backward = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2, descending=True))
         ok = ok and backward.formula is None and backward.blocked == 4
         ok = ok and backward.trace == [
             TraceEntry(5, "c2", (1, 3, 2), range(12))
         ]
         ok = ok and solve(braced_hexagon, "pmc", "fourchordal").cut is None
-        ok = ok and sweep_side(braced_hexagon, 2, reverse_scan=True) is None
+        ok = ok and sweep_side(braced_hexagon, 2, descending=True) is None
         assert report(
             "02 braced-hexagon refusal",
             ok,
@@ -126,7 +126,7 @@ class TestFixedInstances:
             and is_perfect_matching(domino, witness)
             and is_disconnected_perfect_matching(domino, witness)
             and set(witness) != set(pmcs[0].crossing)
-            and not is_perfect_matching_cut(domino, {0, 1, 2, 3})
+            and check_perfect_matching_cut(domino, {0, 1, 2, 3})[0] is None
         )
         assert report(
             "03 prism-domino verdicts",
@@ -181,12 +181,12 @@ class TestGadgetStructure:
     def test_05_every_matching_cut_perfect(self):
         g1 = build_reduction(ONE_CLAUSE).graph
         cuts1 = enumerate_matching_cuts(g1, "matching_only", WIDE)
-        imperfect1 = [c for c in cuts1 if not is_perfect_matching_cut(g1, c.x)]
+        imperfect1 = [c for c in cuts1 if check_perfect_matching_cut(g1, c.x)[0] is None]
         one_ok = len(cuts1) == 3 and not imperfect1
 
         g2 = build_reduction(TWO_CLAUSE).graph
         cuts2 = enumerate_matching_cuts(g2, "matching_only", WIDE)
-        imperfect2 = [c for c in cuts2 if not is_perfect_matching_cut(g2, c.x)]
+        imperfect2 = [c for c in cuts2 if check_perfect_matching_cut(g2, c.x)[0] is None]
         two_ok = len(cuts2) == 3 and not imperfect2
 
         sides = [sorted(c.x) for c in imperfect1]
@@ -279,7 +279,7 @@ class TestRandomizedAgreement:
         unstable = 0
         for g in graphs:
             verdicts = {
-                sweep_side(g, root, reverse_scan=rev) is not None
+                sweep_side(g, root, descending=rev) is not None
                 for root in range(g.n)
                 for rev in (False, True)
             }

@@ -11,10 +11,10 @@ import pytest
 import matchcut
 from matchcut import (
     build_graph,
+    check_matching_cut,
+    check_perfect_matching_cut,
     format_graph,
     is_disconnected_perfect_matching,
-    is_matching_cut,
-    is_perfect_matching_cut,
     parse_graph,
 )
 from matchcut.cli import main
@@ -702,8 +702,8 @@ class TestExitCodes:
             elif argv[-1] == "dpm":
                 assert is_disconnected_perfect_matching(g, map(tuple, payload["matching"])), name
             else:
-                certified = is_matching_cut if argv[-1] == "mc" else is_perfect_matching_cut
-                assert payload["verdict"] == "YES" and certified(g, payload["x"]), name
+                certified = check_matching_cut if argv[-1] == "mc" else check_perfect_matching_cut
+                assert payload["verdict"] == "YES" and certified(g, payload["x"])[0] is not None, name
 
     @pytest.mark.parametrize("problem", ["mc", "pmc", "dpm"])
     def test_auto_recognition_refused_by_size(self, capsys, graph_file, problem):
@@ -832,7 +832,7 @@ class TestLeanCommands:
         assert captured.out == "" and captured.err == "oracle limit: refused\n"
 
     def test_reduce_warns_on_one_clause(self, capsys, write, tmp_path):
-        from matchcut import OracleLimits, is_perfect_matching_cut
+        from matchcut import OracleLimits
         from matchcut.oracle import enumerate_matching_cuts
 
         one = write("one.cnf", "p cnf 3 1\n1 2 3 0\n")
@@ -849,4 +849,4 @@ class TestLeanCommands:
         assert rc == 0 and capsys.readouterr().err == ""
         g = parse_graph((tmp_path / "two.graph").read_text())
         cuts = enumerate_matching_cuts(g, "matching_only", OracleLimits(max_vertices=28))
-        assert cuts and all(is_perfect_matching_cut(g, c.x) for c in cuts)
+        assert cuts and all(check_perfect_matching_cut(g, c.x)[0] is not None for c in cuts)

@@ -22,7 +22,6 @@ from matchcut import (
     check_matching_cut,
     check_perfect_matching_cut,
     is_disconnected_perfect_matching,
-    is_matching_cut,
     is_perfect_matching,
     propagate,
 )
@@ -246,7 +245,7 @@ class TestSolveMc:
         cut = fourchordal_mc(two_triangles)
         assert cut is not None
         assert set(cut.x) == {0, 1, 4}
-        assert is_matching_cut(two_triangles, set(cut.x))
+        assert check_matching_cut(two_triangles, set(cut.x))[0] is not None
 
     def test_no_cases(self):
         assert fourchordal_mc(complete_graph(4)) is None
@@ -294,7 +293,7 @@ class TestSolveMc:
         g = sample_instances(seed, 1, 11)[0]
         cut = fourchordal_mc(g)
         if cut is not None:
-            assert is_matching_cut(g, set(cut.x))
+            assert check_matching_cut(g, set(cut.x))[0] is not None
         assert (cut is not None) == bruteforce.has_mc(g)
 
 
@@ -302,7 +301,7 @@ class TestSolveDpm:
     def test_domino(self, domino):
         matching, cut = fourchordal_dpm(domino)
         assert is_perfect_matching(domino, matching)
-        assert is_matching_cut(domino, set(cut.x))
+        assert check_matching_cut(domino, set(cut.x))[0] is not None
         assert set(map(frozenset, cut.crossing)) <= set(map(frozenset, matching))
         assert is_disconnected_perfect_matching(domino, matching)
 

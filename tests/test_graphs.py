@@ -12,9 +12,7 @@ from matchcut import (
     check_perfect_matching_cut,
     is_disconnected_perfect_matching,
     is_matching,
-    is_matching_cut,
     is_perfect_matching,
-    is_perfect_matching_cut,
 )
 from matchcut.graphs import (
     component_levels,
@@ -129,7 +127,7 @@ class TestCuts:
         cut = make_cut(g, {0, 1})
         assert cut.x == frozenset({0, 1}) and cut.y == frozenset({2, 3})
         assert cut.crossing == ((0, 3), (1, 2))
-        flipped = cut.flipped()
+        flipped = make_cut(g, cut.y)
         assert flipped.x == frozenset({2, 3})
         assert flipped.crossing == ((2, 1), (3, 0))
 
@@ -241,8 +239,8 @@ class TestCuts:
         if len(x) == g.n:
             x.discard(g.n - 1)
         degs = bruteforce.cross_degrees(g, x)
-        assert is_matching_cut(g, x) == all(d <= 1 for d in degs)
-        assert is_perfect_matching_cut(g, x) == all(d == 1 for d in degs)
+        assert (check_matching_cut(g, x)[0] is not None) == all(d <= 1 for d in degs)
+        assert (check_perfect_matching_cut(g, x)[0] is not None) == all(d == 1 for d in degs)
 
     @given(st.integers(0, 10_000), st.integers(4, 8), st.floats(0.2, 0.8))
     def test_crossing_recomputable_and_matching(self, seed, n, p):
@@ -251,5 +249,5 @@ class TestCuts:
         cut = make_cut(g, x)
         expect = {(min(u, v), max(u, v)) for u in x for v in g.adj[u] if v not in x}
         assert {(min(a, b), max(a, b)) for a, b in cut.crossing} == expect
-        if is_matching_cut(g, x):
+        if check_matching_cut(g, x)[0] is not None:
             assert is_matching(cut.crossing)

@@ -180,7 +180,7 @@ def test_package_import_loads_no_module():
 
 class TestLazyRoot:
     def test_every_export_is_its_modules_object(self):
-        assert len(matchcut.__all__) == len(set(matchcut.__all__)) == 22
+        assert len(matchcut.__all__) == len(set(matchcut.__all__)) == 20
         for name in matchcut.__all__:
             obj = getattr(matchcut, name)
             assert obj.__module__.startswith("matchcut."), name

@@ -18,7 +18,7 @@ from conftest import (
     sweep_side,
     tree_prism,
 )
-from matchcut import build_graph, is_perfect_matching_cut, solve
+from matchcut import build_graph, check_perfect_matching_cut, solve
 from matchcut.graphs import (
     component_levels,
     component_roots,
@@ -33,7 +33,7 @@ from matchcut.pmc import (
     solve_pmc_sweeps,
     sweep_components,
 )
-from matchcut.twosat import TwoSatInstance, neg, pos
+from matchcut.twosat import TwoSatInstance
 from twosat_reference import solve_2sat
 
 
@@ -101,16 +101,16 @@ class TestBuildFormula:
         assert enc.blocked is None
         assert enc.formula is not None
         assert enc.formula.clauses == (
-            (pos(5), pos(1)),
-            (neg(5), neg(1)),
-            (pos(3), pos(4)),
-            (neg(3), neg(4)),
-            (pos(1), neg(0)),
-            (neg(1), pos(0)),
-            (pos(3), neg(2)),
-            (neg(3), pos(2)),
-            (pos(2), pos(0)),
-            (neg(2), neg(0)),
+            ((5, True), (1, True)),
+            ((5, False), (1, False)),
+            ((3, True), (4, True)),
+            ((3, False), (4, False)),
+            ((1, True), (0, False)),
+            ((1, False), (0, True)),
+            ((3, True), (2, False)),
+            ((3, False), (2, True)),
+            ((2, True), (0, True)),
+            ((2, False), (0, False)),
         )
         assert enc.trace == [
             TraceEntry(5, "c2", (3, 4, 1), range(8)),
@@ -125,28 +125,28 @@ class TestBuildFormula:
         assert enc.blocked is None
         assert enc.formula is not None
         assert enc.formula.clauses == (
-            (pos(4), pos(3)),
-            (neg(4), neg(3)),
-            (pos(4), neg(5)),
-            (neg(4), pos(5)),
-            (pos(3), neg(2)),
-            (neg(3), pos(2)),
-            (pos(3), neg(5)),
-            (neg(3), pos(5)),
-            (pos(5), pos(1)),
-            (neg(5), neg(1)),
-            (pos(1), neg(0)),
-            (neg(1), pos(0)),
-            (pos(1), neg(2)),
-            (neg(1), pos(2)),
-            (pos(0), pos(2)),
-            (neg(0), neg(2)),
+            ((4, True), (3, True)),
+            ((4, False), (3, False)),
+            ((4, True), (5, False)),
+            ((4, False), (5, True)),
+            ((3, True), (2, False)),
+            ((3, False), (2, True)),
+            ((3, True), (5, False)),
+            ((3, False), (5, True)),
+            ((5, True), (1, True)),
+            ((5, False), (1, False)),
+            ((1, True), (0, False)),
+            ((1, False), (0, True)),
+            ((1, True), (2, False)),
+            ((1, False), (2, True)),
+            ((0, True), (2, True)),
+            ((0, False), (2, False)),
         )
         assert [e.vertex for e in enc.trace] == [4, 5, 0]
         assert solve_2sat(enc.formula) is None
 
     def test_braced_hexagon_reverse_blocks(self, braced_hexagon):
-        enc = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2), reverse_scan=True)
+        enc = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2, descending=True))
         assert enc.formula is None and enc.blocked == 4
         assert enc.trace == [
             TraceEntry(5, "c2", (1, 3, 2), range(12))
@@ -167,7 +167,7 @@ class TestBuildFormula:
         for g in [path_graph(2), *stars, *cliques, build_graph(40, pendants)]:
             assert g.degree(0) == g.n - 1
             for reverse in (False, True):
-                enc = build_pmc_formula(g, bfs_levels(g, 0), reverse_scan=reverse)
+                enc = build_pmc_formula(g, bfs_levels(g, 0, descending=reverse))
                 assert (enc.relations is None) == (g.n != 2), g
         k2 = path_graph(2)
         assert build_pmc_formula(k2, bfs_levels(k2, 0)).relations == ((1, 0, True),)
@@ -210,7 +210,7 @@ class TestSweepReference:
         for g in graphs:
             for root in roots(g):
                 for reverse in (False, True):
-                    got = build_pmc_formula(g, bfs_levels(g, root), reverse_scan=reverse)
+                    got = build_pmc_formula(g, bfs_levels(g, root, descending=reverse))
                     assert got == bruteforce.build_pmc_formula_reference(g, root, reverse_scan=reverse)
                     seen.add("blocked" if got.relations is None else "swept")
                     seen.update(entry.rule for entry in got.trace)
@@ -272,7 +272,7 @@ class TestSolvePmc:
         both = disjoint_union(two_squares, domino)
         cut = solve(both, "pmc", "fourchordal").cut
         assert cut is not None
-        assert is_perfect_matching_cut(both, set(cut.x))
+        assert check_perfect_matching_cut(both, set(cut.x))[0] is not None
         assert {v for v in cut.x if v < 6} in ({0, 1, 4}, {2, 3, 5})
         assert {v - 6 for v in cut.x if v >= 6} in ({0, 3, 4}, {1, 2, 5})
         with_triangle = disjoint_union(two_squares, complete_graph(3))
@@ -302,19 +302,19 @@ class TestSolvePmc:
     def test_order_invariance_on_fixtures(
         self, root, reverse, two_squares, braced_hexagon, domino, two_triangles
     ):
-        yes = sweep_side(two_squares, root, reverse_scan=reverse)
+        yes = sweep_side(two_squares, root, descending=reverse)
         assert yes in ({0, 1, 4}, {2, 3, 5})
-        also = sweep_side(domino, root, reverse_scan=reverse)
+        also = sweep_side(domino, root, descending=reverse)
         assert also in ({0, 3, 4}, {1, 2, 5})
-        assert sweep_side(braced_hexagon, root, reverse_scan=reverse) is None
-        assert sweep_side(two_triangles, root, reverse_scan=reverse) is None
+        assert sweep_side(braced_hexagon, root, descending=reverse) is None
+        assert sweep_side(two_triangles, root, descending=reverse) is None
 
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):
         g = sample_instances(seed, 1, 11)[0]
         cut = solve(g, "pmc", "fourchordal").cut
         if cut is not None:
-            assert is_perfect_matching_cut(g, set(cut.x))
+            assert check_perfect_matching_cut(g, set(cut.x))[0] is not None
         assert (cut is not None) == bruteforce.has_pmc(g)
 
     @given(st.integers(0, 100_000))
@@ -324,7 +324,7 @@ class TestSolvePmc:
         g = random_graph(rng, rng.randint(2, 10), rng.uniform(0.2, 0.7))
         cut = solve(g, "pmc", "fourchordal").cut
         if cut is not None:
-            assert is_perfect_matching_cut(g, set(cut.x))
+            assert check_perfect_matching_cut(g, set(cut.x))[0] is not None
 
 
 class TestSolveReadsTheKernel:
@@ -359,7 +359,7 @@ class TestSolveParity:
             sub, _ = bruteforce.induced_subgraph(g, comp)
             for root in roots(sub):
                 for reverse in (False, True):
-                    enc = build_pmc_formula(sub, bfs_levels(sub, root), reverse_scan=reverse)
+                    enc = build_pmc_formula(sub, bfs_levels(sub, root, descending=reverse))
                     if enc.relations is not None:
                         yield enc
 
@@ -434,8 +434,10 @@ class TestSweepInPlace:
             sub, old_ids = bruteforce.induced_subgraph(g, comp)
             for reverse in (False, True):
                 levels = component_levels(g, root, [-1] * g.n)
-                got = build_pmc_formula(g, levels, reverse_scan=reverse)
-                want = build_pmc_formula(sub, bfs_levels(sub, old_ids.index(root)), reverse_scan=reverse)
+                if reverse:
+                    levels = levels._replace(levels=tuple(layer[::-1] for layer in levels.levels))
+                got = build_pmc_formula(g, levels)
+                want = build_pmc_formula(sub, bfs_levels(sub, old_ids.index(root), descending=reverse))
                 if want.relations is None:
                     assert got.relations is None and got.blocked == old_ids[want.blocked]
                 else:

@@ -4,7 +4,8 @@ import networkx as nx
 import pytest
 
 import bruteforce
-from matchcut import GraphError, OracleLimits, is_perfect_matching_cut
+from matchcut import GraphError, OracleLimits, check_perfect_matching_cut
+from matchcut.graphs import make_cut
 from matchcut.oracle import enumerate_matching_cuts
 from matchcut.reduction import Formula13, build_reduction
 from conftest import (
@@ -191,8 +192,8 @@ class TestCutCorrespondence:
         layout = build_reduction(F1)
         cuts = enumerate_matching_cuts(layout.graph, "matching_only", WIDE)
         assert len(cuts) == 5
-        perfect = [c for c in cuts if is_perfect_matching_cut(layout.graph, c.x)]
-        imperfect = [c for c in cuts if not is_perfect_matching_cut(layout.graph, c.x)]
+        perfect = [c for c in cuts if check_perfect_matching_cut(layout.graph, c.x)[0] is not None]
+        imperfect = [c for c in cuts if check_perfect_matching_cut(layout.graph, c.x)[0] is None]
         assert len(perfect) == 3
         # the two-vertex hub clique can split, which breaks perfectness
         assert sorted(sorted(c.x) for c in imperfect) == [
@@ -211,7 +212,7 @@ class TestCutCorrespondence:
         cuts = enumerate_matching_cuts(g, "matching_only", WIDE)
         assert len(cuts) == 3
         for cut in cuts:
-            assert is_perfect_matching_cut(g, cut.x)
+            assert check_perfect_matching_cut(g, cut.x)[0] is not None
             x, y = set(cut.x), set(cut.y)
             if not layout.f_clique <= x:
                 x, y = y, x
@@ -228,9 +229,9 @@ class TestCutCorrespondence:
             layout = build_reduction(formula)
             for assignment in enumerate_one_in_three(formula):
                 cut = assignment_to_pmc(layout, assignment)
-                assert is_perfect_matching_cut(layout.graph, cut.x)
+                assert check_perfect_matching_cut(layout.graph, cut.x)[0] is not None
                 assert cut_to_assignment(layout, cut) == assignment
-                assert cut_to_assignment(layout, cut.flipped()) == assignment
+                assert cut_to_assignment(layout, make_cut(layout.graph, cut.y)) == assignment
 
     def test_unsatisfying_assignment_rejected(self):
         layout = build_reduction(F1)
@@ -264,7 +265,7 @@ class TestCutCorrespondence:
         }
         assert len(cuts) == len(normalized)
         for cut in cuts:
-            assert is_perfect_matching_cut(layout.graph, cut.x)
+            assert check_perfect_matching_cut(layout.graph, cut.x)[0] is not None
             assert cut_to_assignment(layout, cut) in normalized
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import bruteforce
 from conftest import verify_assignment
-from matchcut.twosat import TwoSatInstance, neg, pos
+from matchcut.twosat import TwoSatInstance
 from twosat_reference import solve_2sat
 
 
@@ -23,11 +23,8 @@ class TestInstance:
         TwoSatInstance(0, ())
         TwoSatInstance(1, ())
 
-    def test_helpers(self):
-        assert pos(3) == (3, True) and neg(3) == (3, False)
-
     def test_verify(self):
-        inst = TwoSatInstance(2, ((pos(0), neg(1)),))
+        inst = TwoSatInstance(2, (((0, True), (1, False)),))
         assert verify_assignment(inst, (True, True))
         assert verify_assignment(inst, (False, False))
         assert not verify_assignment(inst, (False, True))
@@ -41,12 +38,12 @@ class TestSolve:
 
     def test_unit_clause_forces(self):
         # (x or x) forces x True
-        inst = TwoSatInstance(1, ((pos(0), pos(0)),))
+        inst = TwoSatInstance(1, (((0, True), (0, True)),))
         assert solve_2sat(inst) == (True,)
 
     def test_contradiction(self):
         inst = TwoSatInstance(
-            1, ((pos(0), pos(0)), (neg(0), neg(0)))
+            1, (((0, True), (0, True)), ((0, False), (0, False)))
         )
         assert solve_2sat(inst) is None
 
@@ -55,9 +52,9 @@ class TestSolve:
         inst = TwoSatInstance(
             3,
             (
-                (pos(0), pos(0)),
-                (neg(0), pos(1)),
-                (neg(1), pos(2)),
+                ((0, True), (0, True)),
+                ((0, False), (1, True)),
+                ((1, False), (2, True)),
             ),
         )
         assert solve_2sat(inst) == (True, True, True)
@@ -66,10 +63,10 @@ class TestSolve:
         inst = TwoSatInstance(
             4,
             (
-                (pos(0), pos(1)),
-                (neg(0), pos(2)),
-                (neg(1), neg(3)),
-                (pos(2), pos(3)),
+                ((0, True), (1, True)),
+                ((0, False), (2, True)),
+                ((1, False), (3, False)),
+                ((2, True), (3, True)),
             ),
         )
         model = solve_2sat(inst)
