@@ -18,7 +18,6 @@ from .graphs import (
     OracleError,
     OracleLimits,
     OracleSizeError,
-    component_roots,
     make_cut,
     part_without,
 )
@@ -272,9 +271,6 @@ def longest_induced_path(g: Graph, limits: OracleLimits | None = None) -> int:
 def longest_induced_cycle(g: Graph, limits: OracleLimits | None = None) -> int | None:
     """Vertex count of a longest induced cycle, or None when g is acyclic."""
     deadline = _guard(g, limits)
-    # exactly a forest has one edge fewer than vertices per component
-    if g.m == g.n - sum(1 for _ in component_roots(g)):
-        return None
     n = g.n
     masks = g.adjacency_masks()
     best = 0

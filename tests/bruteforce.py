@@ -232,19 +232,21 @@ def classify_leaf_reference(
     return "none", ()
 
 
-def bfs_levels(g: Graph, root: int, *, descending: bool = False) -> BfsLevels:
-    """Layer the graph by distance from root; every vertex must be
-    reachable.  Each layer is listed ascending, or descending when asked,
-    and a pmc sweep scans it in that order."""
+def bfs_levels(g: Graph, root: int) -> BfsLevels:
+    """Layer the graph by distance from root; every vertex must be reachable."""
     if not (0 <= root < g.n):
         raise GraphError(f"root {root} out of range")
     level_of = [-1] * g.n
     levels = component_levels(g, root, level_of).levels
     if sum(map(len, levels)) != g.n:
         raise GraphError("graph is disconnected; every vertex must be reachable from the root")
-    if descending:
-        levels = tuple(layer[::-1] for layer in levels)
     return BfsLevels(root, tuple(level_of), levels)
+
+
+def reversed_layers(levels: BfsLevels) -> BfsLevels:
+    """The same layering with each layer listed in reverse, so that a pmc
+    sweep scans every layer in the opposite order."""
+    return levels._replace(levels=tuple(layer[::-1] for layer in levels.levels))
 
 
 def build_pmc_formula_reference(

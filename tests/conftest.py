@@ -4,9 +4,9 @@ from itertools import compress
 import pytest
 from hypothesis import HealthCheck, settings
 
-from bruteforce import bfs_levels
 from matchcut import Graph, GraphError, build_graph
 from matchcut.generators import MIN_INSTANCE_N, iter_instances
+from matchcut.graphs import BfsLevels
 from matchcut.oracle import OracleLimits, enumerate_matching_cuts
 from matchcut.pmc import build_pmc_formula, solve_parity
 from matchcut.reduction import _BLOCK, _GADGET_EDGES, Formula13
@@ -121,12 +121,12 @@ def verify_assignment(inst: TwoSatInstance, assignment: tuple[bool, ...]) -> boo
     )
 
 
-def sweep_side(g: Graph, root: int, descending: bool = False) -> frozenset[int] | None:
-    """The X side that one pmc sweep of the connected graph g from root,
-    scanning each layer descending when asked, and one parity pass on
-    its relations give; None when the sweep leaves the root unpaired or
-    the relations hold an odd cycle."""
-    enc = build_pmc_formula(g, bfs_levels(g, root, descending=descending))
+def sweep_side(g: Graph, levels: BfsLevels) -> frozenset[int] | None:
+    """The X side that one pmc sweep of the connected graph g along the
+    layering levels, and one parity pass on its relations give; None
+    when the sweep leaves the root unpaired or the relations hold an
+    odd cycle."""
+    enc = build_pmc_formula(g, levels)
     if enc.relations is None:
         return None
     model = solve_parity(g.n, enc.relations)

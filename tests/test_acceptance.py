@@ -14,7 +14,7 @@ import itertools
 import random
 
 import bruteforce
-from bruteforce import bfs_levels
+from bruteforce import bfs_levels, reversed_layers
 from conftest import (
     disjoint_union,
     has_mc,
@@ -95,13 +95,14 @@ class TestFixedInstances:
         ok = forward.formula is not None
         ok = ok and len(forward.formula.clauses) == 16
         ok = ok and solve_2sat(forward.formula) is None
-        backward = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2, descending=True))
+        backward_levels = reversed_layers(bfs_levels(braced_hexagon, 2))
+        backward = build_pmc_formula(braced_hexagon, backward_levels)
         ok = ok and backward.formula is None and backward.blocked == 4
         ok = ok and backward.trace == [
             TraceEntry(5, "c2", (1, 3, 2), range(12))
         ]
         ok = ok and solve(braced_hexagon, "pmc", "fourchordal").cut is None
-        ok = ok and sweep_side(braced_hexagon, 2, descending=True) is None
+        ok = ok and sweep_side(braced_hexagon, backward_levels) is None
         assert report(
             "02 braced-hexagon refusal",
             ok,
@@ -278,10 +279,10 @@ class TestRandomizedAgreement:
         graphs = sample_instances(424242, 50, 14)
         unstable = 0
         for g in graphs:
+            layerings = [bfs_levels(g, root) for root in range(g.n)]
             verdicts = {
-                sweep_side(g, root, descending=rev) is not None
-                for root in range(g.n)
-                for rev in (False, True)
+                sweep_side(g, levels) is not None
+                for levels in layerings + [reversed_layers(lv) for lv in layerings]
             }
             if len(verdicts) != 1:
                 unstable += 1

@@ -297,69 +297,43 @@ def oracle_outputs(g, patterns):
     return calls
 
 
-@pytest.fixture
-def ticks(monkeypatch):
-    """Patch the oracle's deadline to count ticks; run(calls) returns
-    each call's output with the ticks of the deadlines it made."""
-    made = []
-
-    class CountingDeadline(matchcut.oracle._Deadline):
-        def __init__(self, seconds):
-            super().__init__(seconds)
-            made.append(self)
-
-    def run(calls):
-        out = {}
-        for name, call in calls.items():
-            made.clear()
-            out[name] = call(), sum(d.ticks for d in made)
-        return out
-
-    monkeypatch.setattr(matchcut.oracle, "_Deadline", CountingDeadline)
-    return run
-
-
 class TestLoopsAgainstRecursion:
     """The searches run as loops over explicit stacks; on a pinned corpus
     every output and every deadline tick equals the recursive
-    reference's, but for the cycle search on a forest, which answers
-    None before it searches."""
+    reference's."""
 
-    def test_pinned_corpus(self, monkeypatch, ticks):
+    def test_pinned_corpus(self, monkeypatch):
+        made = []
+
+        class CountingDeadline(matchcut.oracle._Deadline):
+            def __init__(self, seconds):
+                super().__init__(seconds)
+                made.append(self)
+
+        def run(calls):
+            out = {}
+            for name, call in calls.items():
+                made.clear()
+                out[name] = call(), sum(d.ticks for d in made)
+            return out
+
+        monkeypatch.setattr(matchcut.oracle, "_Deadline", CountingDeadline)
         rng = random.Random(28)
         # two equal path components: the pattern search's symmetry rule
         two_p3 = disjoint_union(path_graph(3), path_graph(3))
         found = set()
-        forests = set()
         for i in range(400):
             g = random_graph(rng, rng.randint(0, 13), rng.uniform(0.1, 0.9))
             pattern = random_graph(rng, rng.randint(1, 5), rng.uniform(0.2, 0.8))
             calls = oracle_outputs(g, [two_p3, pattern])
-            loops = ticks(calls)
+            loops = run(calls)
             with monkeypatch.context() as m:
                 for name, reference in RECURSIVE.items():
                     m.setattr(matchcut.oracle, name, reference)
-                want = ticks(calls)
-            forest = want["longest_induced_cycle"][0] is None
-            if forest:
-                assert loops.pop("longest_induced_cycle") == (None, 0), (i, g.edges())
-                del want["longest_induced_cycle"]
+                want = run(calls)
             assert loops == want, (i, g.edges())
             found.add(loops["contains_induced 0"][0])
-            forests.add(forest)
-        assert found == forests == {True, False}
-
-    def test_forest_answers_without_search(self, ticks):
-        # the 1,200-vertex path under raised limits; the tree and forest
-        # beside it are answered the same way
-        wide = OracleLimits(max_vertices=5000, budget_seconds=600)
-        star = build_graph(40, [(0, v) for v in range(1, 40)])
-        for g in (path_graph(1200), star, disjoint_union(star, path_graph(7), path_graph(1))):
-            out = ticks({"cycle": lambda: longest_induced_cycle(g, wide)})
-            assert out["cycle"] == (None, 0), g
-        # the size bound still refuses a forest before anything else
-        with pytest.raises(OracleSizeError):
-            longest_induced_cycle(path_graph(31))
+        assert found == {True, False}
 
 
 class TestNoReferenceCycles:

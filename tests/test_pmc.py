@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bruteforce
-from bruteforce import bfs_levels
+from bruteforce import bfs_levels, reversed_layers
 from conftest import (
     complete_graph,
     cycle_graph,
@@ -146,7 +146,7 @@ class TestBuildFormula:
         assert solve_2sat(enc.formula) is None
 
     def test_braced_hexagon_reverse_blocks(self, braced_hexagon):
-        enc = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2, descending=True))
+        enc = build_pmc_formula(braced_hexagon, reversed_layers(bfs_levels(braced_hexagon, 2)))
         assert enc.formula is None and enc.blocked == 4
         assert enc.trace == [
             TraceEntry(5, "c2", (1, 3, 2), range(12))
@@ -166,8 +166,9 @@ class TestBuildFormula:
         pendants = complete_graph(8).edges() + [(0, v) for v in range(8, 40)]
         for g in [path_graph(2), *stars, *cliques, build_graph(40, pendants)]:
             assert g.degree(0) == g.n - 1
-            for reverse in (False, True):
-                enc = build_pmc_formula(g, bfs_levels(g, 0, descending=reverse))
+            levels = bfs_levels(g, 0)
+            for scan in (levels, reversed_layers(levels)):
+                enc = build_pmc_formula(g, scan)
                 assert (enc.relations is None) == (g.n != 2), g
         k2 = path_graph(2)
         assert build_pmc_formula(k2, bfs_levels(k2, 0)).relations == ((1, 0, True),)
@@ -209,8 +210,9 @@ class TestSweepReference:
         seen = set()
         for g in graphs:
             for root in roots(g):
-                for reverse in (False, True):
-                    got = build_pmc_formula(g, bfs_levels(g, root, descending=reverse))
+                levels = bfs_levels(g, root)
+                for reverse, scan in ((False, levels), (True, reversed_layers(levels))):
+                    got = build_pmc_formula(g, scan)
                     assert got == bruteforce.build_pmc_formula_reference(g, root, reverse_scan=reverse)
                     seen.add("blocked" if got.relations is None else "swept")
                     seen.update(entry.rule for entry in got.trace)
@@ -302,12 +304,14 @@ class TestSolvePmc:
     def test_order_invariance_on_fixtures(
         self, root, reverse, two_squares, braced_hexagon, domino, two_triangles
     ):
-        yes = sweep_side(two_squares, root, descending=reverse)
-        assert yes in ({0, 1, 4}, {2, 3, 5})
-        also = sweep_side(domino, root, descending=reverse)
-        assert also in ({0, 3, 4}, {1, 2, 5})
-        assert sweep_side(braced_hexagon, root, descending=reverse) is None
-        assert sweep_side(two_triangles, root, descending=reverse) is None
+        def side(g):
+            levels = bfs_levels(g, root)
+            return sweep_side(g, reversed_layers(levels) if reverse else levels)
+
+        assert side(two_squares) in ({0, 1, 4}, {2, 3, 5})
+        assert side(domino) in ({0, 3, 4}, {1, 2, 5})
+        assert side(braced_hexagon) is None
+        assert side(two_triangles) is None
 
     @given(st.integers(0, 100_000))
     def test_matches_oracle_on_fourchordal(self, seed):
@@ -344,7 +348,7 @@ class TestSolveReadsTheKernel:
         verdicts = set()
         for g in graphs:
             cut = solve(g, "pmc", "fourchordal").cut
-            side = sweep_side(g, 0)
+            side = sweep_side(g, bfs_levels(g, 0))
             assert (cut is not None) == (side is not None), g
             assert cut is None or cut.x == side, g
             verdicts.add(cut is not None)
@@ -358,8 +362,9 @@ class TestSolveParity:
         for comp in connected_components(g):
             sub, _ = bruteforce.induced_subgraph(g, comp)
             for root in roots(sub):
-                for reverse in (False, True):
-                    enc = build_pmc_formula(sub, bfs_levels(sub, root, descending=reverse))
+                levels = bfs_levels(sub, root)
+                for scan in (levels, reversed_layers(levels)):
+                    enc = build_pmc_formula(sub, scan)
                     if enc.relations is not None:
                         yield enc
 
@@ -434,10 +439,11 @@ class TestSweepInPlace:
             sub, old_ids = bruteforce.induced_subgraph(g, comp)
             for reverse in (False, True):
                 levels = component_levels(g, root, [-1] * g.n)
+                want_levels = bfs_levels(sub, old_ids.index(root))
                 if reverse:
-                    levels = levels._replace(levels=tuple(layer[::-1] for layer in levels.levels))
+                    levels, want_levels = reversed_layers(levels), reversed_layers(want_levels)
                 got = build_pmc_formula(g, levels)
-                want = build_pmc_formula(sub, bfs_levels(sub, old_ids.index(root), descending=reverse))
+                want = build_pmc_formula(sub, want_levels)
                 if want.relations is None:
                     assert got.relations is None and got.blocked == old_ids[want.blocked]
                 else:
