@@ -1,10 +1,9 @@
 """Text formats: edge-list graph files, DIMACS CNF, and JSON sidecars.
 
 Graph files: a header line "n m" followed by m lines "u v"; lines whose
-first non-blank character is '#' are comments.  CNF files follow DIMACS
-conventions ('c' comments, "p cnf <vars> <clauses>", zero-terminated
-clauses); positive 1-in-3 inputs additionally require exactly three
-distinct positive literals per clause.
+first non-blank character is '#' are comments.  CNF files are positive
+1-in-3 formulas in DIMACS form ('c' comments, "p cnf <vars> <clauses>",
+zero-terminated clauses), each clause three distinct positive literals.
 """
 
 from __future__ import annotations
@@ -95,8 +94,12 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
-    """Generic DIMACS CNF: returns (variable count, clause literal lists)."""
+def formula_from_dimacs(text: str) -> Formula13:
+    """Parse a positive 1-in-3 formula from DIMACS CNF text: the whole
+    text is read before each clause, in order, is refused for a negative
+    literal, a length other than three or a repeated variable."""
+    from .reduction import Formula13
+
     var_count = None
     promised = None
     clauses: list[list[int]] = []
@@ -138,17 +141,8 @@ def parse_dimacs(text: str) -> tuple[int, list[list[int]]]:
         raise ParseError("unterminated clause at end of input")
     if var_count is None:
         raise ParseError("missing problem line")
-    if promised is not None and len(clauses) != promised:
+    if len(clauses) != promised:
         raise ParseError(f"problem line promises {promised} clauses, found {len(clauses)}")
-    return var_count, clauses
-
-
-def formula_from_dimacs(text: str) -> Formula13:
-    """Parse a positive 1-in-3 formula from DIMACS CNF text."""
-    from .reduction import Formula13
-
-    var_count, clauses = parse_dimacs(text)
-    triples = []
     for clause in clauses:
         if any(lit < 0 for lit in clause):
             raise ParseError(f"negative literal in clause {clause}")
@@ -156,8 +150,7 @@ def formula_from_dimacs(text: str) -> Formula13:
             raise ParseError(f"clause {clause} must have exactly three literals")
         if len(set(clause)) != 3:
             raise ParseError(f"clause {clause} repeats a variable")
-        triples.append(tuple(lit - 1 for lit in clause))
-    return Formula13(var_count, tuple(triples))
+    return Formula13(var_count, tuple(tuple(lit - 1 for lit in clause) for clause in clauses))
 
 
 def format_twosat_dimacs(var_count: int, relations: Sequence[Relation], out: TextIO) -> None:

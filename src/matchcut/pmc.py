@@ -70,13 +70,11 @@ def classify_leaf(
     if len(below) == 2:
         u1, u2 = below
         if i >= 2 and not g.has_edge(u1, u2):
-            common = sorted(
-                w
-                for w in g.adj[u1] & g.adj[u2]
-                if levels.level_of[w] == i - 2 and w not in determined
-            )
+            common = [
+                w for w in g.adj[u1] & g.adj[u2] if level_of[w] == i - 2 and w not in determined
+            ]
             if common:
-                return "c2", (u1, u2, common[0])
+                return "c2", (u1, u2, min(common))
         return "none", ()
     open_below = [u for u in levels.levels[i - 1] if u not in determined]
     # c lies in the open layer below, so c & adj[v] is c's share of below
@@ -248,12 +246,10 @@ def sweep_components(g: Graph, comps: Iterable[tuple[int, int]] | None = None) -
     return sweep
 
 
-def solve_pmc_sweeps(
-    g: Graph, comps: Iterable[tuple[int, int]] | None = None
-) -> tuple[Cut | None, PmcSweep]:
+def solve_pmc_sweeps(g: Graph, comps: Iterable[tuple[int, int]]) -> tuple[Cut | None, PmcSweep]:
     """A perfect matching cut of g, or None when none exists, with the
-    PmcSweep of every component that the verdict is read off; comps,
-    when given, are g's components as sweep_components takes them.
+    PmcSweep of every component that the verdict is read off; comps are
+    all of g's components as sweep_components takes them.
 
     Every component must admit a perfect matching cut.  A component of
     breadth-first height at most one has a universal root, and then

@@ -69,12 +69,11 @@ class Result:
 
 
 def _pick_algo(g: graphs.Graph, limits: graphs.OracleLimits | None) -> str:
+    """The algorithm auto runs on g; the exhaustive recognition's
+    OracleSizeError or OracleBudgetError under limits is raised."""
     from . import oracle
 
-    try:
-        cycle = oracle.longest_induced_cycle(g, limits)
-    except oracle.OracleError:
-        return "oracle"
+    cycle = oracle.longest_induced_cycle(g, limits)
     return "fourchordal" if (cycle is None or cycle <= 4) else "oracle"
 
 
@@ -121,8 +120,9 @@ def solve(
     "fourchordal" runs the polynomial solvers, complete on graphs
     without chordless cycles longer than four; "oracle" runs exhaustive
     search, raising OracleSizeError or OracleBudgetError past limits;
-    "auto" takes the first when an exhaustive search finds no longer
-    chordless cycle, and the oracle otherwise.
+    "auto" takes the first when an exhaustive search, refused past
+    limits as the oracle is, finds no longer chordless cycle; otherwise
+    the oracle runs, on a budget of its own.
 
     Every YES is certified on g before it is returned.  The 4-chordal
     mc and pmc solvers check their own cuts as they build them; an

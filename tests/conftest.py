@@ -92,11 +92,11 @@ def clause_gadget() -> Graph:
     return build_graph(_BLOCK, _GADGET_EDGES)
 
 
-def has_mc(g: Graph, limits: OracleLimits | None = None) -> bool:
+def oracle_has_mc(g: Graph, limits: OracleLimits | None = None) -> bool:
     return bool(enumerate_matching_cuts(g, "matching_only", limits, stop_after=1))
 
 
-def has_pmc(g: Graph, limits: OracleLimits | None = None) -> bool:
+def oracle_has_pmc(g: Graph, limits: OracleLimits | None = None) -> bool:
     return bool(enumerate_matching_cuts(g, "perfect_only", limits, stop_after=1))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple
 
-from conftest import disjoint_union, has_pmc, path_graph
+from conftest import disjoint_union, oracle_has_pmc, path_graph
 from matchcut.graphs import (
     Cut,
     Graph,
@@ -259,7 +259,7 @@ def verify_reduction(
 
     def equiv_check() -> tuple[bool, str]:
         sat = bool(enumerate_one_in_three(formula, limits))
-        cut = has_pmc(g, limits)
+        cut = oracle_has_pmc(g, limits)
         return sat == cut, f"one-in-three {sat}, perfect matching cut {cut}"
 
     bounded("pmc-iff-one-in-three", equiv_check)

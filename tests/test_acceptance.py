@@ -17,8 +17,8 @@ import bruteforce
 from bruteforce import bfs_levels, reversed_layers
 from conftest import (
     disjoint_union,
-    has_mc,
-    has_pmc,
+    oracle_has_mc,
+    oracle_has_pmc,
     path_graph,
     sample_instances,
     sweep_side,
@@ -44,7 +44,7 @@ from matchcut.oracle import (
 from matchcut.pmc import TraceEntry, build_pmc_formula
 from matchcut.reduction import Formula13, build_reduction
 from matchcut.twosat import TwoSatInstance
-from twosat_reference import solve_2sat
+from twosat_reference import solve_2sat_tarjan
 
 WIDE = OracleLimits(max_vertices=42, budget_seconds=600.0)
 
@@ -94,7 +94,7 @@ class TestFixedInstances:
         forward = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2))
         ok = forward.formula is not None
         ok = ok and len(forward.formula.clauses) == 16
-        ok = ok and solve_2sat(forward.formula) is None
+        ok = ok and solve_2sat_tarjan(forward.formula) is None
         backward_levels = reversed_layers(bfs_levels(braced_hexagon, 2))
         backward = build_pmc_formula(braced_hexagon, backward_levels)
         ok = ok and backward.formula is None and backward.blocked == 4
@@ -111,12 +111,12 @@ class TestFixedInstances:
 
     def test_03_prism_and_domino_separate_the_problems(self, two_triangles, domino):
         prism_ok = (
-            has_mc(two_triangles) is True
+            oracle_has_mc(two_triangles) is True
             and solve(two_triangles, "mc", "fourchordal").cut is not None
             and has_perfect_matching(two_triangles)
             and has_dpm(two_triangles) is False
             and solve(two_triangles, "dpm", "fourchordal").cut is None
-            and has_pmc(two_triangles) is False
+            and oracle_has_pmc(two_triangles) is False
             and solve(two_triangles, "pmc", "fourchordal").cut is None
         )
         pmcs = enumerate_matching_cuts(domino, "perfect_only", WIDE)
@@ -219,7 +219,7 @@ class TestGadgetStructure:
             sat = {
                 normalize(a, used) for a in enumerate_one_in_three(formula, WIDE)
             }
-            ok = ok and has_pmc(layout.graph, WIDE) == bool(sat)
+            ok = ok and oracle_has_pmc(layout.graph, WIDE) == bool(sat)
             cuts = enumerate_matching_cuts(layout.graph, "perfect_only", WIDE)
             decoded = {
                 normalize(cut_to_assignment(layout, c), used) for c in cuts
@@ -266,7 +266,8 @@ class TestRandomizedAgreement:
         graphs = sample_instances(20230501, 200, 16)
         bad = 0
         for g in graphs:
-            for problem, oracle_has in (("mc", has_mc), ("dpm", has_dpm), ("pmc", has_pmc)):
+            oracles = (("mc", oracle_has_mc), ("dpm", has_dpm), ("pmc", oracle_has_pmc))
+            for problem, oracle_has in oracles:
                 if (solve(g, problem, "fourchordal").cut is not None) != oracle_has(g, WIDE):
                     bad += 1
         assert report(
@@ -306,7 +307,7 @@ class TestRandomizedAgreement:
                 for _ in range(clause_count)
             )
             inst = TwoSatInstance(nv, clauses)
-            got = solve_2sat(inst)
+            got = solve_2sat_tarjan(inst)
             want = bruteforce.solve_2sat(nv, clauses)
             if (got is None) != (want is None):
                 bad_sat += 1

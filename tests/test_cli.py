@@ -707,8 +707,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("problem", ["mc", "pmc", "dpm"])
     def test_auto_recognition_refused_by_size(self, capsys, graph_file, problem):
-        # recognition refuses the path, so auto hands it to the oracle,
-        # which refuses it too
+        # recognition refuses the path, and that refusal ends the solve
         path = graph_file("g", path_graph(32))
         assert main(["solve", path, "--problem", problem]) == 3
         captured = capsys.readouterr()
@@ -718,6 +717,18 @@ class TestExitCodes:
     def test_auto_recognition_refused_by_budget(self, capsys, graph_file):
         path = graph_file("g", cycle_graph(5))
         assert main(["solve", path, "--problem", "mc", "--budget-seconds", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "oracle limit: oracle budget exhausted\n"
+
+    def test_auto_recognition_out_of_budget_exits(self, capsys, monkeypatch, graph_file):
+        # the oracle would answer C5 YES, but it gets no second budget
+        def spent(g, limits=None):
+            raise matchcut.oracle.OracleBudgetError("oracle budget exhausted")
+
+        monkeypatch.setattr("matchcut.oracle.longest_induced_cycle", spent)
+        path = graph_file("g", cycle_graph(5))
+        assert main(["solve", path, "--problem", "mc"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "oracle limit: oracle budget exhausted\n"

@@ -11,7 +11,6 @@ from matchcut.files import (
     format_twosat_dimacs,
     formula_from_dimacs,
     layout_sidecar,
-    parse_dimacs,
     twosat_sidecar,
 )
 from matchcut.pmc import relation_clauses
@@ -101,37 +100,44 @@ class TestGraphFormat:
             assert len(held) == 1
 
 
+# each malformed CNF file and the message it is refused with
+MALFORMED_CNFS = {
+    "": "missing problem line",
+    "p cnf x 1\n1 2 3 0\n": "non-numeric problem line 'p cnf x 1'",
+    "p sat 3 1\n1 2 3 0\n": "bad problem line 'p sat 3 1'",
+    "1 2 3 0\np cnf 3 1\n": "clause before the problem line",
+    "p cnf 3 1\n1 2 3\n": "unterminated clause at end of input",
+    "p cnf 3 1\n1 2 4 0\n": "literal 4 out of range",
+    "p cnf 3 2\n1 2 3 0\n": "problem line promises 2 clauses, found 1",
+    "p cnf 3 1\n1 q 3 0\n": "non-numeric literal 'q'",
+    "p cnf 1000001 1\n1 2 3 0\n": (
+        "problem line declares 1000001 variables, the limit is 1000000"
+    ),
+    "p cnf -1 0\n": "problem line declares -1 variables",
+}
+
+
 class TestDimacs:
     def test_basic(self):
-        nv, clauses = parse_dimacs("c intro\np cnf 4 2\n1 2 3 0\n-4 1 0\n")
-        assert nv == 4 and clauses == [[1, 2, 3], [-4, 1]]
+        formula = formula_from_dimacs("c intro\np cnf 4 2\n1 2 3 0\n4 1 2 0\n")
+        assert formula == Formula13(4, ((0, 1, 2), (3, 0, 1)))
+        # a clause of general CNF is refused; its negative literal first
+        with pytest.raises(ParseError) as info:
+            formula_from_dimacs("c intro\np cnf 4 2\n1 2 3 0\n-4 1 0\n")
+        assert str(info.value) == "negative literal in clause [-4, 1]"
 
     def test_clause_spanning_lines(self):
-        nv, clauses = parse_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert nv == 3 and clauses == [[1, 2, 3]]
+        assert formula_from_dimacs("p cnf 3 1\n1 2\n3 0\n") == Formula13(3, ((0, 1, 2),))
 
     def test_two_clauses_on_one_line(self):
-        nv, clauses = parse_dimacs("p cnf 3 2\n1 2 3 0 3 2 1 0\n")
-        assert nv == 3 and clauses == [[1, 2, 3], [3, 2, 1]]
+        formula = formula_from_dimacs("p cnf 3 2\n1 2 3 0 3 2 1 0\n")
+        assert formula == Formula13(3, ((0, 1, 2), (2, 1, 0)))
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "p cnf x 1\n1 2 3 0\n",
-            "p sat 3 1\n1 2 3 0\n",
-            "1 2 3 0\np cnf 3 1\n",
-            "p cnf 3 1\n1 2 3\n",
-            "p cnf 3 1\n1 2 4 0\n",
-            "p cnf 3 2\n1 2 3 0\n",
-            "p cnf 3 1\n1 q 3 0\n",
-            "p cnf 1000001 1\n1 2 3 0\n",
-            "p cnf -1 0\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(MALFORMED_CNFS))
     def test_rejects_malformed(self, text):
-        with pytest.raises(ParseError):
-            parse_dimacs(text)
+        with pytest.raises(ParseError) as info:
+            formula_from_dimacs(text)
+        assert str(info.value) == MALFORMED_CNFS[text]
 
 
 class TestFormulaFormat:

@@ -29,8 +29,8 @@ from conftest import (
     complete_graph,
     cycle_graph,
     disjoint_union,
-    has_mc,
-    has_pmc,
+    oracle_has_mc,
+    oracle_has_pmc,
     path_graph,
     petersen_graph,
     random_graph,
@@ -45,7 +45,7 @@ class TestLimits:
     def test_size_guard(self):
         g = path_graph(31)
         with pytest.raises(OracleSizeError):
-            has_mc(g)
+            oracle_has_mc(g)
 
     def test_budget_guard(self):
         g = random_graph(random.Random(3), 18, 0.4)
@@ -60,7 +60,7 @@ class TestLimits:
 
     def test_custom_limits_allow(self):
         g = path_graph(31)
-        assert has_mc(g, OracleLimits(max_vertices=40, budget_seconds=60))
+        assert oracle_has_mc(g, OracleLimits(max_vertices=40, budget_seconds=60))
 
 
 class TestEnumerateCuts:
@@ -97,10 +97,10 @@ class TestEnumerateCuts:
             enumerate_matching_cuts(cycle_graph(4), "bogus", WIDE)
 
     def test_classics(self):
-        assert has_mc(cycle_graph(4)) and has_pmc(cycle_graph(4))
-        assert not has_mc(complete_graph(4))
-        assert has_mc(cycle_graph(5)) and not has_pmc(cycle_graph(5))
-        assert not has_pmc(cycle_graph(6))
+        assert oracle_has_mc(cycle_graph(4)) and oracle_has_pmc(cycle_graph(4))
+        assert not oracle_has_mc(complete_graph(4))
+        assert oracle_has_mc(cycle_graph(5)) and not oracle_has_pmc(cycle_graph(5))
+        assert not oracle_has_pmc(cycle_graph(6))
 
     @given(st.integers(0, 100_000), st.integers(2, 8), st.floats(0.15, 0.85))
     def test_against_bipartition_scan(self, seed, n, p):

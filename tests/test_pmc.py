@@ -34,7 +34,7 @@ from matchcut.pmc import (
     sweep_components,
 )
 from matchcut.twosat import TwoSatInstance
-from twosat_reference import solve_2sat
+from twosat_reference import solve_2sat_tarjan
 
 
 class TestClassifyLeaf:
@@ -116,7 +116,7 @@ class TestBuildFormula:
             TraceEntry(5, "c2", (3, 4, 1), range(8)),
             TraceEntry(2, "c1", (0,), range(8, 10)),
         ]
-        model = solve_2sat(enc.formula)
+        model = solve_2sat_tarjan(enc.formula)
         assert model is not None
         assert {v for v in range(6) if model[v]} in ({0, 1, 4}, {2, 3, 5})
 
@@ -143,7 +143,7 @@ class TestBuildFormula:
             ((0, False), (2, False)),
         )
         assert [e.vertex for e in enc.trace] == [4, 5, 0]
-        assert solve_2sat(enc.formula) is None
+        assert solve_2sat_tarjan(enc.formula) is None
 
     def test_braced_hexagon_reverse_blocks(self, braced_hexagon):
         enc = build_pmc_formula(braced_hexagon, reversed_layers(bfs_levels(braced_hexagon, 2)))
@@ -286,7 +286,7 @@ class TestSolvePmc:
         # vertex 0, and K4 is shallow; the later ones are swept all the same
         head = braced_hexagon if first == "blocked" else complete_graph(4)
         g = disjoint_union(head, two_squares, domino)
-        cut, sweep = solve_pmc_sweeps(g)
+        cut, sweep = solve_pmc_sweeps(g, component_roots(g))
         assert cut is None
         assert sweep == sweep_components(g)
         if first == "blocked":
@@ -375,7 +375,7 @@ class TestSolveParity:
         for g in graphs:
             for enc in self.formulas(g, roots):
                 model = solve_parity(enc.var_count, enc.relations)
-                assert model == solve_2sat(enc.formula)
+                assert model == solve_2sat_tarjan(enc.formula)
                 satisfiable.append(model is not None)
         return satisfiable
 

@@ -1,11 +1,12 @@
 """solve() and oracle.find_dpm against the brute-force references."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 import bruteforce
-from conftest import disjoint_union, ladder, random_graph, sample_instances
+from conftest import cycle_graph, disjoint_union, ladder, random_graph, sample_instances
 from matchcut import (
     Cut,
     Result,
@@ -18,7 +19,7 @@ from matchcut import (
 from matchcut import graphs
 from matchcut.graphs import make_cut
 from matchcut.matching import maximum_matching
-from matchcut.oracle import find_dpm, has_dpm
+from matchcut.oracle import OracleBudgetError, find_dpm, has_dpm
 
 BRUTE = {"mc": bruteforce.has_mc, "pmc": bruteforce.has_pmc, "dpm": bruteforce.has_dpm}
 
@@ -69,6 +70,31 @@ def test_fourchordal_on_unions_agrees_with_bruteforce(problem):
         result = solve(g, problem, "fourchordal")
         assert (result.cut is not None) == BRUTE[problem](g), g
         assert_certified(g, result)
+
+
+def connected_labelled_graphs(max_n: int):
+    """Every connected graph on the vertices 0..n-1, for n = 1..max_n."""
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            g = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            if bruteforce.is_connected(g):
+                yield g
+
+
+def test_fourchordal_on_every_small_connected_graph():
+    # every connected labelled graph on at most five vertices: all but
+    # the twelve labelled C5s are 4-chordal, and there the 4-chordal
+    # solvers must be exact; on every graph each YES must be certified
+    graphs = list(connected_labelled_graphs(5))
+    holed = [(bruteforce.longest_induced_cycle(g) or 0) > 4 for g in graphs]
+    assert (len(graphs), sum(holed)) == (772, 12)
+    for g, hole in zip(graphs, holed):
+        for problem in ("mc", "pmc", "dpm"):
+            result = solve(g, problem, "fourchordal")
+            if not hole:
+                assert (result.cut is not None) == BRUTE[problem](g), (g, problem)
+            assert_certified(g, result)
 
 
 def test_fourchordal_dpm_on_unions_is_the_maximum_matching():
@@ -221,3 +247,14 @@ def test_corrupted_oracle_cut_is_not_returned(monkeypatch, domino, problem, x):
     )
     with pytest.raises(RuntimeError, match=f"internal error: the {problem} certificate"):
         solve(domino, problem, "oracle")
+
+
+def test_auto_recognition_out_of_budget_ends_the_solve(monkeypatch):
+    # a recognition that runs out of budget is the refusal: the oracle
+    # is not run on a budget of its own
+    def spent(g, limits=None):
+        raise OracleBudgetError("oracle budget exhausted")
+
+    monkeypatch.setattr("matchcut.oracle.longest_induced_cycle", spent)
+    with pytest.raises(OracleBudgetError, match="oracle budget exhausted"):
+        solve(cycle_graph(5), "mc")

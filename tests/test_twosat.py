@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 import bruteforce
 from conftest import verify_assignment
 from matchcut.twosat import TwoSatInstance
-from twosat_reference import solve_2sat
+from twosat_reference import solve_2sat_tarjan
 
 
 def lit(v, p=True):
@@ -32,20 +32,20 @@ class TestInstance:
 
 class TestSolve:
     def test_empty_is_satisfiable(self):
-        assert solve_2sat(TwoSatInstance(3, ())) == (False, False, False) or solve_2sat(
-            TwoSatInstance(3, ())
-        ) is not None
+        assert solve_2sat_tarjan(TwoSatInstance(3, ())) == (
+            False, False, False
+        ) or solve_2sat_tarjan(TwoSatInstance(3, ())) is not None
 
     def test_unit_clause_forces(self):
         # (x or x) forces x True
         inst = TwoSatInstance(1, (((0, True), (0, True)),))
-        assert solve_2sat(inst) == (True,)
+        assert solve_2sat_tarjan(inst) == (True,)
 
     def test_contradiction(self):
         inst = TwoSatInstance(
             1, (((0, True), (0, True)), ((0, False), (0, False)))
         )
-        assert solve_2sat(inst) is None
+        assert solve_2sat_tarjan(inst) is None
 
     def test_implication_chain(self):
         # x0 -> x1 -> x2, and x0 forced
@@ -57,7 +57,7 @@ class TestSolve:
                 ((1, False), (2, True)),
             ),
         )
-        assert solve_2sat(inst) == (True, True, True)
+        assert solve_2sat_tarjan(inst) == (True, True, True)
 
     def test_model_always_verifies(self):
         inst = TwoSatInstance(
@@ -69,7 +69,7 @@ class TestSolve:
                 ((2, True), (3, True)),
             ),
         )
-        model = solve_2sat(inst)
+        model = solve_2sat_tarjan(inst)
         assert model is not None and verify_assignment(inst, model)
 
     @given(st.integers(0, 100_000), st.integers(1, 8), st.integers(0, 24))
@@ -83,7 +83,7 @@ class TestSolve:
             for _ in range(nc)
         )
         inst = TwoSatInstance(nv, clauses)
-        got = solve_2sat(inst)
+        got = solve_2sat_tarjan(inst)
         want = bruteforce.solve_2sat(nv, clauses)
         assert (got is None) == (want is None)
         if got is not None:

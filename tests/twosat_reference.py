@@ -1,10 +1,11 @@
 """The general 2-SAT solver, kept as the tests' reference.
 
-solve_2sat decides any 2-CNF through the strongly connected components
-of its implication graph.  The package decides its own 2-CNFs, which
-come in complementary clause pairs, with pmc.solve_parity; the tests
-check that pass against this solver, model for model, and this solver
-against exhaustive search.
+solve_2sat_tarjan decides any 2-CNF through the strongly connected
+components of its implication graph.  The package decides its own
+2-CNFs, which come in complementary clause pairs, with
+pmc.solve_parity; the tests check that pass against this solver, model
+for model, and this solver against the exhaustive search
+bruteforce.solve_2sat.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _tarjan_components(node_count: int, succ: list[list[int]]) -> list[int]:
     return comp
 
 
-def solve_2sat(inst: TwoSatInstance) -> tuple[bool, ...] | None:
+def solve_2sat_tarjan(inst: TwoSatInstance) -> tuple[bool, ...] | None:
     """Return a satisfying assignment, or None when the instance is unsatisfiable.
 
     Deterministic: the same instance always yields the same assignment.
