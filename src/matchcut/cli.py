@@ -180,8 +180,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    from .files import formula_from_dimacs, layout_sidecar
-    from .reduction import build_reduction
+    from .reduction import build_reduction, formula_from_dimacs, layout_sidecar
 
     formula = formula_from_dimacs(Path(args.cnf).read_text())
     layout = build_reduction(formula)

@@ -1,9 +1,9 @@
-"""Text formats: edge-list graph files, DIMACS CNF, and JSON sidecars.
+"""Text formats of the graph commands: edge-list graph files, and the
+2-CNF DIMACS text and JSON sidecar of solve --emit-2cnf.
 
 Graph files: a header line "n m" followed by m lines "u v"; lines whose
-first non-blank character is '#' are comments.  CNF files are positive
-1-in-3 formulas in DIMACS form ('c' comments, "p cnf <vars> <clauses>",
-zero-terminated clauses), each clause three distinct positive literals.
+first non-blank character is '#' are comments.  reduce's CNF reader and
+layout sidecar live in matchcut.reduction, off the other commands' path.
 """
 
 from __future__ import annotations
@@ -16,16 +16,10 @@ from .graphs import MAX_VERTICES, Graph, GraphError, graph_from_ends
 
 if TYPE_CHECKING:
     from .pmc import Relation
-    from .reduction import Formula13, GadgetLayout
 
 
 class ParseError(ValueError):
     """Malformed input text."""
-
-
-# build_reduction allocates one slot list per declared variable, so a
-# CNF header is capped like a graph header
-MAX_VARIABLES = MAX_VERTICES
 
 
 def parse_graph(text: str) -> Graph:
@@ -94,65 +88,6 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def formula_from_dimacs(text: str) -> Formula13:
-    """Parse a positive 1-in-3 formula from DIMACS CNF text: the whole
-    text is read before each clause, in order, is refused for a negative
-    literal, a length other than three or a repeated variable."""
-    from .reduction import Formula13
-
-    var_count = None
-    promised = None
-    clauses: list[list[int]] = []
-    pending: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(f"bad problem line {line!r}")
-            try:
-                var_count, promised = int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise ParseError(f"non-numeric problem line {line!r}") from exc
-            if var_count < 0:
-                raise ParseError(f"problem line declares {var_count} variables")
-            if var_count > MAX_VARIABLES:
-                raise ParseError(
-                    f"problem line declares {var_count} variables, the limit is {MAX_VARIABLES}"
-                )
-            continue
-        if var_count is None:
-            raise ParseError("clause before the problem line")
-        for tok in line.split():
-            try:
-                lit = int(tok)
-            except ValueError as exc:
-                raise ParseError(f"non-numeric literal {tok!r}") from exc
-            if lit == 0:
-                clauses.append(pending)
-                pending = []
-            else:
-                if abs(lit) > var_count:
-                    raise ParseError(f"literal {lit} out of range")
-                pending.append(lit)
-    if pending:
-        raise ParseError("unterminated clause at end of input")
-    if var_count is None:
-        raise ParseError("missing problem line")
-    if len(clauses) != promised:
-        raise ParseError(f"problem line promises {promised} clauses, found {len(clauses)}")
-    for clause in clauses:
-        if any(lit < 0 for lit in clause):
-            raise ParseError(f"negative literal in clause {clause}")
-        if len(clause) != 3:
-            raise ParseError(f"clause {clause} must have exactly three literals")
-        if len(set(clause)) != 3:
-            raise ParseError(f"clause {clause} repeats a variable")
-    return Formula13(var_count, tuple(tuple(lit - 1 for lit in clause) for clause in clauses))
-
-
 def format_twosat_dimacs(var_count: int, relations: Sequence[Relation], out: TextIO) -> None:
     """Write the 2-CNF of relations to out in DIMACS form: clause for
     clause that of pmc.relation_clauses, so a relation (a, b, differ)
@@ -208,20 +143,3 @@ def _decimal_order(count: int) -> Iterator[int]:
             while k % 10 == 9 or k == count:
                 k //= 10
             k += 1
-
-
-def layout_sidecar(layout: GadgetLayout, out: TextIO) -> None:
-    """Write the JSON sidecar mapping gadget roles to vertex ids."""
-    payload = {
-        "c": list(layout.c),
-        "c_prime": list(layout.c_prime),
-        "cjk": [list(t) for t in layout.cjk],
-        "ajk": [list(t) for t in layout.ajk],
-        "bjk": [list(t) for t in layout.bjk],
-        "cjk_prime": [list(t) for t in layout.cjk_prime],
-        "Q": {str(x): sorted(q) for x, q in layout.q_cliques.items()},
-        "F": sorted(layout.f_clique),
-        "T": sorted(layout.t_clique),
-    }
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")

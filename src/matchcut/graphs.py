@@ -266,8 +266,9 @@ def _walk_cut(
     first vertex v whose cross degree lies outside low..high.
 
     A vertex of X has its cross neighbors in adj[v] - x, a vertex of Y
-    in adj[v] & x.  The X vertices come in ascending order, so the
-    crossing list comes out sorted.
+    in adj[v] & x.  The X vertices come in ascending order, and each
+    one's pairs are sorted when there are two or more (a lone pair, as
+    in a perfect matching cut, is not), so the crossing list is sorted.
     """
     x = set(x_side)
     side = tuple(map(x.__contains__, range(g.n)))
@@ -282,7 +283,11 @@ def _walk_cut(
             across = adj[v] - x
             if not low <= len(across) <= high:
                 return None, v
-            crossing += [(v, u) for u in sorted(across)]
+            if len(across) == 1:
+                (u,) = across
+                crossing.append((v, u))
+            elif across:
+                crossing += [(v, u) for u in sorted(across)]
         elif not low <= len(adj[v] & x) <= high:
             return None, v
     return Cut(side, tuple(crossing)), None

@@ -49,8 +49,9 @@ class TraceEntry(NamedTuple):
 def classify_leaf(
     g: Graph, levels: BfsLevels, determined: set[int], v: int
 ) -> tuple[str, tuple[int, ...]]:
-    """Classify v against the undetermined part of the layer below it;
-    determined holds the vertices whose cross partner is encoded.
+    """Classify v against the undetermined part of the layer below it,
+    read off adj[v] unsorted; determined holds the vertices whose cross
+    partner is encoded.  Only c2, with two neighbors below, orders them.
 
     Returns the (rule, partners) pair that v's TraceEntry records:
     ("c1", (u,)): exactly one undetermined neighbor below, u.
@@ -60,25 +61,26 @@ def classify_leaf(
         own component of the undetermined part of the layer below.
     ("none", ()): no rule applies; no perfect matching cut exists.
     """
+    adj = g.adj
     level_of = levels.level_of
-    i = level_of[v]
-    below = sorted(u for u in g.adj[v] - determined if level_of[u] == i - 1)
+    j = level_of[v] - 1
+    below = [u for u in adj[v] if level_of[u] == j and u not in determined]
     if not below:
         return "none", ()
     if len(below) == 1:
         return "c1", (below[0],)
     if len(below) == 2:
         u1, u2 = below
-        if i >= 2 and not g.has_edge(u1, u2):
-            common = [
-                w for w in g.adj[u1] & g.adj[u2] if level_of[w] == i - 2 and w not in determined
-            ]
+        if u1 > u2:
+            u1, u2 = u2, u1
+        if j >= 1 and u2 not in adj[u1]:
+            common = [w for w in adj[u1] & adj[u2] if level_of[w] == j - 1 and w not in determined]
             if common:
                 return "c2", (u1, u2, min(common))
         return "none", ()
-    open_below = [u for u in levels.levels[i - 1] if u not in determined]
+    open_below = [u for u in levels.levels[j] if u not in determined]
     # c lies in the open layer below, so c & adj[v] is c's share of below
-    groups = [hit for c in connected_components(g, open_below) if (hit := c & g.adj[v])]
+    groups = [hit for c in connected_components(g, open_below) if (hit := c & adj[v])]
     if len(groups) == 2:
         single = min(groups, key=len)
         if len(single) == 1:
@@ -154,8 +156,13 @@ def build_pmc_formula(g: Graph, levels: BfsLevels) -> PmcEncoding:
             # layer i, u (or u1 != u2) on layer i-1, w on layer i-2
             determined.update(anchors)
             for anchor in anchors:
-                rest = sorted(adj[anchor] - determined)
-                relations += [(anchor, x, False) for x in rest]
+                # in ascending order, sorted only when two or more
+                start = len(relations)
+                for x in adj[anchor]:
+                    if x not in determined:
+                        relations.append((anchor, x, False))
+                if len(relations) - start > 1:
+                    relations[start:] = sorted(relations[start:])
             trace.append(TraceEntry(v, rule, partners, range(2 * first, 2 * len(relations))))
     if levels.root not in determined:
         # nothing paired the root, so no perfect pairing across the cut
@@ -168,22 +175,22 @@ def build_pmc_formula(g: Graph, levels: BfsLevels) -> PmcEncoding:
 def solve_parity(var_count: int, relations: Iterable[Relation]) -> tuple[bool, ...] | None:
     """2-colour the relations, or None when they hold an odd cycle.
 
-    The smallest vertex of each component of the relations (an
-    unrelated vertex alone included) is True.  That is the model the
-    tests' reference 2-SAT solver (tests/twosat_reference.py) finds on
+    Each vertex keeps one list of signed partners: ~u, which is
+    negative, for a partner u across a differ relation, and u for a
+    same-side one; ~0 is -1, so vertex 0 stays apart from its
+    complement.  The smallest vertex of each component of the relations
+    (an unrelated vertex alone included) is True: the model the tests'
+    reference 2-SAT solver (tests/twosat_reference.py) finds on
     relation_clauses.  Each relation gives a complementary clause pair,
     so the implication graph is symmetric and its strongly connected
-    components are its connected ones: per component of the relations,
-    the literals true together with its smallest vertex, and their
-    negations (one component when the relations hold an odd cycle).
-    Tarjan's search starts at the smallest vertex's positive literal
-    and pops that component first, which sets the vertex True.
+    components are its connected ones; Tarjan's search starts at the
+    smallest vertex's positive literal and pops that component first,
+    which sets the vertex True.
     """
-    # each vertex's partners and differ flags, alternating in one list
-    partners: list[list] = [[] for _ in range(var_count)]
+    partners: list[list[int]] = [[] for _ in range(var_count)]
     for a, b, differ in relations:
-        partners[a] += (b, differ)
-        partners[b] += (a, differ)
+        partners[a].append(~b if differ else b)
+        partners[b].append(~a if differ else a)
     side: list[bool | None] = [None] * var_count
     for start in range(var_count):
         if side[start] is not None:
@@ -193,9 +200,10 @@ def solve_parity(var_count: int, relations: Iterable[Relation]) -> tuple[bool, .
         while stack:
             v = stack.pop()
             sv = side[v]
-            pairs = iter(partners[v])
-            for u, differ in zip(pairs, pairs):
-                want = sv != differ
+            for u in partners[v]:
+                want = sv
+                if u < 0:
+                    u, want = ~u, not sv
                 su = side[u]
                 if su is None:
                     side[u] = want

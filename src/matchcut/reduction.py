@@ -1,5 +1,6 @@
 """Hardness gadgets: from positive 1-in-3 formulas to perfect-matching-cut
-instances.
+instances, and the two formats only reduce uses: the formula in DIMACS
+CNF, three distinct positive literals a clause, and a JSON role sidecar.
 
 Every clause becomes a fixed 14-vertex block; same-variable slots, the
 hub vertices of all blocks, and the guard vertices of all blocks are
@@ -10,10 +11,16 @@ variable per clause.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
-from .graphs import Graph, GraphError, build_graph
+from .files import ParseError
+from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
+
+# build_reduction allocates one slot list per declared variable, so a
+# CNF header is capped like a graph header
+MAX_VARIABLES = MAX_VERTICES
 
 
 class _Formula13Fields(NamedTuple):
@@ -38,6 +45,63 @@ class Formula13(_Formula13Fields):
                 if not (0 <= var < var_count):
                     raise ValueError(f"variable {var} out of range")
         return super().__new__(cls, var_count, clauses)
+
+
+def formula_from_dimacs(text: str) -> Formula13:
+    """Parse a positive 1-in-3 formula from DIMACS CNF text: the whole
+    text is read before each clause, in order, is refused for a negative
+    literal, a length other than three or a repeated variable."""
+    var_count = None
+    promised = None
+    clauses: list[list[int]] = []
+    pending: list[int] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise ParseError(f"bad problem line {line!r}")
+            try:
+                var_count, promised = int(parts[2]), int(parts[3])
+            except ValueError as exc:
+                raise ParseError(f"non-numeric problem line {line!r}") from exc
+            if var_count < 0:
+                raise ParseError(f"problem line declares {var_count} variables")
+            if var_count > MAX_VARIABLES:
+                raise ParseError(
+                    f"problem line declares {var_count} variables, the limit is {MAX_VARIABLES}"
+                )
+            continue
+        if var_count is None:
+            raise ParseError("clause before the problem line")
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError as exc:
+                raise ParseError(f"non-numeric literal {tok!r}") from exc
+            if lit == 0:
+                clauses.append(pending)
+                pending = []
+            else:
+                if abs(lit) > var_count:
+                    raise ParseError(f"literal {lit} out of range")
+                pending.append(lit)
+    if pending:
+        raise ParseError("unterminated clause at end of input")
+    if var_count is None:
+        raise ParseError("missing problem line")
+    if len(clauses) != promised:
+        raise ParseError(f"problem line promises {promised} clauses, found {len(clauses)}")
+    for clause in clauses:
+        if any(lit < 0 for lit in clause):
+            raise ParseError(f"negative literal in clause {clause}")
+        if len(clause) != 3:
+            raise ParseError(f"clause {clause} must have exactly three literals")
+        if len(set(clause)) != 3:
+            raise ParseError(f"clause {clause} repeats a variable")
+    return Formula13(var_count, tuple(tuple(lit - 1 for lit in clause) for clause in clauses))
 
 
 # block offsets: hub, three variable slots, three guards, three links,
@@ -134,3 +198,20 @@ def build_reduction(formula: Formula13) -> GadgetLayout:
         f_clique=frozenset(f_members),
         t_clique=frozenset(t_members),
     )
+
+
+def layout_sidecar(layout: GadgetLayout, out: TextIO) -> None:
+    """Write the JSON sidecar mapping gadget roles to vertex ids."""
+    payload = {
+        "c": list(layout.c),
+        "c_prime": list(layout.c_prime),
+        "cjk": [list(t) for t in layout.cjk],
+        "ajk": [list(t) for t in layout.ajk],
+        "bjk": [list(t) for t in layout.bjk],
+        "cjk_prime": [list(t) for t in layout.cjk_prime],
+        "Q": {str(x): sorted(q) for x, q in layout.q_cliques.items()},
+        "F": sorted(layout.f_clique),
+        "T": sorted(layout.t_clique),
+    }
+    json.dump(payload, out, indent=2, sort_keys=True)
+    out.write("\n")

@@ -18,8 +18,7 @@ from matchcut import (
     parse_graph,
 )
 from matchcut.cli import main
-from matchcut.files import layout_sidecar
-from matchcut.reduction import Formula13, build_reduction
+from matchcut.reduction import Formula13, build_reduction, layout_sidecar
 from conftest import (
     complete_graph,
     cycle_graph,

@@ -7,14 +7,9 @@ from hypothesis import given, strategies as st
 
 from conftest import format_formula_dimacs, path_graph, random_graph
 from matchcut import ParseError, format_graph, parse_graph
-from matchcut.files import (
-    format_twosat_dimacs,
-    formula_from_dimacs,
-    layout_sidecar,
-    twosat_sidecar,
-)
+from matchcut.files import format_twosat_dimacs, twosat_sidecar
 from matchcut.pmc import relation_clauses
-from matchcut.reduction import Formula13, build_reduction
+from matchcut.reduction import Formula13, build_reduction, formula_from_dimacs, layout_sidecar
 
 
 # each malformed graph file and the message it is refused with

@@ -15,6 +15,7 @@ from matchcut import (
     is_perfect_matching,
 )
 from matchcut.graphs import (
+    Cut,
     component_levels,
     connected_components,
     make_cut,
@@ -167,6 +168,78 @@ class TestCuts:
         assert is_disconnected_perfect_matching(domino, [(0, 1), (3, 4), (2, 5)])
         # same pairs perfectly match the prism but leave it connected
         assert not is_disconnected_perfect_matching(two_triangles, [(0, 1), (2, 3), (4, 5)])
+
+    @staticmethod
+    def cut_by_definition(g, x_side, low, high):
+        """The cut with X = x_side, or (None, None) for an empty side, or
+        (None, v) for the smallest v whose cross degree is outside
+        low..high; read off each vertex's neighbors one by one."""
+        x = set(x_side)
+        if not x or len(x) == g.n:
+            return None, None
+        across = {v: [u for u in g.adj[v] if (u in x) != (v in x)] for v in range(g.n)}
+        for v in range(g.n):
+            if not low <= len(across[v]) <= high:
+                return None, v
+        crossing = sorted((v, u) for v in x for u in across[v])
+        return Cut(tuple(v in x for v in range(g.n)), tuple(crossing)), None
+
+    @staticmethod
+    def planted(rng, n):
+        """A random graph on n vertices and a random side x: random edges
+        inside each side, a matching across, and now and then a few more
+        edges across."""
+        x = {v for v in range(n) if rng.random() < 0.5}
+        xs, ys = sorted(x), [v for v in range(n) if v not in x]
+        rng.shuffle(ys)
+        edges = set(zip(xs, ys))
+        p = rng.uniform(0.1, 0.6)
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u in x) == (v in x) and rng.random() < p:
+                    edges.add((u, v))
+        if rng.random() < 0.3:
+            edges |= {(u, v) for u in xs for v in ys if rng.random() < 0.2}
+        return build_graph(n, [(min(e), max(e)) for e in edges]), x
+
+    def test_cuts_match_the_definition(self):
+        rng = random.Random(53)
+        seen = set()
+        for _ in range(1500):
+            g, x = self.planted(rng, rng.randint(0, 9))
+            for side in (x, {v for v in range(g.n) if rng.random() < 0.5}):
+                mc = check_matching_cut(g, side)
+                pmc = check_perfect_matching_cut(g, side)
+                assert mc == self.cut_by_definition(g, side, 0, 1), (g.adj, side)
+                assert pmc == self.cut_by_definition(g, side, 1, 1), (g.adj, side)
+                full, _ = self.cut_by_definition(g, side, 0, g.n)
+                if full is None:
+                    with pytest.raises(GraphError, match="non-empty"):
+                        make_cut(g, side)
+                    seen.add("empty side")
+                    continue
+                cut = make_cut(g, side)
+                assert cut == full
+                # oriented from X to Y, and sorted
+                assert all(cut.side[a] and not cut.side[b] for a, b in cut.crossing)
+                assert list(cut.crossing) == sorted(cut.crossing)
+                seen.add(("mc", mc[0] is not None))
+                seen.add(("pmc", pmc[0] is not None))
+                x_ends = [a for a, _ in cut.crossing]
+                seen.add(("several across", len(x_ends) > len(set(x_ends))))
+        assert seen == {
+            "empty side",
+            ("mc", True), ("mc", False),
+            ("pmc", True), ("pmc", False),
+            ("several across", True), ("several across", False),
+        }
+
+    @pytest.mark.parametrize("side", [{3}, {0, 3}, {-1}, {0, 1, 2, 4}])
+    def test_unknown_vertex_raises(self, side):
+        g = path_graph(3)
+        for check in (check_matching_cut, check_perfect_matching_cut, make_cut):
+            with pytest.raises(GraphError, match="unknown vertex"):
+                check(g, side)
 
     def test_disconnected_perfect_matching_matches_reference(self):
         # every perfect matching of random graphs, and the matching less

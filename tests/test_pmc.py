@@ -394,6 +394,55 @@ class TestSolveParity:
         satisfiable = self.agree(graphs, roots=lambda sub: (0, sub.n // 2, sub.n - 1))
         assert satisfiable and all(satisfiable)
 
+    def test_same_model_as_two_sat_on_arbitrary_relations(self):
+        # any relation list, not only a sweep's: self-relations, repeated
+        # and contradicting pairs, and unrelated vertices all occur
+        rng = random.Random(19)
+        seen = set()
+        for _ in range(3000):
+            n = rng.randint(1, 7)
+            relations = [
+                (rng.randrange(n), rng.randrange(n), rng.random() < 0.6)
+                for _ in range(rng.randint(0, n + 2))
+            ]
+            model = solve_parity(n, relations)
+            reference = solve_2sat_tarjan(TwoSatInstance(n, relation_clauses(relations)))
+            assert model == reference, (n, relations)
+            pairs = [frozenset((a, b)) for a, b, _ in relations]
+            seen.add(("self", any(a == b for a, b, _ in relations)))
+            seen.add(("repeat", len(set(pairs)) < len(pairs)))
+            seen.add(("unrelated", len(set().union(*pairs)) < n))
+            seen.add(("satisfiable", model is not None))
+        kinds = ("self", "repeat", "unrelated", "satisfiable")
+        assert seen == {(kind, flag) for kind in kinds for flag in (True, False)}
+
+    @pytest.mark.parametrize("length", [1, 3, 5, 7])
+    def test_odd_cycles_through_vertex_zero(self, length):
+        # a cycle 0, 1, ..., length-1, 0 with an odd number of differ
+        # relations, vertex 0's complement among them
+        rng = random.Random(length)
+        for differs in range(1, length + 1, 2):
+            flags = [True] * differs + [False] * (length - differs)
+            rng.shuffle(flags)
+            cycle = [(v, (v + 1) % length, flag) for v, flag in enumerate(flags)]
+            assert solve_parity(length + 1, cycle) is None
+            # the cycle less one relation is a path, colored from vertex 0
+            path = cycle[:-1]
+            model = solve_parity(length + 1, path)
+            assert model == solve_2sat_tarjan(TwoSatInstance(length + 1, relation_clauses(path)))
+            assert model[0] and model[length] and all(
+                model[b] == (model[a] != differ) for a, b, differ in path
+            )
+
+    def test_vertex_zero_apart_from_its_complement(self):
+        # ~0 is -1: a partner across from vertex 0 is not on its side
+        assert solve_parity(2, [(1, 0, True)]) == (True, False)
+        assert solve_parity(2, [(0, 1, True)]) == (True, False)
+        assert solve_parity(2, [(1, 0, False)]) == (True, True)
+        assert solve_parity(3, [(2, 0, True), (1, 0, False)]) == (True, True, False)
+        assert solve_parity(1, [(0, 0, True)]) is None
+        assert solve_parity(1, [(0, 0, False)]) == (True,)
+
     def test_odd_cycle_and_unrelated_vertices(self):
         assert solve_parity(3, [(0, 1, True), (1, 2, True), (0, 2, True)]) is None
         assert solve_parity(3, [(0, 1, True), (1, 2, True), (0, 2, False)]) == (True, False, True)
