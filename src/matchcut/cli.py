@@ -305,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", help="build a hardness instance from 1-in-3 CNF")
     p_reduce.add_argument("cnf", help="DIMACS CNF with three positive literals per clause")
     p_reduce.add_argument("--out", required=True, metavar="PREFIX")
-    add_common(p_reduce)
+    p_reduce.add_argument("--format", choices=("text", "json"), default="text")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_cross = sub.add_parser("crosscheck", help="compare solvers against oracles")

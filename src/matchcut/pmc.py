@@ -36,16 +36,6 @@ if TYPE_CHECKING:
 Relation = tuple[int, int, bool]
 
 
-class TraceEntry(NamedTuple):
-    """One determination step: vertex, rule kind, partners, and the
-    range of the step's clause ids, which are contiguous."""
-
-    vertex: int
-    rule: str
-    partners: tuple[int, ...]
-    clause_ids: range
-
-
 def classify_leaf(
     g: Graph, levels: BfsLevels, determined: set[int], v: int
 ) -> tuple[str, tuple[int, ...]]:
@@ -53,7 +43,7 @@ def classify_leaf(
     read off adj[v] unsorted; determined holds the vertices whose cross
     partner is encoded.  Only c2, with two neighbors below, orders them.
 
-    Returns the (rule, partners) pair that v's TraceEntry records:
+    Returns v's rule and its partners:
     ("c1", (u,)): exactly one undetermined neighbor below, u.
     ("c2", (u1, u2, w)): exactly two, non-adjacent, with a common
         undetermined vertex w two layers down closing a chordless square.
@@ -90,12 +80,10 @@ def classify_leaf(
 
 class PmcEncoding(NamedTuple):
     """Sweep outcome: the relations over g's vertices, or the vertex
-    that blocked the sweep (relations None), and the trace of the
-    determination steps made."""
+    that blocked the sweep (relations None)."""
 
     var_count: int
     relations: tuple[Relation, ...] | None
-    trace: list[TraceEntry]
     blocked: int | None
 
     @property
@@ -125,15 +113,15 @@ def build_pmc_formula(g: Graph, levels: BfsLevels) -> PmcEncoding:
 
     Per determined pair: the pair straddles the cut; every neighbor of a
     freshly determined vertex that is still undetermined sits on that
-    vertex's own side.  Each trace entry names the clause ids of its
-    relations (see relation_clauses).  levels is one component of g
-    layered from its root (graphs.component_levels), and only that
-    component is swept, each layer in the order levels lists it; the
-    verdict depends on neither the root nor that order.
+    vertex's own side.  Each vertex met undetermined, the blocking one
+    included, is classified by one call of the module's classify_leaf.
+    levels is one component of g layered from its root
+    (graphs.component_levels), and only that component is swept, each
+    layer in the order levels lists it; the verdict depends on neither
+    the root nor that order.
     """
     adj = g.adj
     determined: set[int] = set()
-    trace: list[TraceEntry] = []
     relations: list[Relation] = []
 
     for i in range(levels.h, 0, -1):
@@ -142,8 +130,7 @@ def build_pmc_formula(g: Graph, levels: BfsLevels) -> PmcEncoding:
                 continue
             rule, partners = classify_leaf(g, levels, determined, v)
             if rule == "none":
-                return PmcEncoding(g.n, None, trace, v)
-            first = len(relations)
+                return PmcEncoding(g.n, None, v)
             if rule == "c2":
                 u1, u2, w = partners
                 relations.append((v, w, True))
@@ -163,13 +150,12 @@ def build_pmc_formula(g: Graph, levels: BfsLevels) -> PmcEncoding:
                         relations.append((anchor, x, False))
                 if len(relations) - start > 1:
                     relations[start:] = sorted(relations[start:])
-            trace.append(TraceEntry(v, rule, partners, range(2 * first, 2 * len(relations))))
     if levels.root not in determined:
         # nothing paired the root, so no perfect pairing across the cut
         # can exist; a 2-colouring here would leave the root with zero
         # cross neighbors
-        return PmcEncoding(g.n, None, trace, levels.root)
-    return PmcEncoding(g.n, tuple(relations), trace, None)
+        return PmcEncoding(g.n, None, levels.root)
+    return PmcEncoding(g.n, tuple(relations), None)
 
 
 def solve_parity(var_count: int, relations: Iterable[Relation]) -> tuple[bool, ...] | None:

@@ -20,9 +20,10 @@ component sweep made on induced copies, whose merged PmcSweep the
 in-place pmc.sweep_components must reproduce, ids included;
 build_pmc_formula_reference, the pmc sweep that keeps its determined
 vertices in a DeterminedSet class and refuses to determine one twice,
-whose relations, blocked vertex and trace the plain-set sweep of
-pmc.build_pmc_formula must reproduce, with bfs_levels, which layers a
-connected graph for either sweep and refuses any other; cut_reference,
+whose relations, blocked vertex and (vertex, rule, partners) steps the
+plain-set sweep of pmc.build_pmc_formula and its classify_leaf calls
+must reproduce, with bfs_levels, which layers a connected graph for
+either sweep and refuses any other; cut_reference,
 the per-edge cut builder whose cuts and witnesses the one-pass
 certificate predicates must reproduce; solve_dpm_reference, the
 4-chordal dpm seed loop that pairs the matched core's A-B partners and
@@ -66,7 +67,6 @@ from matchcut.pmc import (
     PmcEncoding,
     PmcSweep,
     Relation,
-    TraceEntry,
     build_pmc_formula,
 )
 
@@ -158,22 +158,20 @@ def sweep_components_reference(g: Graph, comps=None) -> PmcSweep:
     return out
 
 
+# (vertex, rule, partners): one classification that the sweep made
+Step = tuple[int, str, tuple[int, ...]]
+
+
 class DeterminedSet:
-    """Vertices whose cross partner is already encoded, plus the trace."""
+    """Vertices whose cross partner is already encoded, plus the steps
+    that classified them."""
 
     def __init__(self) -> None:
         self._members: set[int] = set()
-        self.trace: list[TraceEntry] = []
+        self.steps: list[Step] = []
 
     def __contains__(self, v: int) -> bool:
         return v in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self._members)
 
     def undetermined(self, vertices: frozenset[int]) -> frozenset[int]:
         """The vertices among vertices that are not determined yet."""
@@ -185,8 +183,8 @@ class DeterminedSet:
                 raise ValueError(f"vertex {v} determined twice")
             self._members.add(v)
 
-    def log(self, vertex: int, rule: str, partners: tuple[int, ...], clause_ids: range) -> None:
-        self.trace.append(TraceEntry(vertex, rule, partners, clause_ids))
+    def log(self, vertex: int, rule: str, partners: tuple[int, ...]) -> None:
+        self.steps.append((vertex, rule, partners))
 
 
 def classify_leaf_reference(
@@ -250,13 +248,12 @@ def reversed_layers(levels: BfsLevels) -> BfsLevels:
 
 
 def build_pmc_formula_reference(
-    g: Graph, root: int, *, reverse_scan: bool = False, levels: BfsLevels | None = None
-) -> PmcEncoding:
+    g: Graph, root: int, *, reverse_scan: bool = False
+) -> tuple[PmcEncoding, list[Step]]:
     """The pmc sweep with its determined vertices kept in a DeterminedSet
-    that refuses to determine a vertex twice and logs the trace; its
-    encoding carries that set's trace."""
-    if levels is None:
-        levels = bfs_levels(g, root)
+    that refuses to determine a vertex twice, and the steps that set
+    logged: one per vertex classified, the blocking one included."""
+    levels = bfs_levels(g, root)
     adj = g.adj
     determined = DeterminedSet()
     relations: list[Relation] = []
@@ -267,9 +264,9 @@ def build_pmc_formula_reference(
             if v in determined:
                 continue
             rule, partners = classify_leaf_reference(g, levels, determined, v)
+            determined.log(v, rule, partners)
             if rule == "none":
-                return PmcEncoding(g.n, None, determined.trace, v)
-            first = len(relations)
+                return PmcEncoding(g.n, None, v), determined.steps
             if rule in ("c1", "c3"):
                 (u,) = partners
                 relations.append((v, u, True))
@@ -283,11 +280,9 @@ def build_pmc_formula_reference(
             for anchor in anchors:
                 rest = sorted(determined.undetermined(adj[anchor]))
                 relations += [(anchor, x, False) for x in rest]
-            # one step's relations are contiguous
-            determined.log(v, rule, partners, range(2 * first, 2 * len(relations)))
     if root not in determined:
-        return PmcEncoding(g.n, None, determined.trace, root)
-    return PmcEncoding(g.n, tuple(relations), determined.trace, None)
+        return PmcEncoding(g.n, None, root), determined.steps
+    return PmcEncoding(g.n, tuple(relations), None), determined.steps
 
 
 def all_matching_cuts(g: Graph) -> list[frozenset[int]]:

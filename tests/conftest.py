@@ -4,11 +4,12 @@ from itertools import compress
 import pytest
 from hypothesis import HealthCheck, settings
 
-from matchcut import Graph, GraphError, build_graph
+from bruteforce import Step
+from matchcut import Graph, GraphError, build_graph, pmc
 from matchcut.generators import MIN_INSTANCE_N, iter_instances
 from matchcut.graphs import BfsLevels
 from matchcut.oracle import OracleLimits, enumerate_matching_cuts
-from matchcut.pmc import build_pmc_formula, solve_parity
+from matchcut.pmc import PmcEncoding, build_pmc_formula, solve_parity
 from matchcut.reduction import _BLOCK, _GADGET_EDGES, Formula13
 from matchcut.twosat import TwoSatInstance
 
@@ -39,15 +40,15 @@ def domino() -> Graph:
 
 @pytest.fixture
 def two_squares() -> Graph:
-    """Two squares joined by an edge (the sweep-trace example rooted at
-    vertex 0); admits the perfect matching cut X = {0, 1, 4}."""
+    """Two squares joined by an edge (the sweep example rooted at vertex
+    0); admits the perfect matching cut X = {0, 1, 4}."""
     return build_graph(6, [(0, 2), (0, 1), (1, 3), (2, 3), (3, 5), (4, 5), (1, 4)])
 
 
 @pytest.fixture
 def braced_hexagon() -> Graph:
-    """Hexagon with two chords (the no-answer sweep-trace example rooted
-    at vertex 2); has no perfect matching cut."""
+    """Hexagon with two chords (the no-answer sweep example rooted at
+    vertex 2); has no perfect matching cut."""
     return build_graph(6, [(0, 1), (0, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 2), (3, 5)])
 
 
@@ -131,6 +132,26 @@ def sweep_side(g: Graph, levels: BfsLevels) -> frozenset[int] | None:
         return None
     model = solve_parity(g.n, enc.relations)
     return None if model is None else frozenset(compress(range(g.n), model))
+
+
+def recorded_sweep(g: Graph, levels: BfsLevels) -> tuple[PmcEncoding, list[Step]]:
+    """build_pmc_formula(g, levels) and the (vertex, rule, partners) of
+    each classify_leaf call it made, in call order.  The sweep calls the
+    module's classify_leaf, which is wrapped while it runs and put back
+    after it."""
+    steps: list[Step] = []
+    classify = pmc.classify_leaf
+
+    def recording(g, levels, determined, v):
+        rule, partners = classify(g, levels, determined, v)
+        steps.append((v, rule, partners))
+        return rule, partners
+
+    pmc.classify_leaf = recording
+    try:
+        return pmc.build_pmc_formula(g, levels), steps
+    finally:
+        pmc.classify_leaf = classify
 
 
 def format_formula_dimacs(formula: Formula13) -> str:

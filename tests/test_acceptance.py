@@ -20,6 +20,7 @@ from conftest import (
     oracle_has_mc,
     oracle_has_pmc,
     path_graph,
+    recorded_sweep,
     sample_instances,
     sweep_side,
     verify_assignment,
@@ -41,7 +42,7 @@ from matchcut.oracle import (
     longest_induced_cycle,
     longest_induced_path,
 )
-from matchcut.pmc import TraceEntry, build_pmc_formula
+from matchcut.pmc import build_pmc_formula
 from matchcut.reduction import Formula13, build_reduction
 from matchcut.twosat import TwoSatInstance
 from twosat_reference import solve_2sat_tarjan
@@ -96,11 +97,9 @@ class TestFixedInstances:
         ok = ok and len(forward.formula.clauses) == 16
         ok = ok and solve_2sat_tarjan(forward.formula) is None
         backward_levels = reversed_layers(bfs_levels(braced_hexagon, 2))
-        backward = build_pmc_formula(braced_hexagon, backward_levels)
+        backward, steps = recorded_sweep(braced_hexagon, backward_levels)
         ok = ok and backward.formula is None and backward.blocked == 4
-        ok = ok and backward.trace == [
-            TraceEntry(5, "c2", (1, 3, 2), range(12))
-        ]
+        ok = ok and steps == [(5, "c2", (1, 3, 2)), (4, "none", ())]
         ok = ok and solve(braced_hexagon, "pmc", "fourchordal").cut is None
         ok = ok and sweep_side(braced_hexagon, backward_levels) is None
         assert report(

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import json
@@ -17,7 +18,7 @@ from matchcut import (
     is_disconnected_perfect_matching,
     parse_graph,
 )
-from matchcut.cli import main
+from matchcut.cli import _build_parser, main
 from matchcut.reduction import Formula13, build_reduction, layout_sidecar
 from conftest import (
     complete_graph,
@@ -510,6 +511,16 @@ class TestReduce:
         assert capsys.readouterr().err == "error: problem line declares -1 variables\n"
         assert not (tmp_path / "x.graph").exists()
 
+    @pytest.mark.parametrize("option", [["--budget-seconds", "1"], ["--max-oracle-n", "5"]])
+    def test_no_oracle_bounds(self, capsys, write, tmp_path, option):
+        # reduce runs no exhaustive search, so it takes no bound on one
+        cnf = write("f.cnf", format_formula_dimacs(Formula13(3, ((0, 1, 2),))))
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", cnf, "--out", str(tmp_path / "x"), *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not (tmp_path / "x.graph").exists()
+
 
 class TestCrosscheck:
     ARGS = ["crosscheck", "--seed", "0", "--count", "5", "--max-n", "10"]
@@ -860,3 +871,56 @@ class TestLeanCommands:
         g = parse_graph((tmp_path / "two.graph").read_text())
         cuts = enumerate_matching_cuts(g, "matching_only", OracleLimits(max_vertices=28))
         assert cuts and all(check_perfect_matching_cut(g, c.x)[0] is not None for c in cuts)
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read off it."""
+
+    def __init__(self) -> None:
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# small runs of each command; check runs once per kind, because a run
+# reads the options of its own kind and those tested before it
+OPTION_RUNS = {
+    "solve": [["solve", "G", "--problem", "pmc", "--emit-2cnf", "OUT"]],
+    "check": [
+        ["check", "G", "--pt-free", "4"],
+        ["check", "G", "--k-chordal", "4"],
+        ["check", "G", "--pattern", "G"],
+    ],
+    "reduce": [["reduce", "CNF", "--out", "OUT"]],
+    "crosscheck": [["crosscheck", "--count", "1", "--max-n", "6"]],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OPTION_RUNS))
+def test_every_option_is_read(capsys, graph_file, write, tmp_path, two_squares, command):
+    # an option that no command reads is accepted and then ignored
+    files = {
+        "G": graph_file("g", two_squares),
+        "CNF": write("f.cnf", format_formula_dimacs(Formula13(3, ((0, 1, 2),)))),
+        "OUT": str(tmp_path / "out"),
+    }
+    parser = _build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(OPTION_RUNS)
+    dests = {
+        action.dest
+        for action in commands.choices[command]._actions
+        if not isinstance(action, argparse._HelpAction)
+    }
+    read = set()
+    for argv in OPTION_RUNS[command]:
+        args = parser.parse_args([files.get(a, a) for a in argv], namespace=ReadRecorder())
+        # argparse reads the namespace while it fills it in
+        args._reads.clear()
+        assert args.func(args) == 0
+        read |= args._reads
+    capsys.readouterr()
+    assert sorted(dests - read) == []

@@ -1,10 +1,11 @@
 """High-water marks of the parse, a CLI pmc solve, --emit-2cnf,
-disconnected-split, dpm completion and text output paths, read with
-tracemalloc: what the interpreter allocates, deterministic for one
-interpreter.  Each bound sits between the streaming code's ratio and
-that of code that holds its data twice (a list of sets beside their
-frozensets, a clause tuple per relation, the whole file text, a copy of
-the graph) or builds what it does not read (a set per component)."""
+disconnected-split, dpm completion and text output paths, and what the
+pmc sweep keeps, read with tracemalloc: what the interpreter allocates,
+deterministic for one interpreter.  Each bound sits between the
+streaming code's ratio and that of code that holds its data twice (a
+list of sets beside their frozensets, a clause tuple per relation, the
+whole file text, a copy of the graph) or builds what it does not read
+(a set per component, a trace entry per classified vertex)."""
 
 import contextlib
 import gc
@@ -16,7 +17,8 @@ import pytest
 from conftest import disjoint_union, ladder
 from matchcut.cli import _emit_twosat, main
 from matchcut.files import format_graph, parse_graph
-from matchcut.graphs import build_graph
+from matchcut.graphs import build_graph, component_levels
+from matchcut.pmc import build_pmc_formula
 from matchcut.solver import solve
 
 
@@ -61,6 +63,16 @@ def test_cli_solve_pmc_peak(big_ladder, tmp_path, capsys):
     code, _, peak = traced(lambda: main(argv))
     assert code == 0 and json.loads(capsys.readouterr().out)["verdict"] == "YES"
     assert peak <= 690 * big_ladder.n
+
+
+def test_pmc_sweep_kept(big_ladder):
+    # the sweep's record holds its relations and nothing else: 72 bytes
+    # per vertex here; 137 with a trace entry per classified vertex that
+    # no command reads
+    levels = component_levels(big_ladder, 0, [-1] * big_ladder.n)
+    enc, kept, _ = traced(lambda: build_pmc_formula(big_ladder, levels))
+    assert enc.relations is not None
+    assert kept <= 100 * big_ladder.n
 
 
 def test_emit_twosat_peak(big_ladder, tmp_path):

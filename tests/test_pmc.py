@@ -13,19 +13,19 @@ from conftest import (
     ladder,
     path_graph,
     random_graph,
+    recorded_sweep,
     relabelled,
     sample_instances,
     sweep_side,
     tree_prism,
 )
-from matchcut import build_graph, check_perfect_matching_cut, solve
+from matchcut import build_graph, check_perfect_matching_cut, pmc, solve
 from matchcut.graphs import (
     component_levels,
     component_roots,
     connected_components,
 )
 from matchcut.pmc import (
-    TraceEntry,
     build_pmc_formula,
     classify_leaf,
     relation_clauses,
@@ -97,7 +97,7 @@ class TestClassifyLeaf:
 
 class TestBuildFormula:
     def test_two_squares_clause_sequence(self, two_squares):
-        enc = build_pmc_formula(two_squares, bfs_levels(two_squares, 0))
+        enc, steps = recorded_sweep(two_squares, bfs_levels(two_squares, 0))
         assert enc.blocked is None
         assert enc.formula is not None
         assert enc.formula.clauses == (
@@ -112,16 +112,13 @@ class TestBuildFormula:
             ((2, True), (0, True)),
             ((2, False), (0, False)),
         )
-        assert enc.trace == [
-            TraceEntry(5, "c2", (3, 4, 1), range(8)),
-            TraceEntry(2, "c1", (0,), range(8, 10)),
-        ]
+        assert steps == [(5, "c2", (3, 4, 1)), (2, "c1", (0,))]
         model = solve_2sat_tarjan(enc.formula)
         assert model is not None
         assert {v for v in range(6) if model[v]} in ({0, 1, 4}, {2, 3, 5})
 
     def test_braced_hexagon_unsat_formula(self, braced_hexagon):
-        enc = build_pmc_formula(braced_hexagon, bfs_levels(braced_hexagon, 2))
+        enc, steps = recorded_sweep(braced_hexagon, bfs_levels(braced_hexagon, 2))
         assert enc.blocked is None
         assert enc.formula is not None
         assert enc.formula.clauses == (
@@ -142,15 +139,21 @@ class TestBuildFormula:
             ((0, True), (2, True)),
             ((0, False), (2, False)),
         )
-        assert [e.vertex for e in enc.trace] == [4, 5, 0]
+        assert steps == [(4, "c1", (3,)), (5, "c1", (1,)), (0, "c1", (2,))]
         assert solve_2sat_tarjan(enc.formula) is None
 
     def test_braced_hexagon_reverse_blocks(self, braced_hexagon):
-        enc = build_pmc_formula(braced_hexagon, reversed_layers(bfs_levels(braced_hexagon, 2)))
+        enc, steps = recorded_sweep(braced_hexagon, reversed_layers(bfs_levels(braced_hexagon, 2)))
         assert enc.formula is None and enc.blocked == 4
-        assert enc.trace == [
-            TraceEntry(5, "c2", (1, 3, 2), range(12))
-        ]
+        assert steps == [(5, "c2", (1, 3, 2)), (4, "none", ())]
+
+    def test_recorder_puts_classify_leaf_back(self, two_squares):
+        classify = pmc.classify_leaf
+        recorded_sweep(two_squares, bfs_levels(two_squares, 0))
+        assert pmc.classify_leaf is classify
+        with pytest.raises(AttributeError):
+            recorded_sweep(two_squares, None)
+        assert pmc.classify_leaf is classify
 
     def test_unpaired_root_blocks(self):
         # the sweep pairs 4-3 and 2-1, leaving the root with no partner
@@ -200,22 +203,38 @@ class TestBuildFormula:
 
 class TestSweepReference:
     """build_pmc_formula keeps its determined vertices in a plain set; it
-    must reproduce the relations, blocked vertex and trace of the
-    DeterminedSet sweep in bruteforce."""
+    and its classify_leaf calls must reproduce the relations, blocked
+    vertex and steps of the DeterminedSet sweep in bruteforce."""
 
     @staticmethod
     def outcomes(graphs, roots) -> set[str]:
         """Compare both sweeps of each graph from each root, in both scan
-        orders; return the rules applied and the outcomes reached."""
+        orders; return the rules applied and the outcomes reached.
+
+        The sweep calls classify_leaf once per step that determines
+        vertices and once more for the vertex that blocks it, if any;
+        the bench tracer's call count and recorded_sweep read that."""
         seen = set()
         for g in graphs:
             for root in roots(g):
                 levels = bfs_levels(g, root)
                 for reverse, scan in ((False, levels), (True, reversed_layers(levels))):
-                    got = build_pmc_formula(g, scan)
-                    assert got == bruteforce.build_pmc_formula_reference(g, root, reverse_scan=reverse)
+                    got, steps = recorded_sweep(g, scan)
+                    want, want_steps = bruteforce.build_pmc_formula_reference(
+                        g, root, reverse_scan=reverse
+                    )
+                    assert got == want and steps == want_steps
+                    made = [step for step in steps if step[1] != "none"]
+                    # a root left unpaired blocks with no classification
+                    blocking = [] if got.blocked in (None, root) else [(got.blocked, "none", ())]
+                    assert steps == made + blocking
+                    if got.relations is not None:
+                        # each step's first relations pair v across: one
+                        # pair, or two for c2
+                        across = sum(differ for _, _, differ in got.relations)
+                        assert across == len(made) + sum(rule == "c2" for _, rule, _ in made)
                     seen.add("blocked" if got.relations is None else "swept")
-                    seen.update(entry.rule for entry in got.trace)
+                    seen.update(rule for _, rule, _ in steps)
         return seen
 
     def test_generated_graphs(self):
@@ -223,7 +242,7 @@ class TestSweepReference:
         graphs = [g for seed in range(100) for g in sample_instances(seed, 3, 30) if bruteforce.is_connected(g)]
         graphs += [relabelled(g, rng) for g in list(graphs)]
         seen = self.outcomes(graphs, lambda g: range(4))
-        assert seen == {"c1", "c2", "c3", "swept", "blocked"}
+        assert seen == {"c1", "c2", "c3", "none", "swept", "blocked"}
 
     def test_ladders_and_prisms(self):
         rng = random.Random(23)

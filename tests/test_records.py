@@ -7,7 +7,7 @@ import pytest
 
 from matchcut.forcing import ForcingState, Refutation
 from matchcut.graphs import BfsLevels, Cut, OracleLimits, build_graph
-from matchcut.pmc import PmcEncoding, PmcSweep, TraceEntry
+from matchcut.pmc import PmcEncoding, PmcSweep
 from matchcut.reduction import Formula13, GadgetLayout, build_reduction
 from matchcut.solver import Result
 from matchcut.twosat import TwoSatInstance
@@ -25,6 +25,7 @@ RECORDS = [
     (Cut, ((True, False), ((0, 1),)), ((False, True), ((1, 0),))),
     (ForcingState, tuple(frozenset({v}) for v in range(5)), (frozenset(),) * 5),
     (Refutation, ("R1", 3), ("R2", 3)),
+    (PmcEncoding, (2, ((1, 0, True),), None), (2, None, 1)),
     (PmcSweep, (((0, 1, True),), ((2, 3),), ()), ((), (), (1,))),
     (TwoSatInstance, (2, (((0, True), (1, False)),)), (2, ())),
     (Formula13, (3, ((0, 1, 2),)), (4, ((0, 1, 2),))),
@@ -50,16 +51,6 @@ def test_assignment_raises(cls, values, other):
         setattr(x, cls._fields[0], other[0])
     with pytest.raises(AttributeError):
         x.extra = 1
-
-
-def test_pmc_encoding_with_its_trace_list():
-    values = (2, ((0, 1, True),), [TraceEntry(1, "c1", (0,), range(2))], None)
-    enc = PmcEncoding(*values)
-    assert enc == PmcEncoding(*values) != PmcEncoding(2, None, [], 1)
-    with pytest.raises(TypeError):
-        hash(enc)  # the trace is a list
-    with pytest.raises(AttributeError):
-        enc.blocked = 0
 
 
 def test_gadget_layout_slot_cliques_follow_the_formula():
