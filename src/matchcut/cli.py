@@ -126,7 +126,7 @@ def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
     with open(prefix + ".cnf", "w") as out:
         format_twosat_dimacs(g.n, sweep.relations, out)
     with open(prefix + ".vars.json", "w") as out:
-        twosat_sidecar(g.n, [v for comp in sweep.shallow for v in comp], sweep.blocked, out)
+        twosat_sidecar(g.n, sweep.blocked, out)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -291,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write the pmc 2-CNF encoding and its variable map",
     )
     add_common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
+    p_solve.set_defaults(func=cmd_solve, parser=p_solve)
 
     p_check = sub.add_parser("check", help="test structural class membership")
     p_check.add_argument("graph")
@@ -300,13 +300,13 @@ def _build_parser() -> argparse.ArgumentParser:
     kind.add_argument("--k-chordal", type=_positive, metavar="K")
     kind.add_argument("--pattern", metavar="FILE")
     add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
+    p_check.set_defaults(func=cmd_check, parser=p_check)
 
     p_reduce = sub.add_parser("reduce", help="build a hardness instance from 1-in-3 CNF")
     p_reduce.add_argument("cnf", help="DIMACS CNF with three positive literals per clause")
     p_reduce.add_argument("--out", required=True, metavar="PREFIX")
     p_reduce.add_argument("--format", choices=("text", "json"), default="text")
-    p_reduce.set_defaults(func=cmd_reduce)
+    p_reduce.set_defaults(func=cmd_reduce, parser=p_reduce)
 
     p_cross = sub.add_parser("crosscheck", help="compare solvers against oracles")
     p_cross.add_argument("--seed", type=int, default=0)
@@ -319,14 +319,16 @@ def _build_parser() -> argparse.ArgumentParser:
         " --max-oracle-n and 10^6 (default 14)",
     )
     add_common(p_cross)
-    p_cross.set_defaults(func=cmd_crosscheck)
+    p_cross.set_defaults(func=cmd_crosscheck, parser=p_cross)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        # under the subcommand's own usage line, which lists its options
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     # a command makes few reference cycles, and none that must be freed
     # before it ends, so the cyclic collector is paused: it would only
     # rescan the parsed graph as the solvers allocate

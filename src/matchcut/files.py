@@ -108,18 +108,17 @@ def format_twosat_dimacs(var_count: int, relations: Sequence[Relation], out: Tex
     )
 
 
-def twosat_sidecar(var_count: int, shallow: list[int], blocked: list[int], out: TextIO) -> None:
+def twosat_sidecar(var_count: int, blocked: list[int], out: TextIO) -> None:
     """Write the JSON sidecar mapping DIMACS variables to vertex ids,
-    with the vertices of components the encoding leaves out: too
-    shallow to sweep, or the vertex that blocked a component's sweep.
+    with the vertex that blocked each component's sweep, whose
+    component the encoding leaves out.
 
     The bytes are those of json.dump(indent=2, sort_keys=True); the
     variable map, the last key, is written a line at a time in its
     sorted key order, which is decimal string order.
     """
-    head = {"blocked_vertices": blocked, "unencoded_shallow_vertices": shallow}
-    # the two lists, without the closing brace
-    out.write(json.dumps(head, indent=2, sort_keys=True)[:-2])
+    # the blocked list, without the closing brace
+    out.write(json.dumps({"blocked_vertices": blocked}, indent=2)[:-2])
     out.write(',\n  "variable_to_vertex": ')
     if not var_count:
         out.write("{}\n}\n")

@@ -1,21 +1,22 @@
 """Perfect matching cut solver for graphs without long chordless cycles.
 
-The graph is layered by breadth-first distance from a root.  Sweeping
-the layers deepest first, each undetermined vertex is classified by how
-it attaches to the layer below; the classification names its forced
-cross partner and pins every other neighbor to its own side.  Each such
-constraint relates two vertices, which lie on different sides or on the
-same side, so the perfect matching cuts (side X) are exactly the
-2-colourings of these relations, and one parity pass decides them.
-Written as two complementary clauses each, the same relations form the
-2-CNF that --emit-2cnf writes; the general 2-SAT solver that the tests
-keep as their reference (tests/twosat_reference.py) finds the same
-model on it as the parity pass.
+Each component, whatever its shape, is layered by breadth-first
+distance from its lowest vertex.  Sweeping the layers deepest first,
+each undetermined vertex is classified by how it attaches to the layer
+below; the classification names its forced cross partner and pins every
+other neighbor to its own side.  Each such constraint relates two
+vertices, which lie on different sides or on the same side, so the
+perfect matching cuts (side X) are exactly the 2-colourings of these
+relations, and one parity pass decides them.  Written as two
+complementary clauses each, the same relations form the 2-CNF that
+--emit-2cnf writes; the general 2-SAT solver that the tests keep as
+their reference (tests/twosat_reference.py) finds the same model on it
+as the parity pass.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .graphs import (
@@ -24,7 +25,6 @@ from .graphs import (
     Graph,
     check_perfect_matching_cut,
     component_levels,
-    component_roots,
     connected_components,
 )
 
@@ -202,37 +202,24 @@ def solve_parity(var_count: int, relations: Iterable[Relation]) -> tuple[bool, .
 class PmcSweep(NamedTuple):
     """Every component's sweep, over the graph's own vertex ids, each
     field in connected_components order: the relations of the
-    components swept to the root; the ascending vertices of each
-    shallow component, whose root is adjacent to every other vertex
-    (breadth-first height at most one); and the vertex that blocked
-    each blocked sweep.  A shallow component is recorded, not swept,
-    because that costs less: swept from its root, every such component
-    but K2 would block and K2 would be paired, the verdict and
-    certificate that solve_pmc_sweeps reads off the record."""
+    components swept to the root, and the vertex that blocked each
+    blocked sweep."""
 
     relations: list[Relation]
-    shallow: list[tuple[int, ...]]
     blocked: list[int]
 
 
-def sweep_components(g: Graph, comps: Iterable[tuple[int, int]] | None = None) -> PmcSweep:
-    """Sweep each component of g, or each of comps, from its lowest
-    vertex into one PmcSweep; comps names components of g in
-    connected_components order by their (lowest vertex, order) pairs
-    (graphs.component_roots).
-
-    Every component is swept in place on g: one level_of list serves
-    all their layerings, so a component costs only its own size.
-    """
-    sweep = PmcSweep([], [], [])
+def sweep_components(g: Graph) -> PmcSweep:
+    """Sweep each component of g from its lowest vertex into one
+    PmcSweep, in place on g: one level_of list serves all their
+    layerings, so a component costs only its own size, and the next
+    root is the lowest vertex that no layering has reached."""
+    sweep = PmcSweep([], [])
     level_of = [-1] * g.n
-    for low, order in component_roots(g) if comps is None else comps:
-        if g.degree(low) == order - 1:
-            # a shallow component is its root and the root's neighbours
-            sweep.shallow.append(tuple(sorted((low, *g.adj[low]))))
+    for root in range(g.n):
+        if level_of[root] != -1:
             continue
-        levels = component_levels(g, low, level_of)
-        encoding = build_pmc_formula(g, levels)
+        encoding = build_pmc_formula(g, component_levels(g, root, level_of))
         if encoding.relations is None:
             sweep.blocked.append(encoding.blocked)
         else:
@@ -240,30 +227,21 @@ def sweep_components(g: Graph, comps: Iterable[tuple[int, int]] | None = None) -
     return sweep
 
 
-def solve_pmc_sweeps(g: Graph, comps: Iterable[tuple[int, int]]) -> tuple[Cut | None, PmcSweep]:
+def solve_pmc_sweeps(g: Graph) -> tuple[Cut | None, PmcSweep]:
     """A perfect matching cut of g, or None when none exists, with the
-    PmcSweep of every component that the verdict is read off; comps are
-    all of g's components as sweep_components takes them.
+    PmcSweep of every component that the verdict is read off.
 
-    Every component must admit a perfect matching cut.  A component of
-    breadth-first height at most one has a universal root, and then
-    only K2 has a perfect matching cut: every other neighbor of the root
-    shares its side, which leaves the root's partner with no partner of
-    its own.  So a blocked sweep or a shallow component other than K2
-    answers NO; otherwise one parity pass reads the relations and one
-    relation across each K2.  Where the K2 relations sit does not change
-    the model: each relation component's smallest vertex is True.
+    Every component must admit a perfect matching cut, so a blocked
+    sweep answers NO; otherwise one parity pass reads the relations.
     Complete on graphs without chordless cycles longer than four; the
     cut returned has passed check_perfect_matching_cut regardless.
-    Nothing here is exhaustive: each component costs at most one
-    layering and one sweep, and the graph one parity pass and one
-    certificate check.
+    Nothing here is exhaustive: each component costs one layering and
+    one sweep, and the graph one parity pass and one certificate check.
     """
-    sweep = sweep_components(g, comps)
-    if sweep.blocked or any(len(comp) != 2 for comp in sweep.shallow):
+    sweep = sweep_components(g)
+    if sweep.blocked:
         return None, sweep
-    k2 = ((u, v, True) for u, v in sweep.shallow)
-    model = solve_parity(g.n, chain(sweep.relations, k2))
+    model = solve_parity(g.n, sweep.relations)
     if model is None:
         return None, sweep
     # only a broken no-long-chordless-cycle promise can make this check

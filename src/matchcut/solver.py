@@ -132,12 +132,9 @@ def solve(
     if problem not in PROBLEMS or algo not in ALGOS:
         raise ValueError(f"unknown problem {problem!r} or algorithm {algo!r}")
     if problem == "pmc":
-        comps = []
-        for low, order in graphs.component_roots(g):
-            if order % 2:
-                # a component of odd order cannot be perfectly matched across
-                return Result(problem, None, None, reason="odd component")
-            comps.append((low, order))
+        if any(order % 2 for _, order in graphs.component_roots(g)):
+            # a component of odd order cannot be perfectly matched across
+            return Result(problem, None, None, reason="odd component")
     elif g.n and len(first := graphs.part_without(g, ())) < g.n:
         # vertex 0's component, walked alone, splits a disconnected graph
         split = graphs.make_cut(g, first)
@@ -156,7 +153,7 @@ def solve(
         if problem == "pmc":
             from . import pmc
 
-            cut, sweep = pmc.solve_pmc_sweeps(g, comps)
+            cut, sweep = pmc.solve_pmc_sweeps(g)
             return Result(problem, algo, cut, sweep=sweep)
         from . import forcing
 

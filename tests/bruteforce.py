@@ -16,8 +16,9 @@ the one-search splice check must reproduce;
 find_dpm_reference, the dpm search that lists perfect matchings until
 one disconnects, whose answer oracle.find_dpm must reproduce after
 deciding by matching cuts; sweep_components_reference, the pmc
-component sweep made on induced copies, whose merged PmcSweep the
-in-place pmc.sweep_components must reproduce, ids included;
+component sweep made on induced copies, each component swept from its
+lowest vertex whatever its shape, whose merged PmcSweep the in-place
+pmc.sweep_components must reproduce, ids included;
 build_pmc_formula_reference, the pmc sweep that keeps its determined
 vertices in a DeterminedSet class and refuses to determine one twice,
 whose relations, blocked vertex and (vertex, rule, partners) steps the
@@ -135,21 +136,18 @@ def cut_reference(g: Graph, x_side, low: int, high: int) -> tuple[Cut | None, in
     return Cut(tuple(v in x for v in range(g.n)), tuple(sorted(crossing))), None
 
 
-def sweep_components_reference(g: Graph, comps=None) -> PmcSweep:
+def sweep_components_reference(g: Graph) -> PmcSweep:
     """The pmc component sweep made on copies: a component that is not
     all of g is swept from its lowest vertex on its induced subgraph,
     with ids renumbered in ascending order, and its relations and
     blocked vertex are mapped back to g's ids before they join the
     merged record."""
-    out = PmcSweep([], [], [])
-    for comp in connected_components(g) if comps is None else comps:
+    out = PmcSweep([], [])
+    for comp in connected_components(g):
         if len(comp) == g.n:
             sub, old_ids = g, range(g.n)
         else:
             sub, old_ids = induced_subgraph(g, comp)
-        if sub.degree(0) == sub.n - 1:
-            out.shallow.append(tuple(old_ids))
-            continue
         encoding = build_pmc_formula(sub, bfs_levels(sub, 0))
         if encoding.relations is None:
             out.blocked.append(old_ids[encoding.blocked])
@@ -286,7 +284,10 @@ def build_pmc_formula_reference(
 
 
 def all_matching_cuts(g: Graph) -> list[frozenset[int]]:
-    """Every matching cut as the side containing vertex 0."""
+    """Every matching cut as the side containing vertex 0; a graph of
+    fewer than two vertices has none."""
+    if g.n < 2:
+        return []
     out = []
     for bits in range(2 ** (g.n - 1)):
         x = {0} | {v for v in range(1, g.n) if bits >> (v - 1) & 1}

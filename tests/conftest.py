@@ -1,5 +1,5 @@
 import random
-from itertools import compress
+from itertools import combinations, compress
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -86,6 +86,13 @@ def disjoint_union(*graphs: Graph) -> Graph:
         edges.extend((u + n, v + n) for u, v in g.edges())
         n += g.n
     return build_graph(n, edges)
+
+
+def labelled_graphs(n: int):
+    """Every graph on the vertices 0..n-1, one per edge subset."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(2 ** len(pairs)):
+        yield build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
 
 
 def clause_gadget() -> Graph:

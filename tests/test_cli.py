@@ -235,8 +235,8 @@ class TestSolve:
             "3 1 0\n-3 -1 0\n"
         )
         sidecar = json.loads((tmp_path / "enc.vars.json").read_text())
+        assert sorted(sidecar) == ["blocked_vertices", "variable_to_vertex"]
         assert sidecar["variable_to_vertex"]["6"] == 5
-        assert sidecar["unencoded_shallow_vertices"] == []
         assert sidecar["blocked_vertices"] == []
 
     def test_emit_twosat_blocked_component(
@@ -251,19 +251,24 @@ class TestSolve:
         assert sidecar["blocked_vertices"] == [4]
 
     def test_emit_twosat_shallow_component(self, capsys, graph_file, tmp_path):
+        # each K2, whose lowest vertex is adjacent to the other, is swept
+        # like any component: its leaf is paired across with its root
         path = graph_file("g", build_graph(4, [(0, 1), (2, 3)]))
         prefix = str(tmp_path / "enc")
         rc = main(["solve", path, "--problem", "pmc", "--emit-2cnf", prefix])
         assert rc == 0
         sidecar = json.loads((tmp_path / "enc.vars.json").read_text())
-        assert sidecar["unencoded_shallow_vertices"] == [0, 1, 2, 3]
-        assert (tmp_path / "enc.cnf").read_text() == "p cnf 4 0\n"
+        assert sidecar["blocked_vertices"] == []
+        assert (tmp_path / "enc.cnf").read_text() == (
+            "p cnf 4 4\n2 1 0\n-2 -1 0\n4 3 0\n-4 -3 0\n"
+        )
 
     def test_emit_twosat_mixed_components_bytes(
         self, capsys, graph_file, tmp_path, two_squares, braced_hexagon
     ):
-        # a swept component (0-5), a shallow K2 (6-7), a shallow star
-        # (8-11) and a component whose sweep blocks (12-17, at 16)
+        # a component swept to its root (0-5), a K2 (6-7), a star (8-11)
+        # whose sweep blocks at the second leaf, 10, and a component whose
+        # sweep blocks at 16 (12-17)
         star = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         g = disjoint_union(two_squares, complete_graph(2), star, braced_hexagon)
         prefix = str(tmp_path / "enc")
@@ -271,19 +276,18 @@ class TestSolve:
         assert rc == 0
         assert capsys.readouterr().out == "algo: fourchordal\nverdict: NO\n"
         assert (tmp_path / "enc.cnf").read_text() == (
-            "p cnf 18 10\n"
+            "p cnf 18 12\n"
             "6 2 0\n-6 -2 0\n"
             "4 5 0\n-4 -5 0\n"
             "2 -1 0\n-2 1 0\n"
             "4 -3 0\n-4 3 0\n"
             "3 1 0\n-3 -1 0\n"
+            "8 7 0\n-8 -7 0\n"
         )
         variables = sorted(str(v + 1) for v in range(18))
         assert (tmp_path / "enc.vars.json").read_text() == (
-            '{\n  "blocked_vertices": [\n    16\n  ],\n'
-            '  "unencoded_shallow_vertices": [\n'
-            + ",\n".join(f"    {v}" for v in range(6, 12))
-            + '\n  ],\n  "variable_to_vertex": {\n'
+            '{\n  "blocked_vertices": [\n    10,\n    16\n  ],\n'
+            '  "variable_to_vertex": {\n'
             + ",\n".join(f'    "{x}": {int(x) - 1}' for x in variables)
             + "\n  }\n}\n"
         )
@@ -326,9 +330,9 @@ class TestSolve:
     def test_one_sweep_per_solve(
         self, capsys, monkeypatch, graph_file, tmp_path, emit, two_squares, braced_hexagon
     ):
-        # a swept component (0-5), a shallow K2 (6-7), a shallow star
-        # (8-11) and a blocked one (12-17): the solve sweeps the two deep
-        # ones once each, and --emit-2cnf writes from that same sweep
+        # a component swept to its root (0-5), a K2 (6-7), a star (8-11)
+        # and a blocked one (12-17): the solve sweeps each once, from its
+        # lowest vertex, and --emit-2cnf writes from that same sweep
         import matchcut.pmc
 
         sweep = matchcut.pmc.build_pmc_formula
@@ -346,7 +350,7 @@ class TestSolve:
             argv += ["--emit-2cnf", str(tmp_path / "enc")]
         assert main(argv) == 0
         assert capsys.readouterr().out == "algo: fourchordal\nverdict: NO\n"
-        assert calls == [0, 12]
+        assert calls == [0, 6, 8, 12]
         assert (tmp_path / "enc.cnf").exists() == emit
 
     def test_emit_twosat_requires_pmc(self, capsys, graph_file, two_squares):
@@ -619,6 +623,33 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["solve", path, "--problem", "tsp"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reduce", "CNF", "--out", "OUT", "--budget-seconds", "5"],
+            ["solve", "G", "--problem", "pmc", "--out", "OUT"],
+        ],
+        ids=["reduce", "solve"],
+    )
+    def test_unknown_option_under_its_command_usage(
+        self, capsys, tmp_path, write, graph_file, two_squares, argv
+    ):
+        # an option the command does not take is reported with that
+        # command's usage line, which lists the options it does take
+        files = {
+            "CNF": write("f.cnf", format_formula_dimacs(Formula13(3, ((0, 1, 2),)))),
+            "G": graph_file("g", two_squares),
+            "OUT": str(tmp_path / "out"),
+        }
+        argv = [files.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: matchcut {argv[0]} ")
+        assert f"matchcut {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert list(tmp_path.glob("out*")) == []
 
     def test_oracle_size_guard(self, capsys, graph_file):
         big = build_graph(31, [(i, i + 1) for i in range(30)])

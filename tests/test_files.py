@@ -199,33 +199,27 @@ class TestTwoSatSidecars:
         assert out.getvalue() == ""
 
     def test_variable_map(self):
-        payload = json.loads(written(twosat_sidecar, 2, [], [1]))
-        assert payload == {
-            "variable_to_vertex": {"1": 0, "2": 1},
-            "unencoded_shallow_vertices": [],
-            "blocked_vertices": [1],
-        }
+        payload = json.loads(written(twosat_sidecar, 2, [1]))
+        assert payload == {"variable_to_vertex": {"1": 0, "2": 1}, "blocked_vertices": [1]}
 
     @pytest.mark.parametrize("var_count", [0, 1, 9, 10, 11, 99, 100, 101, 10**4])
     def test_variable_map_bytes_as_json_writes_them(self, var_count):
-        shallow, blocked = [4, 5, 7], [2, 3]
+        blocked = [2, 3]
         want = io.StringIO()
         payload = {
             "variable_to_vertex": {str(v + 1): v for v in range(var_count)},
-            "unencoded_shallow_vertices": shallow,
             "blocked_vertices": blocked,
         }
         json.dump(payload, want, indent=2, sort_keys=True)
-        assert written(twosat_sidecar, var_count, shallow, blocked) == want.getvalue() + "\n"
+        assert written(twosat_sidecar, var_count, blocked) == want.getvalue() + "\n"
 
     def test_variable_map_bytes(self):
-        assert written(twosat_sidecar, 0, [], []) == (
-            '{\n  "blocked_vertices": [],\n  "unencoded_shallow_vertices": [],\n'
-            '  "variable_to_vertex": {}\n}\n'
+        assert written(twosat_sidecar, 0, []) == (
+            '{\n  "blocked_vertices": [],\n  "variable_to_vertex": {}\n}\n'
         )
-        assert written(twosat_sidecar, 2, [0, 1], []) == (
-            '{\n  "blocked_vertices": [],\n  "unencoded_shallow_vertices": [\n'
-            '    0,\n    1\n  ],\n  "variable_to_vertex": {\n    "1": 0,\n    "2": 1\n  }\n}\n'
+        assert written(twosat_sidecar, 2, [0, 1]) == (
+            '{\n  "blocked_vertices": [\n    0,\n    1\n  ],\n'
+            '  "variable_to_vertex": {\n    "1": 0,\n    "2": 1\n  }\n}\n'
         )
 
 

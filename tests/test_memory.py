@@ -1,11 +1,12 @@
 """High-water marks of the parse, a CLI pmc solve, --emit-2cnf,
-disconnected-split, dpm completion and text output paths, and what the
-pmc sweep keeps, read with tracemalloc: what the interpreter allocates,
-deterministic for one interpreter.  Each bound sits between the
-streaming code's ratio and that of code that holds its data twice (a
-list of sets beside their frozensets, a clause tuple per relation, the
-whole file text, a copy of the graph) or builds what it does not read
-(a set per component, a trace entry per classified vertex)."""
+disconnected-split, dpm completion and text output paths, what the
+pmc sweep keeps, and a pmc solve of many small components, read with
+tracemalloc: what the interpreter allocates, deterministic for one
+interpreter.  Each bound sits between the streaming code's ratio and
+that of code that holds its data twice (a list of sets beside their
+frozensets, a clause tuple per relation, the whole file text, a copy
+of the graph) or builds what it does not read (a set per component, a
+trace entry per classified vertex, a list of every component)."""
 
 import contextlib
 import gc
@@ -73,6 +74,19 @@ def test_pmc_sweep_kept(big_ladder):
     enc, kept, _ = traced(lambda: build_pmc_formula(big_ladder, levels))
     assert enc.relations is not None
     assert kept <= 100 * big_ladder.n
+
+
+def test_pmc_flood_peak():
+    # 10,000 disjoint claws, each swept and blocked at its second leaf:
+    # a component's layering and sweep are freed before the next one's
+    # (10 bytes per vertex here; 52 with each component's lowest vertex
+    # and order kept in a list for the sweep, and each claw's vertices
+    # kept in a tuple of their own instead of being swept)
+    claw = [(0, 1), (0, 2), (0, 3)]
+    g = build_graph(40_000, [(u + k, v + k) for k in range(0, 40_000, 4) for u, v in claw])
+    result, _, peak = traced(lambda: solve(g, "pmc", "fourchordal"))
+    assert result.cut is None and result.sweep.blocked == list(range(2, g.n, 4))
+    assert peak <= 20 * g.n
 
 
 def test_emit_twosat_peak(big_ladder, tmp_path):

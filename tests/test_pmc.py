@@ -1,4 +1,6 @@
+import io
 import random
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from conftest import (
     cycle_graph,
     disjoint_union,
     fan,
+    labelled_graphs,
     ladder,
     path_graph,
     random_graph,
@@ -20,6 +23,7 @@ from conftest import (
     tree_prism,
 )
 from matchcut import build_graph, check_perfect_matching_cut, pmc, solve
+from matchcut.files import format_twosat_dimacs
 from matchcut.graphs import (
     component_levels,
     component_roots,
@@ -162,8 +166,11 @@ class TestBuildFormula:
         assert enc.formula is None and enc.blocked == 0
 
     def test_shallow_components_block_unless_k2(self):
-        # the sweep itself answers a component of height at most one as
-        # the closed form does: blocked on all but K2, whose ends it pairs
+        # a component whose lowest vertex is adjacent to every other has
+        # a perfect matching cut only when it is K2: every other neighbour
+        # of that vertex shares its side, which leaves its partner with
+        # no partner of its own.  The sweep blocks on all but K2, whose
+        # ends it pairs
         stars = [build_graph(k + 1, [(0, v) for v in range(1, k + 1)]) for k in range(2, 6)]
         cliques = [complete_graph(k) for k in range(3, 7)]
         pendants = complete_graph(8).edges() + [(0, v) for v in range(8, 40)]
@@ -301,22 +308,19 @@ class TestSolvePmc:
 
     @pytest.mark.parametrize("first", ["blocked", "shallow"])
     def test_no_sweeps_every_component(self, first, braced_hexagon, two_squares, domino):
-        # the first component answers NO: braced_hexagon blocks from
-        # vertex 0, and K4 is shallow; the later ones are swept all the same
+        # the first component answers NO: braced_hexagon blocks at 4, and
+        # K4, whose lowest vertex is adjacent to every other, blocks at
+        # 2; the later ones are swept all the same
         head = braced_hexagon if first == "blocked" else complete_graph(4)
         g = disjoint_union(head, two_squares, domino)
-        cut, sweep = solve_pmc_sweeps(g, component_roots(g))
+        cut, sweep = solve_pmc_sweeps(g)
         assert cut is None
         assert sweep == sweep_components(g)
-        if first == "blocked":
-            assert sweep.blocked == [4] and sweep.shallow == []
-        else:
-            assert sweep.blocked == [] and sweep.shallow == [(0, 1, 2, 3)]
+        assert sweep.blocked == [4 if first == "blocked" else 2]
         # the later components' relations are all there, and only theirs
-        later = sweep_components(g, list(component_roots(g))[1:])
-        assert later.blocked == later.shallow == []
-        assert sweep.relations == later.relations
-        assert {v for a, b, _ in later.relations for v in (a, b)} == set(range(head.n, g.n))
+        later = sweep_components(disjoint_union(two_squares, domino))
+        assert later.blocked == []
+        assert sweep.relations == [(a + head.n, b + head.n, d) for a, b, d in later.relations]
 
     @pytest.mark.parametrize("root", range(6))
     @pytest.mark.parametrize("reverse", [False, True])
@@ -488,20 +492,14 @@ class TestSweepInPlace:
 
     @staticmethod
     def kinds(g, roots) -> set[str]:
-        """Compare both sweeps of g, and of the components after its
-        first (a comps list other than all of them), and the kernel's
-        sweep of each root's component, in place and on a copy, for
-        each root in roots and scan order; return which outcomes of
-        the component sweeps occurred."""
-        later = list(component_roots(g))[1:]
-        later_sets = connected_components(g)[1:]
-        seen = set()
-        for part, sets in ((None, None), (later, later_sets)):
-            got = sweep_components(g, part)
-            assert got == bruteforce.sweep_components_reference(g, sets)
-            # a component swept to the root leaves a relation
-            kinds = zip(("swept", "shallow", "blocked"), got)
-            seen.update(kind for kind, found in kinds if found)
+        """Compare both sweeps of g, and the kernel's sweep of each
+        root's component, in place and on a copy, for each root in roots
+        and scan order; return which outcomes of the component sweeps
+        occurred."""
+        got = sweep_components(g)
+        assert got == bruteforce.sweep_components_reference(g)
+        # a component swept to the root leaves a relation
+        seen = {kind for kind, found in zip(("swept", "blocked"), got) if found}
         for root in roots:
             comp = next(c for c in connected_components(g) if root in c)
             sub, old_ids = bruteforce.induced_subgraph(g, comp)
@@ -531,7 +529,7 @@ class TestSweepInPlace:
             g = disjoint_union(*sample_instances(seed, rng.randint(2, 4), 12))
             seen |= self.kinds(g, self.roots(g))
             seen |= self.kinds(relabelled(g, rng), self.roots(g))
-        assert seen == {"shallow", "blocked", "swept"}
+        assert seen == {"blocked", "swept"}
 
     def test_ladders_and_prisms(self):
         rng = random.Random(13)
@@ -551,4 +549,60 @@ class TestSweepInPlace:
             rng.shuffle(parts)
             g = disjoint_union(*parts)
             for h in (g, relabelled(g, rng)):
-                assert self.kinds(h, range(h.n)) == {"shallow", "blocked", "swept"}
+                assert self.kinds(h, range(h.n)) == {"blocked", "swept"}
+
+
+def dimacs_models(text):
+    """The True vertices of each model of a DIMACS 2-CNF, variable i+1
+    standing for vertex i, found by trying every assignment."""
+    header, *lines = text.splitlines()
+    n = int(header.split()[2])
+    clauses = [[int(lit) for lit in line.split()[:-1]] for line in lines]
+    return {
+        frozenset(compress(range(n), bits))
+        for bits in product((False, True), repeat=n)
+        if all(any(bits[abs(lit) - 1] == (lit > 0) for lit in c) for c in clauses)
+    }
+
+
+class TestTwoSatMeaning:
+    """On small 4-chordal graphs, every component swept whatever its
+    shape: the pmc verdict is the brute-force one, and when no sweep
+    blocks, the models of the written 2-CNF are exactly the X sides of
+    the perfect matching cuts, both orientations."""
+
+    @staticmethod
+    def encoded(g) -> bool:
+        """Check g if it is 4-chordal; whether its 2-CNF was checked."""
+        if (bruteforce.longest_induced_cycle(g) or 0) > 4:
+            return False
+        assert (solve(g, "pmc", "fourchordal").cut is not None) == bruteforce.has_pmc(g), g
+        sweep = sweep_components(g)
+        if sweep.blocked:
+            return False
+        out = io.StringIO()
+        format_twosat_dimacs(g.n, sweep.relations, out)
+        sides = set()
+        for x in bruteforce.all_perfect_matching_cuts(g):
+            sides |= {x, frozenset(range(g.n)) - x}
+        if g.n == 0:
+            # "p cnf 0 0" has one model, with no vertex on either side
+            sides.add(frozenset())
+        assert dimacs_models(out.getvalue()) == sides, g
+        return True
+
+    def test_every_graph_up_to_five_vertices(self):
+        # 1,100 graphs, the empty one and disconnected ones included; 26
+        # are 4-chordal and swept without a block
+        graphs = [g for n in range(6) for g in labelled_graphs(n)]
+        assert len(graphs) == 1100
+        assert sum(self.encoded(g) for g in graphs) == 26
+
+    def test_k2_beside_each_small_connected_graph(self):
+        # K2 first and last: a union sweeps without a block exactly when
+        # the graph beside K2 does, 22 of the 44
+        k2 = complete_graph(2)
+        small = [g for n in range(1, 5) for g in labelled_graphs(n) if bruteforce.is_connected(g)]
+        assert len(small) == 44
+        pairs = [(k2, g) for g in small] + [(g, k2) for g in small]
+        assert sum(self.encoded(disjoint_union(*pair)) for pair in pairs) == 44

@@ -26,7 +26,7 @@ RECORDS = [
     (ForcingState, tuple(frozenset({v}) for v in range(5)), (frozenset(),) * 5),
     (Refutation, ("R1", 3), ("R2", 3)),
     (PmcEncoding, (2, ((1, 0, True),), None), (2, None, 1)),
-    (PmcSweep, (((0, 1, True),), ((2, 3),), ()), ((), (), (1,))),
+    (PmcSweep, (((0, 1, True),), ()), ((), (1,))),
     (TwoSatInstance, (2, (((0, True), (1, False)),)), (2, ())),
     (Formula13, (3, ((0, 1, 2),)), (4, ((0, 1, 2),))),
     (GadgetLayout, tuple(LAYOUT), tuple(LAYOUT)[:-1] + (frozenset(),)),
@@ -69,7 +69,7 @@ def test_cut_repr():
 
 
 class TestResult:
-    SWEEP = PmcSweep([(0, 1, True)], [], [])
+    SWEEP = PmcSweep([(0, 1, True)], [])
 
     def test_sweeps_left_out_of_eq_hash_and_repr(self):
         plain = Result("pmc", "fourchordal", CUT)

@@ -1,12 +1,18 @@
 """solve() and oracle.find_dpm against the brute-force references."""
 
 import random
-from itertools import combinations
 
 import pytest
 
 import bruteforce
-from conftest import cycle_graph, disjoint_union, ladder, random_graph, sample_instances
+from conftest import (
+    cycle_graph,
+    disjoint_union,
+    labelled_graphs,
+    ladder,
+    random_graph,
+    sample_instances,
+)
 from matchcut import (
     Cut,
     Result,
@@ -75,11 +81,7 @@ def test_fourchordal_on_unions_agrees_with_bruteforce(problem):
 def connected_labelled_graphs(max_n: int):
     """Every connected graph on the vertices 0..n-1, for n = 1..max_n."""
     for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(2 ** len(pairs)):
-            g = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
-            if bruteforce.is_connected(g):
-                yield g
+        yield from filter(bruteforce.is_connected, labelled_graphs(n))
 
 
 def test_fourchordal_on_every_small_connected_graph():
