@@ -116,9 +116,9 @@ def _solve_output(result: Result) -> tuple[dict, Iterator[str]]:
 
 
 def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
-    """Write the 2-CNF of every component and its variable sidecar,
-    from the sweep of result's solve, or from a fresh one when it made
-    none."""
+    """Write the 2-CNF of every component and its blocked-vertex
+    sidecar, from the sweep of result's solve, or from a fresh one when
+    it made none."""
     from .files import format_twosat_dimacs, twosat_sidecar
     from .pmc import sweep_components
 
@@ -126,7 +126,7 @@ def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
     with open(prefix + ".cnf", "w") as out:
         format_twosat_dimacs(g.n, sweep.relations, out)
     with open(prefix + ".vars.json", "w") as out:
-        twosat_sidecar(g.n, sweep.blocked, out)
+        twosat_sidecar(sweep.blocked, out)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -288,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--emit-2cnf",
         metavar="PREFIX",
-        help="also write the pmc 2-CNF encoding and its variable map",
+        help="also write the pmc 2-CNF encoding and its blocked vertices",
     )
     add_common(p_solve)
     p_solve.set_defaults(func=cmd_solve, parser=p_solve)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .graphs import MAX_VERTICES, Graph, GraphError, graph_from_ends
 
@@ -108,37 +108,8 @@ def format_twosat_dimacs(var_count: int, relations: Sequence[Relation], out: Tex
     )
 
 
-def twosat_sidecar(var_count: int, blocked: list[int], out: TextIO) -> None:
-    """Write the JSON sidecar mapping DIMACS variables to vertex ids,
-    with the vertex that blocked each component's sweep, whose
-    component the encoding leaves out.
-
-    The bytes are those of json.dump(indent=2, sort_keys=True); the
-    variable map, the last key, is written a line at a time in its
-    sorted key order, which is decimal string order.
-    """
-    # the blocked list, without the closing brace
-    out.write(json.dumps({"blocked_vertices": blocked}, indent=2)[:-2])
-    out.write(',\n  "variable_to_vertex": ')
-    if not var_count:
-        out.write("{}\n}\n")
-        return
-    keys = _decimal_order(var_count)
-    next(keys)
-    out.write('{\n    "1": 0')
-    out.writelines(f',\n    "{k}": {k - 1}' for k in keys)
-    out.write("\n  }\n}\n")
-
-
-def _decimal_order(count: int) -> Iterator[int]:
-    """1..count in the order of their decimal strings: "1", "10",
-    "100", ..., "11", ..., "2", ..."""
-    k = 1
-    for _ in range(count):
-        yield k
-        if k * 10 <= count:
-            k *= 10
-        else:
-            while k % 10 == 9 or k == count:
-                k //= 10
-            k += 1
+def twosat_sidecar(blocked: list[int], out: TextIO) -> None:
+    """Write the JSON sidecar: the vertex that blocked each component's
+    sweep, whose component the encoding leaves out."""
+    json.dump({"blocked_vertices": blocked}, out, indent=2)
+    out.write("\n")

@@ -18,8 +18,8 @@ from typing import NamedTuple, TextIO
 from .files import ParseError
 from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
 
-# build_reduction allocates one slot list per declared variable, so a
-# CNF header is capped like a graph header
+# a CNF header is outside input, so its variable count is capped like a
+# graph header's vertex count
 MAX_VARIABLES = MAX_VERTICES
 
 
@@ -60,6 +60,8 @@ def formula_from_dimacs(text: str) -> Formula13:
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if var_count is not None:
+                raise ParseError(f"second problem line {line!r}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(f"bad problem line {line!r}")
@@ -127,17 +129,13 @@ _GADGET_EDGES = (
 
 
 def _slot_cliques(formula: Formula13) -> dict[int, frozenset[int]]:
-    """Per variable, the slot vertices of its occurrences.  Sets are
-    built only for the variables that occur; the others share one empty
-    set, so a large declared count with few clauses stays small."""
+    """Per variable that occurs, in variable order, the slot vertices
+    of its occurrences; a variable in no clause has no slot."""
     slots: dict[int, set[int]] = {}
     for j, clause in enumerate(formula.clauses):
         for k, var in enumerate(clause):
             slots.setdefault(var, set()).add(_BLOCK * j + _OFF_CJK[k])
-    empty: frozenset[int] = frozenset()
-    return {
-        x: frozenset(slots[x]) if x in slots else empty for x in range(formula.var_count)
-    }
+    return {x: frozenset(slots[x]) for x in sorted(slots)}
 
 
 class GadgetLayout(NamedTuple):
@@ -156,7 +154,8 @@ class GadgetLayout(NamedTuple):
 
     @property
     def q_cliques(self) -> dict[int, frozenset[int]]:
-        """Per variable, its slot clique; built from formula on each access."""
+        """Per variable that occurs, its slot clique; built from formula
+        on each access."""
         return _slot_cliques(self.formula)
 
 

@@ -82,16 +82,13 @@ def cut_to_assignment(layout: GadgetLayout, cut: Cut) -> tuple[bool, ...]:
         x, y = y, x
     elif not layout.f_clique <= x:
         raise GraphError("hub clique is split by the cut")
-    assignment = []
+    # a variable with no occurrence has no clique and carries no
+    # signal; it stays False
+    assignment = [False] * layout.formula.var_count
     for var, q in layout.q_cliques.items():
-        if not q:
-            # a variable with no occurrence carries no signal; pin it False
-            assignment.append(False)
-        elif q <= y:
-            assignment.append(True)
-        elif q <= x:
-            assignment.append(False)
-        else:
+        if q <= y:
+            assignment[var] = True
+        elif not q <= x:
             raise GraphError(f"variable clique {var} is split by the cut")
     result = tuple(assignment)
     if not is_one_in_three(layout.formula, result):

@@ -234,10 +234,9 @@ class TestSolve:
             "4 -3 0\n-4 3 0\n"
             "3 1 0\n-3 -1 0\n"
         )
+        # variable k stands for vertex k-1, which the sidecar leaves unsaid
         sidecar = json.loads((tmp_path / "enc.vars.json").read_text())
-        assert sorted(sidecar) == ["blocked_vertices", "variable_to_vertex"]
-        assert sidecar["variable_to_vertex"]["6"] == 5
-        assert sidecar["blocked_vertices"] == []
+        assert sidecar == {"blocked_vertices": []}
 
     def test_emit_twosat_blocked_component(
         self, capsys, graph_file, tmp_path, braced_hexagon
@@ -284,12 +283,8 @@ class TestSolve:
             "3 1 0\n-3 -1 0\n"
             "8 7 0\n-8 -7 0\n"
         )
-        variables = sorted(str(v + 1) for v in range(18))
         assert (tmp_path / "enc.vars.json").read_text() == (
-            '{\n  "blocked_vertices": [\n    10,\n    16\n  ],\n'
-            '  "variable_to_vertex": {\n'
-            + ",\n".join(f'    "{x}": {int(x) - 1}' for x in variables)
-            + "\n  }\n}\n"
+            '{\n  "blocked_vertices": [\n    10,\n    16\n  ]\n}\n'
         )
 
     @pytest.mark.parametrize("first", ["two_squares", "braced_hexagon", "path3"])
@@ -513,6 +508,21 @@ class TestReduce:
         rc = main(["reduce", cnf, "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err == "error: problem line declares -1 variables\n"
+        assert not (tmp_path / "x.graph").exists()
+
+    @pytest.mark.parametrize(
+        "text, line",
+        # a smaller second header crashed on the clauses it orphaned, a
+        # larger one was reported as the variable count
+        [("p cnf 5 1\n4 5 1 0\np cnf 3 1\n", "p cnf 3 1"),
+         ("p cnf 3 1\n1 2 3 0\np cnf 9 1\n", "p cnf 9 1")],
+        ids=["shrinks", "grows"],
+    )
+    def test_second_problem_line(self, capsys, write, tmp_path, text, line):
+        cnf = write("f.cnf", text)
+        rc = main(["reduce", cnf, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr() == ("", f"error: second problem line {line!r}\n")
         assert not (tmp_path / "x.graph").exists()
 
     @pytest.mark.parametrize("option", [["--budget-seconds", "1"], ["--max-oracle-n", "5"]])

@@ -109,6 +109,9 @@ MALFORMED_CNFS = {
         "problem line declares 1000001 variables, the limit is 1000000"
     ),
     "p cnf -1 0\n": "problem line declares -1 variables",
+    # a second header may neither shrink nor grow the declared count
+    "p cnf 5 1\n4 5 1 0\np cnf 3 1\n": "second problem line 'p cnf 3 1'",
+    "p cnf 3 1\n1 2 3 0\np cnf 9 1\n": "second problem line 'p cnf 9 1'",
 }
 
 
@@ -198,28 +201,16 @@ class TestTwoSatSidecars:
             format_twosat_dimacs(3, relations, out)
         assert out.getvalue() == ""
 
-    def test_variable_map(self):
-        payload = json.loads(written(twosat_sidecar, 2, [1]))
-        assert payload == {"variable_to_vertex": {"1": 0, "2": 1}, "blocked_vertices": [1]}
-
-    @pytest.mark.parametrize("var_count", [0, 1, 9, 10, 11, 99, 100, 101, 10**4])
-    def test_variable_map_bytes_as_json_writes_them(self, var_count):
-        blocked = [2, 3]
-        want = io.StringIO()
-        payload = {
-            "variable_to_vertex": {str(v + 1): v for v in range(var_count)},
-            "blocked_vertices": blocked,
-        }
-        json.dump(payload, want, indent=2, sort_keys=True)
-        assert written(twosat_sidecar, var_count, blocked) == want.getvalue() + "\n"
-
-    def test_variable_map_bytes(self):
-        assert written(twosat_sidecar, 0, []) == (
-            '{\n  "blocked_vertices": [],\n  "variable_to_vertex": {}\n}\n'
+    @pytest.mark.parametrize("blocked", [[], [1], [0, 7, 12]])
+    def test_sidecar_bytes_as_json_writes_them(self, blocked):
+        assert written(twosat_sidecar, blocked) == (
+            json.dumps({"blocked_vertices": blocked}, indent=2) + "\n"
         )
-        assert written(twosat_sidecar, 2, [0, 1]) == (
-            '{\n  "blocked_vertices": [\n    0,\n    1\n  ],\n'
-            '  "variable_to_vertex": {\n    "1": 0,\n    "2": 1\n  }\n}\n'
+
+    def test_sidecar_bytes(self):
+        assert written(twosat_sidecar, []) == '{\n  "blocked_vertices": []\n}\n'
+        assert written(twosat_sidecar, [0, 1]) == (
+            '{\n  "blocked_vertices": [\n    0,\n    1\n  ]\n}\n'
         )
 
 
@@ -240,21 +231,31 @@ class TestLayoutSidecar:
         assert payload["F"] == [0, 13]
         assert payload["T"] == [4, 5, 6]
 
+    @given(st.integers(0, 100_000))
+    def test_q_lists_the_variables_that_occur(self, seed):
+        rng = random.Random(seed)
+        var_count = rng.randint(3, 12)
+        clauses = tuple(
+            tuple(rng.sample(range(var_count), 3)) for _ in range(rng.randint(1, 4))
+        )
+        slots: dict[str, list[int]] = {}
+        for j, clause in enumerate(clauses):
+            for k, var in enumerate(clause):
+                slots.setdefault(str(var), []).append(14 * j + 1 + k)
+        layout = build_reduction(Formula13(var_count, clauses))
+        assert json.loads(written(layout_sidecar, layout))["Q"] == slots
+
     def test_unused_variables_bytes(self):
         # "p cnf 10 1" with clause "1 2 3 0": variables 4..10 occur
-        # nowhere, so their slot cliques are empty and share one set
+        # nowhere, so they have no slot clique and no entry in Q
         layout = build_reduction(formula_from_dimacs("p cnf 10 1\n1 2 3 0\n"))
-        q = layout.q_cliques
-        assert len({id(q[x]) for x in range(3, 10)}) == 1
-        unused = "".join(f'    "{x}": [],\n' for x in range(3, 9))
+        assert list(layout.q_cliques) == [0, 1, 2]
         assert written(layout_sidecar, layout) == (
             '{\n  "F": [\n    0,\n    13\n  ],\n'
             '  "Q": {\n'
             '    "0": [\n      1\n    ],\n'
             '    "1": [\n      2\n    ],\n'
-            '    "2": [\n      3\n    ],\n'
-            f'{unused}'
-            '    "9": []\n'
+            '    "2": [\n      3\n    ]\n'
             '  },\n'
             '  "T": [\n    4,\n    5,\n    6\n  ],\n'
             '  "ajk": [\n    [\n      4,\n      5,\n      6\n    ]\n  ],\n'

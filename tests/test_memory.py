@@ -1,15 +1,17 @@
-"""High-water marks of the parse, a CLI pmc solve, --emit-2cnf,
-disconnected-split, dpm completion and text output paths, what the
-pmc sweep keeps, and a pmc solve of many small components, read with
-tracemalloc: what the interpreter allocates, deterministic for one
-interpreter.  Each bound sits between the streaming code's ratio and
-that of code that holds its data twice (a list of sets beside their
-frozensets, a clause tuple per relation, the whole file text, a copy
-of the graph) or builds what it does not read (a set per component, a
-trace entry per classified vertex, a list of every component)."""
+"""High-water marks of the parse, a CLI pmc solve, --emit-2cnf, a
+reduce under a large variable count, disconnected-split, dpm
+completion and text output paths, what the pmc sweep keeps, and a pmc
+solve of many small components, read with tracemalloc: what the
+interpreter allocates, deterministic for one interpreter.  Each bound
+sits between the streaming code's ratio and that of code that holds
+its data twice (a list of sets beside their frozensets, a clause tuple
+per relation, the whole file text, a copy of the graph) or builds what
+it does not read (a set per component, a trace entry per classified
+vertex, a list of every component, an entry per declared variable)."""
 
 import contextlib
 import gc
+import io
 import json
 import tracemalloc
 
@@ -20,6 +22,7 @@ from matchcut.cli import _emit_twosat, main
 from matchcut.files import format_graph, parse_graph
 from matchcut.graphs import build_graph, component_levels
 from matchcut.pmc import build_pmc_formula
+from matchcut.reduction import build_reduction, formula_from_dimacs, layout_sidecar
 from matchcut.solver import solve
 
 
@@ -91,15 +94,28 @@ def test_pmc_flood_peak():
 
 def test_emit_twosat_peak(big_ladder, tmp_path):
     # the 2-CNF is written from the relations and both files are
-    # streamed (5.5x the bytes written here; 17x with the clause tuples
+    # streamed (0.89x the bytes written here; 23x with the clause tuples
     # and the file text built whole)
     result = solve(big_ladder, "pmc", "fourchordal")
     assert result.cut is not None
     prefix = str(tmp_path / "enc")
     _, _, peak = traced(lambda: _emit_twosat(big_ladder, prefix, result))
     written = sum((tmp_path / ("enc" + ext)).stat().st_size for ext in (".cnf", ".vars.json"))
-    assert written > 80_000
+    assert written > 40_000
     assert peak <= 8 * written
+
+
+def test_reduce_declared_variables_peak():
+    # one clause under a header of 10^6 variables: only the three that
+    # occur get a slot clique (428 bytes written, a 17.6 KB peak here;
+    # 17.9 MB written and a 226 MB peak with a dict entry and a
+    # '"x": []' line per declared variable)
+    text = "p cnf 1000000 1\n1 2 3 0\n"
+    out = io.StringIO()
+    _, _, peak = traced(lambda: layout_sidecar(build_reduction(formula_from_dimacs(text)), out))
+    assert json.loads(out.getvalue())["Q"] == {"0": [1], "1": [2], "2": [3]}
+    assert len(out.getvalue()) < 1_000
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("problem", ["mc", "dpm", "pmc"])

@@ -178,6 +178,9 @@ class TestBuildReduction:
             1: frozenset({2}),
             2: frozenset({3}),
         }
+        # only the variables that occur, in variable order, whatever the
+        # order of their first occurrence
+        assert list(build_reduction(Formula13(6, ((4, 2, 0),))).q_cliques) == [0, 2, 4]
 
     def test_role_tuples(self):
         layout = build_reduction(F2)
@@ -232,6 +235,20 @@ class TestCutCorrespondence:
                 assert check_perfect_matching_cut(layout.graph, cut.x)[0] is not None
                 assert cut_to_assignment(layout, cut) == assignment
                 assert cut_to_assignment(layout, make_cut(layout.graph, cut.y)) == assignment
+
+    def test_round_trip_with_absent_variables(self):
+        # variables 0, 2 and 5 occur in no clause, have no clique, and
+        # are read off every cut as False
+        formula = Formula13(6, ((1, 3, 4), (4, 1, 3)))
+        layout = build_reduction(formula)
+        found = 0
+        for assignment in enumerate_one_in_three(formula):
+            if any(assignment[v] for v in (0, 2, 5)):
+                continue
+            found += 1
+            cut = assignment_to_pmc(layout, assignment)
+            assert cut_to_assignment(layout, cut) == assignment
+        assert found == 3
 
     def test_unsatisfying_assignment_rejected(self):
         layout = build_reduction(F1)
