@@ -145,7 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             _emit_twosat(g, args.emit_2cnf, result)
     # the answer is encoded without the graph and the sweep behind it
     del g
-    result = Result(result.problem, result.algo, result.cut, result.matching, result.reason)
+    result = result._replace(sweep=None)
     _emit(args, *_solve_output(result))
     return 0
 

@@ -18,9 +18,11 @@ from typing import NamedTuple, TextIO
 from .files import ParseError
 from .graphs import MAX_VERTICES, Graph, GraphError, build_graph
 
-# a CNF header is outside input, so its variable count is capped like a
-# graph header's vertex count
+# a CNF header is outside input: its variable count is capped like a
+# graph header's vertex count, and its clause count m so that a gadget's
+# 8m^2 or so edges, mostly hub and guard cliques, stay under 10^6
 MAX_VARIABLES = MAX_VERTICES
+MAX_CLAUSES = 350
 
 
 class _Formula13Fields(NamedTuple):
@@ -74,6 +76,10 @@ def formula_from_dimacs(text: str) -> Formula13:
             if var_count > MAX_VARIABLES:
                 raise ParseError(
                     f"problem line declares {var_count} variables, the limit is {MAX_VARIABLES}"
+                )
+            if promised > MAX_CLAUSES:
+                raise ParseError(
+                    f"problem line declares {promised} clauses, the limit is {MAX_CLAUSES}"
                 )
             continue
         if var_count is None:
@@ -149,8 +155,8 @@ class GadgetLayout(NamedTuple):
     ajk: tuple[tuple[int, int, int], ...]
     bjk: tuple[tuple[int, int, int], ...]
     cjk_prime: tuple[tuple[int, int, int], ...]
-    f_clique: frozenset[int] = frozenset()
-    t_clique: frozenset[int] = frozenset()
+    f_clique: frozenset[int]
+    t_clique: frozenset[int]
 
     @property
     def q_cliques(self) -> dict[int, frozenset[int]]:

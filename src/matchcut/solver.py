@@ -7,7 +7,7 @@ imports the module it calls, so a run loads only the solvers it uses.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import graphs
 
@@ -18,7 +18,16 @@ PROBLEMS = ("mc", "pmc", "dpm")
 ALGOS = ("auto", "fourchordal", "oracle")
 
 
-class Result:
+class _ResultFields(NamedTuple):
+    problem: str
+    algo: str | None
+    cut: graphs.Cut | None
+    matching: tuple[tuple[int, int], ...] | None = None
+    reason: str | None = None
+    sweep: PmcSweep | None = None
+
+
+class Result(_ResultFields):
     """The answer to one problem: YES with cut, or NO with cut None.
 
     algo is the algorithm that decided, or None when the graph's shape
@@ -28,44 +37,26 @@ class Result:
     so that its 2-CNF is written without sweeping again; it is None on
     every other path.
 
-    A Result is immutable.  It compares, hashes and prints by its other
-    five fields: sweep records how the answer was found, not the answer.
+    A Result compares, hashes and prints by its other five fields:
+    sweep records how the answer was found, not the answer.  It equals
+    only a Result, never the plain tuple of its fields, so != is
+    written out too: tuple's own != would answer otherwise.
     """
 
-    __slots__ = ("problem", "algo", "cut", "matching", "reason", "sweep")
-
-    def __init__(
-        self,
-        problem: str,
-        algo: str | None,
-        cut: graphs.Cut | None,
-        matching: tuple[tuple[int, int], ...] | None = None,
-        reason: str | None = None,
-        sweep: PmcSweep | None = None,
-    ) -> None:
-        for name, value in zip(self.__slots__, (problem, algo, cut, matching, reason, sweep)):
-            object.__setattr__(self, name, value)
-
-    def _answer(self) -> tuple:
-        return (self.problem, self.algo, self.cut, self.matching, self.reason)
+    __slots__ = ()
 
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._answer() == other._answer()
+        return isinstance(other, Result) and self[:5] == other[:5]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
-        return hash(self._answer())
+        return hash(self[:5])
 
     def __repr__(self) -> str:
-        fields = zip(self.__slots__, self._answer())
+        fields = zip(self._fields, self[:5])
         return "Result(" + ", ".join(f"{name}={value!r}" for name, value in fields) + ")"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _pick_algo(g: graphs.Graph, limits: graphs.OracleLimits | None) -> str:

@@ -510,6 +510,17 @@ class TestReduce:
         assert capsys.readouterr().err == "error: problem line declares -1 variables\n"
         assert not (tmp_path / "x.graph").exists()
 
+    def test_clause_count_cap(self, capsys, write, tmp_path):
+        # 1,000 clauses in 16 KB would build a gadget of 8 * 10^6 edges
+        text = "p cnf 3000 1000\n" + "".join(f"{3*j+1} {3*j+2} {3*j+3} 0\n" for j in range(1000))
+        cnf = write("f.cnf", text)
+        rc = main(["reduce", cnf, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", "error: problem line declares 1000 clauses, the limit is 350\n"
+        )
+        assert list(tmp_path.glob("x.*")) == []
+
     @pytest.mark.parametrize(
         "text, line",
         # a smaller second header crashed on the clauses it orphaned, a

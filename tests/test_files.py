@@ -9,7 +9,13 @@ from conftest import format_formula_dimacs, path_graph, random_graph
 from matchcut import ParseError, format_graph, parse_graph
 from matchcut.files import format_twosat_dimacs, twosat_sidecar
 from matchcut.pmc import relation_clauses
-from matchcut.reduction import Formula13, build_reduction, formula_from_dimacs, layout_sidecar
+from matchcut.reduction import (
+    MAX_CLAUSES,
+    Formula13,
+    build_reduction,
+    formula_from_dimacs,
+    layout_sidecar,
+)
 
 
 # each malformed graph file and the message it is refused with
@@ -109,6 +115,8 @@ MALFORMED_CNFS = {
         "problem line declares 1000001 variables, the limit is 1000000"
     ),
     "p cnf -1 0\n": "problem line declares -1 variables",
+    # a gadget is quadratic in the clause count, so it is capped too
+    "p cnf 3 351\n": "problem line declares 351 clauses, the limit is 350",
     # a second header may neither shrink nor grow the declared count
     "p cnf 5 1\n4 5 1 0\np cnf 3 1\n": "second problem line 'p cnf 3 1'",
     "p cnf 3 1\n1 2 3 0\np cnf 9 1\n": "second problem line 'p cnf 9 1'",
@@ -130,6 +138,10 @@ class TestDimacs:
     def test_two_clauses_on_one_line(self):
         formula = formula_from_dimacs("p cnf 3 2\n1 2 3 0 3 2 1 0\n")
         assert formula == Formula13(3, ((0, 1, 2), (2, 1, 0)))
+
+    def test_clause_cap_is_inclusive(self):
+        text = f"p cnf 3 {MAX_CLAUSES}\n" + "1 2 3 0\n" * MAX_CLAUSES
+        assert formula_from_dimacs(text) == Formula13(3, ((0, 1, 2),) * MAX_CLAUSES)
 
     @pytest.mark.parametrize("text", list(MALFORMED_CNFS))
     def test_rejects_malformed(self, text):

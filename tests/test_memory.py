@@ -1,5 +1,5 @@
 """High-water marks of the parse, a CLI pmc solve, --emit-2cnf, a
-reduce under a large variable count, disconnected-split, dpm
+reduce under a large variable or clause count, disconnected-split, dpm
 completion and text output paths, what the pmc sweep keeps, and a pmc
 solve of many small components, read with tracemalloc: what the
 interpreter allocates, deterministic for one interpreter.  Each bound
@@ -7,7 +7,8 @@ sits between the streaming code's ratio and that of code that holds
 its data twice (a list of sets beside their frozensets, a clause tuple
 per relation, the whole file text, a copy of the graph) or builds what
 it does not read (a set per component, a trace entry per classified
-vertex, a list of every component, an entry per declared variable)."""
+vertex, a list of every component, an entry per declared variable,
+every clause past a refused problem line)."""
 
 import contextlib
 import gc
@@ -19,7 +20,7 @@ import pytest
 
 from conftest import disjoint_union, ladder
 from matchcut.cli import _emit_twosat, main
-from matchcut.files import format_graph, parse_graph
+from matchcut.files import ParseError, format_graph, parse_graph
 from matchcut.graphs import build_graph, component_levels
 from matchcut.pmc import build_pmc_formula
 from matchcut.reduction import build_reduction, formula_from_dimacs, layout_sidecar
@@ -116,6 +117,23 @@ def test_reduce_declared_variables_peak():
     assert json.loads(out.getvalue())["Q"] == {"0": [1], "1": [2], "2": [3]}
     assert len(out.getvalue()) < 1_000
     assert peak < 1_000_000
+
+
+def test_reduce_declared_clauses_peak():
+    # 1,000 clauses under their problem line: refused there, before any
+    # clause is read (a 74 KB peak here, the text's lines; 335 KB with
+    # every clause parsed, and 1.45 GB more to build their gadget)
+    text = "p cnf 3000 1000\n" + "".join(f"{3*j+1} {3*j+2} {3*j+3} 0\n" for j in range(1000))
+
+    def parse():
+        try:
+            return formula_from_dimacs(text)
+        except ParseError as exc:
+            return str(exc)
+
+    message, _, peak = traced(parse)
+    assert message == "problem line declares 1000 clauses, the limit is 350"
+    assert peak <= 8 * len(text)
 
 
 @pytest.mark.parametrize("problem", ["mc", "dpm", "pmc"])

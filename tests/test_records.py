@@ -6,7 +6,7 @@ closed to assignment, and printed as Name(field=value, ...)."""
 import pytest
 
 from matchcut.forcing import ForcingState, Refutation
-from matchcut.graphs import BfsLevels, Cut, OracleLimits, build_graph
+from matchcut.graphs import BfsLevels, Cut, OracleLimits
 from matchcut.pmc import PmcEncoding, PmcSweep
 from matchcut.reduction import Formula13, GadgetLayout, build_reduction
 from matchcut.solver import Result
@@ -90,6 +90,23 @@ class TestResult:
         # a Result equals only a Result
         assert a != ("dpm", "oracle", CUT, ((0, 1),), None)
 
+    def test_sweep_does_not_make_it_unequal(self):
+        plain = Result("pmc", "fourchordal", CUT)
+        swept = Result("pmc", "fourchordal", CUT, sweep=self.SWEEP)
+        assert (swept != plain) is False and (swept == plain) is True
+
+    def test_never_equals_the_plain_tuple(self):
+        r = Result("pmc", "fourchordal", CUT, sweep=self.SWEEP)
+        for plain in (tuple(r), tuple(r._replace(sweep=None))):
+            assert len(plain) == 6
+            assert (r == plain) is False and (plain == r) is False
+            assert (r != plain) is True and (plain != r) is True
+
+    def test_replace_keeps_a_result(self):
+        r = Result("pmc", "fourchordal", CUT, sweep=self.SWEEP)
+        plain = r._replace(sweep=None)
+        assert type(plain) is Result and plain.sweep is None and plain == r
+
     def test_assignment_raises(self):
         r = Result("mc", None, None)
         for name in ("problem", "sweep", "extra"):
@@ -125,5 +142,3 @@ def test_twosat_instance_errors():
 def test_defaults():
     assert OracleLimits() == OracleLimits(30, 60.0)
     assert OracleLimits(budget_seconds=1.0).max_vertices == 30
-    g = build_graph(2, [(0, 1)])
-    assert GadgetLayout(g, FORMULA, (), (), (), (), (), ()).f_clique == frozenset()
