@@ -21,11 +21,14 @@ import sys
 from itertools import compress, islice
 from operator import not_
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .files import ParseError, format_graph, parse_graph
 from .graphs import Graph, GraphError, OracleBudgetError, OracleLimits, OracleSizeError
-from .solver import ALGOS, PROBLEMS, Result, solve
+from .solver import ALGOS, PROBLEMS, Result, _solve, solve
+
+if TYPE_CHECKING:
+    from .pmc import PmcSweep
 
 
 def _seconds(text: str) -> float:
@@ -115,14 +118,15 @@ def _solve_output(result: Result) -> tuple[dict, Iterator[str]]:
     return {"problem": result.problem} | fields, _text(fields)
 
 
-def _emit_twosat(g: Graph, prefix: str, result: Result | None) -> None:
+def _emit_twosat(g: Graph, prefix: str, sweep: PmcSweep | None) -> None:
     """Write the 2-CNF of every component and its blocked-vertex
-    sidecar, from the sweep of result's solve, or from a fresh one when
-    it made none."""
+    sidecar, from the sweep that solved g, or from a fresh one when
+    none did."""
     from .files import format_twosat_dimacs, twosat_sidecar
     from .pmc import sweep_components
 
-    sweep = sweep_components(g) if result is None or result.sweep is None else result.sweep
+    if sweep is None:
+        sweep = sweep_components(g)
     with open(prefix + ".cnf", "w") as out:
         format_twosat_dimacs(g.n, sweep.relations, out)
     with open(prefix + ".vars.json", "w") as out:
@@ -135,17 +139,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print("--emit-2cnf applies to --problem pmc only", file=sys.stderr)
         return 2
     g = parse_graph(Path(args.graph).read_text())
-    result = None
+    sweep = None
     try:
-        result = solve(g, args.problem, args.algo, _limits(args))
+        result, sweep = _solve(g, args.problem, args.algo, _limits(args))
     finally:
         # the encoding does not depend on the verdict, so it is written
         # even when the oracle gives up (exit 3)
         if args.emit_2cnf:
-            _emit_twosat(g, args.emit_2cnf, result)
+            _emit_twosat(g, args.emit_2cnf, sweep)
     # the answer is encoded without the graph and the sweep behind it
-    del g
-    result = result._replace(sweep=None)
+    del g, sweep
     _emit(args, *_solve_output(result))
     return 0
 

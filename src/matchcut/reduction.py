@@ -73,6 +73,8 @@ def formula_from_dimacs(text: str) -> Formula13:
                 raise ParseError(f"non-numeric problem line {line!r}") from exc
             if var_count < 0:
                 raise ParseError(f"problem line declares {var_count} variables")
+            if promised < 0:
+                raise ParseError(f"problem line declares {promised} clauses")
             if var_count > MAX_VARIABLES:
                 raise ParseError(
                     f"problem line declares {var_count} variables, the limit is {MAX_VARIABLES}"

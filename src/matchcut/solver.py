@@ -18,45 +18,19 @@ PROBLEMS = ("mc", "pmc", "dpm")
 ALGOS = ("auto", "fourchordal", "oracle")
 
 
-class _ResultFields(NamedTuple):
+class Result(NamedTuple):
+    """The answer to one problem: YES with cut, or NO with cut None.
+
+    algo is the algorithm that decided, or None when the graph's shape
+    answered first.  matching is the dpm perfect matching on YES.
+    reason names the shortcut behind a NO that has one.
+    """
+
     problem: str
     algo: str | None
     cut: graphs.Cut | None
     matching: tuple[tuple[int, int], ...] | None = None
     reason: str | None = None
-    sweep: PmcSweep | None = None
-
-
-class Result(_ResultFields):
-    """The answer to one problem: YES with cut, or NO with cut None.
-
-    algo is the algorithm that decided, or None when the graph's shape
-    answered first.  matching is the dpm perfect matching on YES.
-    reason names the shortcut behind a NO that has one.  sweep holds
-    the 4-chordal pmc solver's sweep of every component of the graph,
-    so that its 2-CNF is written without sweeping again; it is None on
-    every other path.
-
-    A Result compares, hashes and prints by its other five fields:
-    sweep records how the answer was found, not the answer.  It equals
-    only a Result, never the plain tuple of its fields, so != is
-    written out too: tuple's own != would answer otherwise.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Result) and self[:5] == other[:5]
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self[:5])
-
-    def __repr__(self) -> str:
-        fields = zip(self._fields, self[:5])
-        return "Result(" + ", ".join(f"{name}={value!r}" for name, value in fields) + ")"
 
 
 def _pick_algo(g: graphs.Graph, limits: graphs.OracleLimits | None) -> str:
@@ -120,23 +94,32 @@ def solve(
     oracle cut and every dpm matching are checked here, and one that
     fails raises RuntimeError.
     """
+    return _solve(g, problem, algo, limits)[0]
+
+
+def _solve(
+    g: graphs.Graph, problem: str, algo: str, limits: graphs.OracleLimits | None
+) -> tuple[Result, PmcSweep | None]:
+    """solve's answer, and beside it the 4-chordal pmc solver's sweep of
+    every component of g, so that its 2-CNF is written without sweeping
+    again; the sweep is None on every other path."""
     if problem not in PROBLEMS or algo not in ALGOS:
         raise ValueError(f"unknown problem {problem!r} or algorithm {algo!r}")
     if problem == "pmc":
         if any(order % 2 for _, order in graphs.component_roots(g)):
             # a component of odd order cannot be perfectly matched across
-            return Result(problem, None, None, reason="odd component")
+            return Result(problem, None, None, reason="odd component"), None
     elif g.n and len(first := graphs.part_without(g, ())) < g.n:
         # vertex 0's component, walked alone, splits a disconnected graph
         split = graphs.make_cut(g, first)
         if problem == "mc":
-            return Result(problem, None, split)
+            return Result(problem, None, split), None
         from . import matching
 
         pairs = matching.perfect_matching_through(g, split)
         if pairs is None:
-            return Result(problem, None, None)
-        return _certified(g, Result(problem, None, split, tuple(pairs)))
+            return Result(problem, None, None), None
+        return _certified(g, Result(problem, None, split, tuple(pairs))), None
 
     if algo == "auto":
         algo = _pick_algo(g, limits)
@@ -145,14 +128,14 @@ def solve(
             from . import pmc
 
             cut, sweep = pmc.solve_pmc_sweeps(g)
-            return Result(problem, algo, cut, sweep=sweep)
+            return Result(problem, algo, cut), sweep
         from . import forcing
 
         # g is connected, as the walk from vertex 0 above found.  The seed
         # loop is not held here, so its last seed state is freed before
         # the certificate check
         if problem == "mc":
-            return Result(problem, algo, next(forcing._stable_seeds(g), None))
+            return Result(problem, algo, next(forcing._stable_seeds(g), None)), None
         from . import matching
 
         found = matching.first_completion(g, forcing._stable_seeds(g))
@@ -162,9 +145,9 @@ def solve(
         if problem != "dpm":
             mode = "matching_only" if problem == "mc" else "perfect_only"
             cuts = oracle.enumerate_matching_cuts(g, mode, limits, stop_after=1)
-            return _certified(g, Result(problem, algo, cuts[0] if cuts else None))
+            return _certified(g, Result(problem, algo, cuts[0] if cuts else None)), None
         found = oracle.find_dpm(g, limits)
     if found is None:
-        return Result(problem, algo, None)
+        return Result(problem, algo, None), None
     pairs, cut = found
-    return _certified(g, Result(problem, algo, cut, tuple(pairs)))
+    return _certified(g, Result(problem, algo, cut, tuple(pairs))), None

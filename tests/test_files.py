@@ -115,6 +115,9 @@ MALFORMED_CNFS = {
         "problem line declares 1000001 variables, the limit is 1000000"
     ),
     "p cnf -1 0\n": "problem line declares -1 variables",
+    # a negative clause count is refused at its problem line too
+    "p cnf 3 -1\n": "problem line declares -1 clauses",
+    "p cnf 3 -1\n1 2 3 0\n": "problem line declares -1 clauses",
     # a gadget is quadratic in the clause count, so it is capped too
     "p cnf 3 351\n": "problem line declares 351 clauses, the limit is 350",
     # a second header may neither shrink nor grow the declared count

@@ -1,14 +1,15 @@
 """High-water marks of the parse, a CLI pmc solve, --emit-2cnf, a
 reduce under a large variable or clause count, disconnected-split, dpm
-completion and text output paths, what the pmc sweep keeps, and a pmc
-solve of many small components, read with tracemalloc: what the
-interpreter allocates, deterministic for one interpreter.  Each bound
-sits between the streaming code's ratio and that of code that holds
-its data twice (a list of sets beside their frozensets, a clause tuple
-per relation, the whole file text, a copy of the graph) or builds what
-it does not read (a set per component, a trace entry per classified
-vertex, a list of every component, an entry per declared variable,
-every clause past a refused problem line)."""
+completion and text output paths, what the pmc sweep and a pmc answer
+keep, and a pmc solve of many small components, read with tracemalloc:
+what the interpreter allocates, deterministic for one interpreter.
+Each bound sits between the streaming code's ratio and that of code
+that holds its data twice (a list of sets beside their frozensets, a
+clause tuple per relation, the whole file text, a copy of the graph)
+or builds what it does not read (a set per component, a trace entry
+per classified vertex, a list of every component, an entry per
+declared variable, every clause past a refused problem line) or keeps
+what its caller does not read (the sweep behind an answer)."""
 
 import contextlib
 import gc
@@ -24,7 +25,7 @@ from matchcut.files import ParseError, format_graph, parse_graph
 from matchcut.graphs import build_graph, component_levels
 from matchcut.pmc import build_pmc_formula
 from matchcut.reduction import build_reduction, formula_from_dimacs, layout_sidecar
-from matchcut.solver import solve
+from matchcut.solver import _solve, solve
 
 
 @pytest.fixture(scope="module")
@@ -88,19 +89,30 @@ def test_pmc_flood_peak():
     # kept in a tuple of their own instead of being swept)
     claw = [(0, 1), (0, 2), (0, 3)]
     g = build_graph(40_000, [(u + k, v + k) for k in range(0, 40_000, 4) for u, v in claw])
-    result, _, peak = traced(lambda: solve(g, "pmc", "fourchordal"))
-    assert result.cut is None and result.sweep.blocked == list(range(2, g.n, 4))
+    (result, sweep), _, peak = traced(lambda: _solve(g, "pmc", "fourchordal", None))
+    assert result.cut is None and sweep.blocked == list(range(2, g.n, 4))
     assert peak <= 20 * g.n
+
+
+def test_pmc_result_keeps_only_its_answer():
+    # 20,000 vertices: the answer keeps its cut, and the sweep that
+    # found it is freed as solve returns (60 bytes per vertex here; 126
+    # with the sweep kept in the answer)
+    solve(ladder(2), "pmc", "fourchordal")
+    g = ladder(10_000)
+    result, kept, _ = traced(lambda: solve(g, "pmc", "fourchordal"))
+    assert result.cut is not None
+    assert kept <= 80 * g.n
 
 
 def test_emit_twosat_peak(big_ladder, tmp_path):
     # the 2-CNF is written from the relations and both files are
     # streamed (0.89x the bytes written here; 23x with the clause tuples
     # and the file text built whole)
-    result = solve(big_ladder, "pmc", "fourchordal")
+    result, sweep = _solve(big_ladder, "pmc", "fourchordal", None)
     assert result.cut is not None
     prefix = str(tmp_path / "enc")
-    _, _, peak = traced(lambda: _emit_twosat(big_ladder, prefix, result))
+    _, _, peak = traced(lambda: _emit_twosat(big_ladder, prefix, sweep))
     written = sum((tmp_path / ("enc" + ext)).stat().st_size for ext in (".cnf", ".vars.json"))
     assert written > 40_000
     assert peak <= 8 * written

@@ -26,6 +26,8 @@ from matchcut import graphs
 from matchcut.graphs import make_cut
 from matchcut.matching import maximum_matching
 from matchcut.oracle import OracleBudgetError, find_dpm, has_dpm
+from matchcut.pmc import sweep_components
+from matchcut.solver import _solve
 
 BRUTE = {"mc": bruteforce.has_mc, "pmc": bruteforce.has_pmc, "dpm": bruteforce.has_dpm}
 
@@ -170,6 +172,28 @@ def test_empty_graph_and_unknown_names():
         solve(empty, "tsp")
     with pytest.raises(ValueError):
         solve(empty, "mc", "guess")
+
+
+@pytest.mark.parametrize(
+    "g, problem, algo, decided",
+    [
+        (cycle_graph(5), "pmc", "fourchordal", None),  # odd component
+        (disjoint_union(ladder(3), ladder(2)), "mc", "fourchordal", None),
+        (disjoint_union(ladder(3), ladder(2)), "dpm", "fourchordal", None),  # YES
+        (disjoint_union(cycle_graph(3), cycle_graph(3)), "dpm", "oracle", None),  # NO
+        *((ladder(3), problem, algo, algo) for algo in ("fourchordal", "oracle")
+          for problem in ("mc", "pmc", "dpm")),
+    ],
+)
+def test_sweep_travels_beside_the_answer(g, problem, algo, decided):
+    # decided, the answer's algo, shows the path taken; only the 4-chordal
+    # pmc solver sweeps, and solve() answers what _solve() does
+    result, sweep = _solve(g, problem, algo, None)
+    assert result == solve(g, problem, algo) and result.algo == decided
+    if (problem, decided) == ("pmc", "fourchordal"):
+        assert sweep == sweep_components(g)
+    else:
+        assert sweep is None
 
 
 DOMINO_X = {0, 3, 4}
