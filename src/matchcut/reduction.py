@@ -12,7 +12,7 @@ variable per clause.
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple, TextIO
 
 from .files import ParseError
@@ -168,33 +168,23 @@ class GadgetLayout(NamedTuple):
 
 
 def build_reduction(formula: Formula13) -> GadgetLayout:
-    """Assemble the instance graph for a non-empty 1-in-3 formula."""
+    """Assemble the instance graph for a non-empty 1-in-3 formula,
+    stating each edge once: the block edges, the hub clique F, the guard
+    clique T across blocks (a block's own triangle of T is a block edge)
+    and the slot cliques; build_graph refuses an edge stated twice."""
     m = len(formula.clauses)
     if m == 0:
         raise GraphError("the formula needs at least one clause")
-    edges: set[tuple[int, int]] = set()
-
-    def add(u: int, v: int) -> None:
-        edges.add((min(u, v), max(u, v)))
-
-    for j in range(m):
-        base = _BLOCK * j
-        for u, v in _GADGET_EDGES:
-            add(base + u, base + v)
-
     f_members = [v for j in range(m) for v in (_BLOCK * j + _OFF_C, _BLOCK * j + _OFF_CPRIME)]
     t_members = [_BLOCK * j + off for j in range(m) for off in _OFF_AJK]
-    for u, v in combinations(sorted(f_members), 2):
-        add(u, v)
-    for u, v in combinations(sorted(t_members), 2):
-        add(u, v)
-    for slots in _slot_cliques(formula).values():
-        for u, v in combinations(sorted(slots), 2):
-            add(u, v)
-
-    graph = build_graph(_BLOCK * m, sorted(edges))
+    edges = chain(
+        ((_BLOCK * j + u, _BLOCK * j + v) for j in range(m) for u, v in _GADGET_EDGES),
+        combinations(f_members, 2),
+        ((u, v) for u, v in combinations(t_members, 2) if u // _BLOCK != v // _BLOCK),
+        chain.from_iterable(combinations(q, 2) for q in _slot_cliques(formula).values()),
+    )
     return GadgetLayout(
-        graph=graph,
+        graph=build_graph(_BLOCK * m, edges),
         formula=formula,
         c=tuple(_BLOCK * j + _OFF_C for j in range(m)),
         c_prime=tuple(_BLOCK * j + _OFF_CPRIME for j in range(m)),

@@ -1,11 +1,12 @@
 """High-water marks of the parse, a CLI pmc solve, --emit-2cnf, a
-reduce under a large variable or clause count, disconnected-split, dpm
-completion and text output paths, what the pmc sweep and a pmc answer
-keep, and a pmc solve of many small components, read with tracemalloc:
-what the interpreter allocates, deterministic for one interpreter.
-Each bound sits between the streaming code's ratio and that of code
-that holds its data twice (a list of sets beside their frozensets, a
-clause tuple per relation, the whole file text, a copy of the graph)
+gadget build, a reduce under a large variable or clause count,
+disconnected-split, dpm completion and text output paths, what the pmc
+sweep and a pmc answer keep, and a pmc solve of many small components,
+read with tracemalloc: what the interpreter allocates, deterministic
+for one interpreter.  Each bound sits between the streaming code's
+ratio and that of code that holds its data twice (a list of sets
+beside their frozensets, a clause tuple per relation, the whole file
+text, a copy of the graph, a set of edge tuples beside the edge list)
 or builds what it does not read (a set per component, a trace entry
 per classified vertex, a list of every component, an entry per
 declared variable, every clause past a refused problem line) or keeps
@@ -24,7 +25,7 @@ from matchcut.cli import _emit_twosat, main
 from matchcut.files import ParseError, format_graph, parse_graph
 from matchcut.graphs import build_graph, component_levels
 from matchcut.pmc import build_pmc_formula
-from matchcut.reduction import build_reduction, formula_from_dimacs, layout_sidecar
+from matchcut.reduction import Formula13, build_reduction, formula_from_dimacs, layout_sidecar
 from matchcut.solver import _solve, solve
 
 
@@ -129,6 +130,17 @@ def test_reduce_declared_variables_peak():
     assert json.loads(out.getvalue())["Q"] == {"0": [1], "1": [2], "2": [3]}
     assert len(out.getvalue()) < 1_000
     assert peak < 1_000_000
+
+
+def test_build_reduction_peak():
+    # 100 disjoint clauses, 66,550 edges: each edge is stated once and
+    # streamed into build_graph (1.17x the bytes the layout keeps here;
+    # 2.05x with every edge gathered into a set of tuples and sorted)
+    formula = Formula13(300, tuple((3 * j, 3 * j + 1, 3 * j + 2) for j in range(100)))
+    build_reduction(formula)
+    layout, kept, peak = traced(lambda: build_reduction(formula))
+    assert layout.graph.n == 1400
+    assert peak <= 1.5 * kept
 
 
 def test_reduce_declared_clauses_peak():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -7,7 +8,7 @@ import bruteforce
 from matchcut import GraphError, OracleLimits, check_perfect_matching_cut
 from matchcut.graphs import make_cut
 from matchcut.oracle import enumerate_matching_cuts
-from matchcut.reduction import Formula13, build_reduction
+from matchcut.reduction import _GADGET_EDGES, Formula13, build_reduction
 from conftest import (
     build_g_h_v,
     clause_gadget,
@@ -18,6 +19,7 @@ from conftest import (
     petersen_graph,
 )
 from gadget import (
+    _expected_edge_count,
     assignment_to_pmc,
     cut_to_assignment,
     enumerate_one_in_three,
@@ -30,6 +32,22 @@ F2 = Formula13(4, ((0, 1, 2), (3, 2, 1)))
 F3 = Formula13(6, ((0, 1, 2), (3, 2, 1), (2, 4, 5)))
 
 WIDE = OracleLimits(max_vertices=42, budget_seconds=600)
+
+
+def seeded_formulas():
+    """Random formulas of 3-10 clauses that each repeat one clause three
+    times, so its variables lie in three or more clauses, and leave at
+    least two variables absent."""
+    rng = random.Random(40)
+    formulas = []
+    for _ in range(20):
+        var_count = rng.randint(5, 10)
+        pool = rng.sample(range(var_count), var_count - 2)
+        clauses = [tuple(rng.sample(pool, 3)) for _ in range(rng.randint(1, 8))]
+        clauses += [clauses[0], clauses[0]]
+        rng.shuffle(clauses)
+        formulas.append(Formula13(var_count, tuple(clauses)))
+    return formulas
 
 
 def nx_of(g):
@@ -152,13 +170,19 @@ class TestBuildReduction:
         assert layout.c_prime == tuple(14 * j + 13 for j in range(blocks))
 
     def test_cliques_and_separation(self):
-        layout = build_reduction(F3)
-        g = layout.graph
-        for clique in (layout.f_clique, layout.t_clique, *layout.q_cliques.values()):
-            assert all(g.has_edge(u, v) for u, v in combinations(sorted(clique), 2))
-        assert not any(
-            g.has_edge(u, v) for u in layout.f_clique for v in layout.t_clique
-        )
+        # every block edge and every F, T and Q pair present, and no
+        # more edges than they count: the edge set is exactly theirs
+        for formula in (F3, *seeded_formulas()):
+            layout = build_reduction(formula)
+            g = layout.graph
+            assert g.m == _expected_edge_count(layout)
+            for j in range(len(formula.clauses)):
+                assert all(g.has_edge(14 * j + u, 14 * j + v) for u, v in _GADGET_EDGES)
+            for clique in (layout.f_clique, layout.t_clique, *layout.q_cliques.values()):
+                assert all(g.has_edge(u, v) for u, v in combinations(sorted(clique), 2))
+            assert not any(
+                g.has_edge(u, v) for u in layout.f_clique for v in layout.t_clique
+            )
 
     def test_variable_cliques_frozen_ids(self):
         layout = build_reduction(F3)
